@@ -28,7 +28,7 @@ used by the flow theory (branch "a"; the Euclidean space is branch "b").
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -98,13 +98,7 @@ class ValidationReport:
     samples: int
 
     def to_dict(self):
-        return {
-            "rss_ok": self.rss_ok,
-            "rss2_branch": self.rss2_branch,
-            "violations": list(self.violations),
-            "r_probe_max": self.r_probe_max,
-            "samples": self.samples,
-        }
+        return asdict(self)
 
 
 def make_preset(tag: str, lam: Optional[float] = None, n: int = 2) -> AmbientSpace:

@@ -22,7 +22,7 @@ the closed form (2 pi / -lam) (-1 + sqrt(1 - lam V / (pi (b-a)))).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -172,14 +172,7 @@ class BoundsReport:
                 f"expected 0 < r3 < r1 < r2, got r3={self.r3!r} r1={self.r1!r} r2={self.r2!r}")
 
     def to_dict(self):
-        return {
-            "r1": self.r1,
-            "r2": self.r2,
-            "r3": self.r3,
-            "small_volume_threshold": self.small_volume_threshold,
-            "criterion_met": self.criterion_met,
-            "sigma": self.sigma,
-        }
+        return asdict(self)
 
 
 def compute_bounds(space, a: float, b: float, V: float, area_M: float) -> BoundsReport:

@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 config error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import csv
 import itertools
 import json
 import math
@@ -193,12 +194,11 @@ def cmd_sweep(cfg, args):
             rows = [_sweep_worker(p) for p in payloads]
 
     table_path = os.path.join(outdir, "sweep.csv")
-    with open(table_path, "w") as fh:
-        fh.write(",".join(["run_id"] + keys + list(_SWEEP_COLUMNS)) + "\n")
+    with open(table_path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["run_id"] + keys + list(_SWEEP_COLUMNS))
         for row, combo in zip(rows, combos):
-            cells = [str(row["run_id"])] + list(combo)
-            cells += [str(row.get(c, "")) for c in _SWEEP_COLUMNS]
-            fh.write(",".join(cells) + "\n")
+            writer.writerow([row["run_id"], *combo] + [row.get(c, "") for c in _SWEEP_COLUMNS])
     print(f"{len(rows)} runs -> {table_path}")
     return 0
 

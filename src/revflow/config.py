@@ -37,7 +37,7 @@ import configparser
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -47,15 +47,14 @@ from .expressions import ExpressionError, compile_expression
 from .flow import FlowConfig
 from .hypersurface import ProfileGrid, load_profile_csv
 
-__all__ = ["ConfigError", "RunConfig", "load_config", "parse_config", "config_to_ini"]
+__all__ = ["ConfigError", "RunConfig", "load_config", "parse_config"]
 
 
 class ConfigError(ValueError):
     """Config file cannot be parsed or fails validation."""
 
 
-_FLOW_KEYS = {"dt_safety", "max_t", "r_min_stop", "v_max_stop", "conv_tol",
-              "record_every", "volume_projection"}
+_FLOW_KEYS = {f.name for f in fields(FlowConfig)}
 
 
 @dataclass
@@ -190,16 +189,12 @@ def _build_flow(sections) -> FlowConfig:
         if unknown:
             raise ConfigError(f"[flow] unknown option(s): {', '.join(sorted(unknown))}")
     kwargs = {}
-    for key in ("dt_safety", "max_t", "r_min_stop", "v_max_stop", "conv_tol"):
-        val = _get_float(sections, "flow", key)
+    for f in fields(FlowConfig):
+        # the default's type picks the parser; None defaults are numbers
+        getter = {int: _get_int, bool: _get_bool}.get(type(f.default), _get_float)
+        val = getter(sections, "flow", f.name)
         if val is not None:
-            kwargs[key] = val
-    rec = _get_int(sections, "flow", "record_every")
-    if rec is not None:
-        kwargs["record_every"] = rec
-    proj = _get_bool(sections, "flow", "volume_projection")
-    if proj is not None:
-        kwargs["volume_projection"] = proj
+            kwargs[f.name] = val
     try:
         return FlowConfig(**kwargs)
     except ValueError as exc:
@@ -286,13 +281,3 @@ def load_config(path: str) -> RunConfig:
     sections = {name: dict(parser.items(name)) for name in parser.sections()}
     return parse_config(sections, base_dir)
 
-
-def config_to_ini(sections: Dict[str, Dict[str, str]]) -> str:
-    """Render normalized sections back to INI text (used by sweep workers)."""
-    lines = []
-    for name, kv in sections.items():
-        lines.append(f"[{name}]")
-        for key, value in kv.items():
-            lines.append(f"{key} = {value}")
-        lines.append("")
-    return "\n".join(lines)

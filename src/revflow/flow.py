@@ -24,13 +24,18 @@ Scheme choices:
 below conv_tol (converged), min r below r_min_stop (singularity, the arg-min
 z is recorded), max v above v_max_stop (graph failure), t beyond max_t, or
 non-finite values / leaving a finite ambient ball (instability).
+
+``step`` is one iteration of the ``run`` loop (the same ``_Euler`` update,
+projecting onto the cached volume) plus a full re-diagnosis of the new
+state.  That re-diagnosis, with its adaptive-Simpson volume, is why ``step``
+costs more per call than a step of ``run``.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from typing import List, Optional
 
@@ -39,13 +44,16 @@ import numpy as np
 from .bounds import unit_sphere_area
 from .hypersurface import (
     ProfileGrid,
+    _check_domain,
+    _geometry,
+    _graph_slope,
+    _hbar,
     averaged_mean_curvature,
     critical_point_count,
     curvature_field,
     curve_length,
     enclosed_volume,
     lateral_area,
-    spatial_derivatives,
     trapezoid_weights,
 )
 
@@ -111,15 +119,7 @@ class FlowConfig:
             raise ValueError("record_every must be a positive integer")
 
     def to_dict(self):
-        return {
-            "dt_safety": self.dt_safety,
-            "max_t": self.max_t,
-            "r_min_stop": self.r_min_stop,
-            "v_max_stop": self.v_max_stop,
-            "conv_tol": self.conv_tol,
-            "record_every": self.record_every,
-            "volume_projection": self.volume_projection,
-        }
+        return asdict(self)
 
 
 HISTORY_COLUMNS = ("t", "V", "area", "Hbar", "I1", "I2", "min_r", "max_r",
@@ -188,18 +188,19 @@ def _diagnose(profile: ProfileGrid, space, t: float) -> DiagnosticsRecord:
     )
 
 
+def _velocity(g, hbar: float, nm1: int) -> np.ndarray:
+    # (Hbar - H) sqrt(q)/f expanded, so cylinders with H = Hbar are exact fixed points
+    invf = 1.0 / g.f
+    return (g.rddot * g.invq - (g.fp * invf) * (1.0 + g.rd2 * g.invq)
+            - nm1 * (g.hp / g.h) + hbar * (g.sq * invf))
+
+
 def rhs(p: ProfileGrid, space, Hbar: float) -> np.ndarray:
     """Nodal dr/dt of the graph flow for a given averaged mean curvature."""
     if not math.isfinite(Hbar):
         raise ValueError("Hbar must be finite")
-    if space.r_max_domain < math.inf and float(np.max(p.r)) >= space.r_max_domain:
-        raise ValueError("profile leaves the ambient domain")
-    f, fp, _, h, hp, _ = space.warp(p.r)
-    rdot, rddot = spatial_derivatives(p)
-    rd2 = rdot * rdot
-    q = rd2 + f * f
-    return (rddot / q - (fp / f) * (1.0 + rd2 / q)
-            - (space.n - 1) * hp / h + Hbar * np.sqrt(q) / f)
+    _check_domain(p, space)
+    return _velocity(_geometry(p.r, space, p.dz), Hbar, space.n - 1)
 
 
 # 2-point Gauss-Legendre abscissae on [0, 1]
@@ -262,46 +263,72 @@ def _resolve(cfg: FlowConfig, r0_min: float, hbar0: float) -> FlowConfig:
     return out
 
 
+class _Euler:
+    """One explicit Euler step with volume projection, shared by step and run.
+
+    ``geometry`` evaluates the kernel and the lagged Hbar; ``advance`` takes
+    dt from min q, applies the update, checks it, and projects the volume.
+    """
+
+    def __init__(self, grid: ProfileGrid, space, cfg: FlowConfig):
+        self.space = space
+        self.dz = grid.dz
+        self.z = grid.z
+        self.nm1 = space.n - 1
+        self.wz = trapezoid_weights(grid.m, grid.dz)
+        self.wz_sigma = unit_sphere_area(space.n) * self.wz
+        self.half_safety_dz2 = 0.5 * cfg.dt_safety * grid.dz * grid.dz
+        self.project = cfg.volume_projection
+
+    def geometry(self, r):
+        g = _geometry(r, self.space, self.dz)
+        return g, _hbar(g, self.wz)
+
+    def _singularity(self, r):
+        return FlowStopped(StopReason(StopTag.SINGULARITY,
+                                      location=float(self.z[int(np.argmin(r))])))
+
+    def advance(self, r, g, hbar, floor, v_tracked, v_target):
+        """Return (r_new, dt, tracked volume) or raise ``FlowStopped``.
+
+        A node at or below ``floor`` is a singularity; with projection on,
+        the shifted profile is driven from ``v_tracked`` to ``v_target``.
+        """
+        dt = self.half_safety_dz2 * float(np.min(g.q))
+        r_new = r + dt * _velocity(g, hbar, self.nm1)
+        mn = float(np.min(r_new))
+        mx = float(np.max(r_new))
+        if not (math.isfinite(mn) and math.isfinite(mx)):
+            raise FlowStopped(StopReason(StopTag.INSTABILITY))
+        if mn <= floor:
+            raise self._singularity(r_new)
+        r_max = self.space.r_max_domain
+        if mx >= r_max:
+            raise FlowStopped(StopReason(StopTag.INSTABILITY))
+        if self.project:
+            space, nm1, wz_sigma = self.space, self.nm1, self.wz_sigma
+            v_after = v_tracked + _volume_increment(space, nm1, wz_sigma, r, r_new)
+            c, v_tracked = _project_volume(space, nm1, wz_sigma, r_new, v_after,
+                                           v_target, r_max)
+            r_new = r_new + c
+            if mn + c <= floor:
+                raise self._singularity(r_new)
+        return r_new, dt, v_tracked
+
+
 def step(s: FlowState, space, cfg: FlowConfig) -> FlowState:
     """Advance one explicit Euler step (plus volume projection if enabled).
 
-    Raises ``FlowStopped`` if the update produces non-finite values or drives
-    a node out of (0, r_max); the caller's state is never mutated.
+    This is one iteration of the ``run`` loop, projecting onto ``s.cached.V``
+    and followed by a full re-diagnosis of the new state.  Raises
+    ``FlowStopped`` if the update produces non-finite values or drives a node
+    out of (0, r_max); the caller's state is never mutated.
     """
     p = s.profile
-    m = p.m
-    dz = p.dz
-    nm1 = space.n - 1
-    wz = trapezoid_weights(m, dz)
-    sigma = unit_sphere_area(space.n)
-
-    avg = averaged_mean_curvature(p, space)
-    f, _, _, _, _, _ = space.warp(p.r)
-    rdot, _ = spatial_derivatives(p)
-    q = rdot * rdot + f * f
-    dt = cfg.dt_safety * dz * dz * float(np.min(q)) / 2.0
-
-    r_new = p.r + dt * rhs(p, space, avg.Hbar)
-    mn = float(np.min(r_new))
-    mx = float(np.max(r_new))
-    if not (math.isfinite(mn) and math.isfinite(mx)):
-        raise FlowStopped(StopReason(StopTag.INSTABILITY))
-    if mn <= 0.0:
-        z_at = float(p.z[int(np.argmin(r_new))])
-        raise FlowStopped(StopReason(StopTag.SINGULARITY, location=z_at))
-    if space.r_max_domain < math.inf and mx >= space.r_max_domain:
-        raise FlowStopped(StopReason(StopTag.INSTABILITY))
-
-    if cfg.volume_projection:
-        v_target = s.cached.V
-        v_after = v_target + _volume_increment(space, nm1, sigma * wz, p.r, r_new)
-        c, _ = _project_volume(space, nm1, sigma * wz, r_new, v_after, v_target,
-                               space.r_max_domain)
-        r_new = r_new + c
-        if float(np.min(r_new)) <= 0.0:
-            z_at = float(p.z[int(np.argmin(r_new))])
-            raise FlowStopped(StopReason(StopTag.SINGULARITY, location=z_at))
-
+    _check_domain(p, space)
+    euler = _Euler(p, space, cfg)
+    g, hbar = euler.geometry(p.r)
+    r_new, dt, _ = euler.advance(p.r, g, hbar, 0.0, s.cached.V, s.cached.V)
     t_new = s.t + dt
     profile = ProfileGrid(p.a, p.b, r_new)
     return FlowState(profile=profile, t=t_new, cached=_diagnose(profile, space, t_new))
@@ -316,31 +343,14 @@ def run(initial: ProfileGrid, space, cfg: FlowConfig) -> RunResult:
     independent runs share no mutable state and can execute in parallel.
     """
     a, b = initial.a, initial.b
-    m = initial.m
-    dz = initial.dz
-    n = space.n
-    nm1 = n - 1
-    z = initial.z
     r = initial.r.copy()
-
-    wz = trapezoid_weights(m, dz)
-    sigma = unit_sphere_area(n)
-    wz_sigma = sigma * wz
-    warp = space.warp
     r_max = space.r_max_domain
-    inv2dz = 1.0 / (2.0 * dz)
-    invdz2 = 1.0 / (dz * dz)
-    half_safety_dz2 = 0.5 * cfg.dt_safety * dz * dz
-    isfinite = math.isfinite
 
     hbar0 = averaged_mean_curvature(initial, space).Hbar
     rcfg = _resolve(cfg, float(np.min(r)), hbar0)
     r_min_stop = rcfg.r_min_stop
     conv_tol = rcfg.conv_tol
-    v_max_stop = rcfg.v_max_stop
-    max_t = rcfg.max_t
-    record_every = rcfg.record_every
-    project = rcfg.volume_projection
+    euler = _Euler(initial, space, rcfg)
 
     v_target = enclosed_volume(initial, space)
     v_tracked = v_target
@@ -349,83 +359,40 @@ def run(initial: ProfileGrid, space, cfg: FlowConfig) -> RunResult:
     snapshots: List[ProfileGrid] = []
     t = 0.0
     step_idx = 0
-    reason = None
 
     while True:
-        f, fp, _, h, hp, _ = warp(r)
-        rdot = np.empty(m)
-        rddot = np.empty(m)
-        rdot[1:-1] = (r[2:] - r[:-2]) * inv2dz
-        rdot[0] = rdot[-1] = 0.0
-        rddot[1:-1] = (r[2:] - 2.0 * r[1:-1] + r[:-2]) * invdz2
-        rddot[0] = 2.0 * (r[1] - r[0]) * invdz2
-        rddot[-1] = 2.0 * (r[-2] - r[-1]) * invdz2
-        rd2 = rdot * rdot
-        q = rd2 + f * f
-        sq = np.sqrt(q)
-        invq = 1.0 / q
-        invf = 1.0 / f
-        hw = h if n == 2 else h ** nm1
-        w = sq * hw
-        volw = float(wz @ w)
-        k1 = ((fp * rd2 - rddot * f) * invq + fp) / sq
-        k2 = f * hp / (h * sq)
-        H = k1 + nm1 * k2
-        hbar = float(wz @ (H * w)) / volw
-
-        if not isfinite(hbar):
+        g, hbar = euler.geometry(r)
+        if not math.isfinite(hbar):
             reason = StopReason(StopTag.INSTABILITY)
             break
         if float(np.min(r)) < r_min_stop:
-            reason = StopReason(StopTag.SINGULARITY, location=float(z[int(np.argmin(r))]))
+            reason = StopReason(StopTag.SINGULARITY,
+                                location=float(euler.z[int(np.argmin(r))]))
             break
         if r_max < math.inf and float(np.max(r)) > 0.99 * r_max:
             # outside the regime the theory covers; treated as a failure
             reason = StopReason(StopTag.INSTABILITY)
             break
-        slope = rdot * invf
-        v = np.sqrt(1.0 + slope * slope)
-        if float(np.max(v)) > v_max_stop:
+        if float(np.max(_graph_slope(g))) > rcfg.v_max_stop:
             reason = StopReason(StopTag.GRAPH_FAILURE)
             break
-        if float(np.max(np.abs(H - hbar))) < conv_tol:
+        if float(np.max(np.abs(g.H - hbar))) < conv_tol:
             reason = StopReason(StopTag.CONVERGED)
             break
-        if t >= max_t:
+        if t >= rcfg.max_t:
             reason = StopReason(StopTag.MAX_TIME)
             break
 
-        if step_idx % record_every == 0:
+        if step_idx % rcfg.record_every == 0:
             prof = ProfileGrid(a, b, r)
             history.append(_diagnose(prof, space, t))
             snapshots.append(prof)
 
-        dt = half_safety_dz2 * float(np.min(q))
-        rhs_arr = (rddot * invq - (fp * invf) * (1.0 + rd2 * invq)
-                   - nm1 * (hp / h) + hbar * (sq * invf))
-        r_new = r + dt * rhs_arr
-
-        mn = float(np.min(r_new))
-        mx = float(np.max(r_new))
-        if not (isfinite(mn) and isfinite(mx)):
-            reason = StopReason(StopTag.INSTABILITY)
+        try:
+            r, dt, v_tracked = euler.advance(r, g, hbar, r_min_stop, v_tracked, v_target)
+        except FlowStopped as stop:
+            reason = stop.reason
             break
-        if mn < r_min_stop:
-            reason = StopReason(StopTag.SINGULARITY,
-                                location=float(z[int(np.argmin(r_new))]))
-            break
-
-        if project:
-            v_after = v_tracked + _volume_increment(space, nm1, wz_sigma, r, r_new)
-            c, v_tracked = _project_volume(space, nm1, wz_sigma, r_new, v_after,
-                                           v_target, r_max)
-            r_new = r_new + c
-            if mn + c < r_min_stop:
-                reason = StopReason(StopTag.SINGULARITY,
-                                    location=float(z[int(np.argmin(r_new))]))
-                break
-
-        r = r_new
         t += dt
         step_idx += 1
 

@@ -29,13 +29,18 @@ The averaged mean curvature splits as Hbar = I1 + I2 with
 where I1 uses the integrated-by-parts form whose boundary terms vanish under
 the Neumann condition.  Outer integrals are composite trapezoid on the grid;
 the radial integral inside the volume is adaptive Simpson.
+
+``_geometry`` is the single discrete-geometry kernel: it (with its stencil
+helper ``_derivatives``) alone holds the ghost-node stencil and the k1/k2/H
+formula.  The public functions below are thin reductions of it, and the flow
+stepper calls it on bare arrays.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -89,9 +94,6 @@ class ProfileGrid:
     def z(self) -> np.ndarray:
         return np.linspace(self.a, self.b, self.m)
 
-    def copy(self) -> "ProfileGrid":
-        return ProfileGrid(self.a, self.b, self.r)
-
 
 @dataclass
 class CurvatureField:
@@ -101,7 +103,7 @@ class CurvatureField:
     k2: np.ndarray
     H: np.ndarray
     v: np.ndarray
-    L2: np.ndarray = field(default=None)
+    L2: np.ndarray
 
 
 class MeanCurvatureSplit(NamedTuple):
@@ -116,20 +118,71 @@ def trapezoid_weights(m: int, dz: float) -> np.ndarray:
     return w
 
 
-def spatial_derivatives(p: ProfileGrid):
-    """Discrete (rdot, rddot); reflected ghosts give rdot = 0 at the ends."""
-    r = p.r
+class _Geometry(NamedTuple):
+    """Nodal output of ``_geometry``; ``w`` is the area density sqrt(q) h^(n-1)."""
+
+    rdot: np.ndarray
+    rddot: np.ndarray
+    f: np.ndarray
+    fp: np.ndarray
+    h: np.ndarray
+    hp: np.ndarray
+    rd2: np.ndarray
+    q: np.ndarray
+    invq: np.ndarray
+    sq: np.ndarray
+    k1: np.ndarray
+    k2: np.ndarray
+    H: np.ndarray
+    w: np.ndarray
+
+
+def _derivatives(r: np.ndarray, dz: float):
     m = r.size
-    dz = p.dz
     rdot = np.empty(m)
     rddot = np.empty(m)
-    rdot[1:-1] = (r[2:] - r[:-2]) / (2.0 * dz)
+    rdot[1:-1] = (r[2:] - r[:-2]) * (1.0 / (2.0 * dz))
     rdot[0] = rdot[-1] = 0.0
-    dz2 = dz * dz
-    rddot[1:-1] = (r[2:] - 2.0 * r[1:-1] + r[:-2]) / dz2
-    rddot[0] = 2.0 * (r[1] - r[0]) / dz2
-    rddot[-1] = 2.0 * (r[-2] - r[-1]) / dz2
+    invdz2 = 1.0 / (dz * dz)
+    rddot[1:-1] = (r[2:] - 2.0 * r[1:-1] + r[:-2]) * invdz2
+    rddot[0] = 2.0 * (r[1] - r[0]) * invdz2
+    rddot[-1] = 2.0 * (r[-2] - r[-1]) * invdz2
     return rdot, rddot
+
+
+def _geometry(r: np.ndarray, space, dz: float) -> _Geometry:
+    """Derivatives, warps, principal and mean curvatures of bare radii ``r``.
+
+    No validation: callers check the domain.  The operation order is fixed
+    (multiply by 1/q), so flow trajectories are reproducible bit for bit.
+    """
+    f, fp, _, h, hp, _ = space.warp(r)
+    rdot, rddot = _derivatives(r, dz)
+    nm1 = space.n - 1
+    rd2 = rdot * rdot
+    q = rd2 + f * f
+    sq = np.sqrt(q)
+    invq = 1.0 / q
+    k1 = ((fp * rd2 - rddot * f) * invq + fp) / sq
+    k2 = f * hp / (h * sq)
+    H = k1 + nm1 * k2
+    w = sq * (h if nm1 == 1 else h ** nm1)
+    return _Geometry(rdot, rddot, f, fp, h, hp, rd2, q, invq, sq, k1, k2, H, w)
+
+
+def _hbar(g: _Geometry, wz: np.ndarray) -> float:
+    """Area-weighted mean of H under the trapezoid weights ``wz``."""
+    return float(wz @ (g.H * g.w)) / float(wz @ g.w)
+
+
+def _graph_slope(g: _Geometry) -> np.ndarray:
+    slope = g.rdot / g.f
+    return np.sqrt(1.0 + slope * slope)  # = sqrt(q)/f, but exactly 1 where rdot = 0
+
+
+def spatial_derivatives(p: ProfileGrid):
+    """Discrete (rdot, rddot); reflected ghosts give rdot = 0 at the ends."""
+    return _derivatives(p.r, p.dz)
 
 
 def _check_domain(p: ProfileGrid, space) -> None:
@@ -140,19 +193,9 @@ def _check_domain(p: ProfileGrid, space) -> None:
 def curvature_field(p: ProfileGrid, space) -> CurvatureField:
     """Principal curvatures, mean curvature, graph slope v, and |L|^2."""
     _check_domain(p, space)
-    f, fp, _, h, hp, _ = space.warp(p.r)
-    rdot, rddot = spatial_derivatives(p)
-    nm1 = space.n - 1
-    rd2 = rdot * rdot
-    q = rd2 + f * f
-    sq = np.sqrt(q)
-    k1 = ((fp * rd2 - rddot * f) / q + fp) / sq
-    k2 = f * hp / (h * sq)
-    H = k1 + nm1 * k2
-    slope = rdot / f
-    v = np.sqrt(1.0 + slope * slope)  # = sqrt(q)/f, but exactly 1 where rdot = 0
-    L2 = k1 * k1 + nm1 * k2 * k2
-    return CurvatureField(k1=k1, k2=k2, H=H, v=v, L2=L2)
+    g = _geometry(p.r, space, p.dz)
+    L2 = g.k1 * g.k1 + (space.n - 1) * g.k2 * g.k2
+    return CurvatureField(k1=g.k1, k2=g.k2, H=g.H, v=_graph_slope(g), L2=L2)
 
 
 def enclosed_volume(p: ProfileGrid, space) -> float:
@@ -165,11 +208,8 @@ def enclosed_volume(p: ProfileGrid, space) -> float:
 def lateral_area(p: ProfileGrid, space) -> float:
     """n-volume of the hypersurface (the lateral area of the revolution graph)."""
     _check_domain(p, space)
-    f, _, _, h, _, _ = space.warp(p.r)
-    rdot, _ = spatial_derivatives(p)
-    sq = np.sqrt(rdot * rdot + f * f)
-    w = trapezoid_weights(p.m, p.dz)
-    return unit_sphere_area(space.n) * float(w @ (sq * h ** (space.n - 1)))
+    g = _geometry(p.r, space, p.dz)
+    return unit_sphere_area(space.n) * float(trapezoid_weights(p.m, p.dz) @ g.w)
 
 
 def averaged_mean_curvature(p: ProfileGrid, space) -> MeanCurvatureSplit:
@@ -180,32 +220,21 @@ def averaged_mean_curvature(p: ProfileGrid, space) -> MeanCurvatureSplit:
     order under grid refinement.
     """
     _check_domain(p, space)
-    f, fp, _, h, hp, _ = space.warp(p.r)
-    rdot, rddot = spatial_derivatives(p)
+    g = _geometry(p.r, space, p.dz)
     nm1 = space.n - 1
-    rd2 = rdot * rdot
-    q = rd2 + f * f
-    sq = np.sqrt(q)
-    k1 = ((fp * rd2 - rddot * f) / q + fp) / sq
-    H = k1 + nm1 * f * hp / (h * sq)
-
-    hw = h ** nm1
     w = trapezoid_weights(p.m, p.dz)
-    area_w = float(w @ (sq * hw))
-
-    hbar = float(w @ (H * sq * hw)) / area_w
-    i1 = float(w @ (np.arctan(rdot / f) * nm1 * h ** (space.n - 2) * hp * rdot)) / area_w
-    i2 = float(w @ ((nm1 * hp * f + fp * h) * h ** (space.n - 2))) / area_w
-    return MeanCurvatureSplit(Hbar=hbar, I1=i1, I2=i2)
+    area_w = float(w @ g.w)
+    hn2 = g.h ** (space.n - 2)
+    i1 = float(w @ (np.arctan(g.rdot / g.f) * nm1 * hn2 * g.hp * g.rdot)) / area_w
+    i2 = float(w @ ((nm1 * g.hp * g.f + g.fp * g.h) * hn2)) / area_w
+    return MeanCurvatureSplit(Hbar=_hbar(g, w), I1=i1, I2=i2)
 
 
 def curve_length(p: ProfileGrid, space) -> float:
     """Length of the generating curve in the ambient metric."""
     _check_domain(p, space)
-    f = space.warp(p.r)[0]
-    rdot, _ = spatial_derivatives(p)
-    w = trapezoid_weights(p.m, p.dz)
-    return float(w @ np.sqrt(rdot * rdot + f * f))
+    g = _geometry(p.r, space, p.dz)
+    return float(trapezoid_weights(p.m, p.dz) @ g.sq)
 
 
 def _interior_critical_z(p: ProfileGrid, slope_tol: Optional[float]):

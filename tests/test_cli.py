@@ -236,3 +236,17 @@ class TestSweepCommand:
         assert code == 0
         lines = (outdir / "sweep.csv").read_text().strip().split("\n")
         assert len(lines) == 1  # header only
+
+    def test_error_row_with_commas_is_quoted(self, tmp_path, capsys):
+        # the run fails with "[initial] give exactly one of: expr, csv, cylinder"
+        text = BASE + "\n[sweep]\ninitial.expr = 1 + 0.1*cos(pi*z)\n"
+        outdir = tmp_path / "sweep"
+        code = main(["sweep", "--config", write_ini(tmp_path / "c.ini", text),
+                     "--out", str(outdir), "--jobs", "1"])
+        assert code == 0
+        with open(outdir / "sweep.csv", newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert len(rows) == 1
+        assert all(len(row) == len(header) for row in rows)
+        row = dict(zip(header, rows[0]))
+        assert row["reason"] == "error" and "expr, csv, cylinder" in row["error"]
