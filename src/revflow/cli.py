@@ -104,9 +104,11 @@ def cmd_run(cfg, args):
     result, _ = run_to_directory(cfg, outdir, seed=args.seed)
     print(f"reason: {result.reason.tag.value}"
           + (f" at z={result.reason.location:.6g}" if result.reason.location is not None else ""))
-    print(f"t_final: {result.final.t:.6g}   records: {len(result.history)}")
+    print(f"t_final: {result.final.t:.6g}   steps: {result.steps}   "
+          f"records: {len(result.history)}")
     print(f"artifacts in {outdir}/")
-    return 2 if result.reason.tag is StopTag.INSTABILITY else 0
+    failed = result.reason.tag in (StopTag.INSTABILITY, StopTag.PROJECTION_FAILED)
+    return 2 if failed else 0
 
 
 def cmd_cmc(cfg, args):
@@ -150,6 +152,7 @@ def _sweep_worker(payload):
             "reason": result.reason.tag.value,
             "location": "" if result.reason.location is None else repr(result.reason.location),
             "t_final": repr(final["t"]),
+            "steps": summary["steps"],
             "V": repr(final["V"]),
             "area": repr(final["area"]),
             "Hbar": repr(final["Hbar"]),
@@ -164,7 +167,7 @@ def _sweep_worker(payload):
     return row
 
 
-_SWEEP_COLUMNS = ("reason", "location", "t_final", "V", "area", "Hbar",
+_SWEEP_COLUMNS = ("reason", "location", "t_final", "steps", "V", "area", "Hbar",
                   "min_r", "max_r", "max_v", "error")
 
 

@@ -1,4 +1,4 @@
-r"""Explicit time stepping for the nonlocal volume-preserving flow.
+r"""Semi-implicit time stepping for the nonlocal volume-preserving flow.
 
 The graph formulation evolves the profile by
 
@@ -11,19 +11,32 @@ derivatives, so cylinders with H = Hbar are exact fixed points.
 
 Scheme choices:
 
-* explicit Euler with the parabolic bound dt = dt_safety * dz^2 * min(q) / 2,
-  matching the diffusion coefficient 1/q of the quasilinear term;
-* optional exact discrete volume conservation: after each Euler update a
-  uniform additive shift c is applied to the radii, with enclosed_volume(r+c)
+* semi-implicit (IMEX) Euler: the quasilinear diffusion rddot/q is taken at
+  the new time level with q lagged, everything else explicitly, so each step
+  solves the tridiagonal system (I - dt diag(1/q) D2) dr = dt v, where v is
+  the explicit velocity above and D2 the ghost-node Neumann second
+  difference.  dr = 0 exactly where v = 0, so cylinders stay exact fixed
+  points and the discrete steady state is the explicit scheme's;
+* dt is bounded by accuracy, not stability: with the parabolic step
+  dt_cfl = dt_safety * dz^2 * min(q) / 2 of explicit Euler as the base,
+  dt = min(K dt_cfl, max(dt_cfl, eta min(r) / max|v|)) with K = 300 and
+  eta = 0.02 (``_DT_CAP``, ``_DR_REL``).  The eta term keeps
+  the radial change per step below about eta min(r), which resolves pinch
+  transients; the floor never takes more steps than explicit Euler, and the
+  cap K dt_cfl keeps dt proportional to dz^2;
+* optional exact discrete volume conservation: after each update a uniform
+  additive shift c is applied to the radii, with enclosed_volume(r+c)
   driven back to the initial volume by a safeguarded Newton iteration
-  (<= 5 steps, 1e-12 relative).  Between-step volume changes are accumulated
+  (<= 5 steps, 1e-12 relative; a miss stops the flow with
+  ``projection_failed``).  Between-step volume changes are accumulated
   with narrow-interval Gauss-Legendre increments, so the projection costs a
   few warp evaluations per step instead of a full radial quadrature.
 
 ``run`` iterates until one of the terminal conditions fires: max|H - Hbar|
 below conv_tol (converged), min r below r_min_stop (singularity, the arg-min
-z is recorded), max v above v_max_stop (graph failure), t beyond max_t, or
-non-finite values / leaving a finite ambient ball (instability).
+z is recorded), max v above v_max_stop (graph failure), t beyond max_t,
+non-finite values / leaving a finite ambient ball (instability), or a
+volume projection that misses its tolerance (projection failed).
 
 ``step`` is one iteration of the ``run`` loop (the same ``_Euler`` update,
 projecting onto the cached volume) plus a full re-diagnosis of the new
@@ -81,6 +94,7 @@ class StopTag(str, Enum):
     GRAPH_FAILURE = "graph_failure"
     MAX_TIME = "max_time"
     INSTABILITY = "instability"
+    PROJECTION_FAILED = "projection_failed"
 
 
 @dataclass(frozen=True)
@@ -159,6 +173,7 @@ class RunResult:
     history: List[DiagnosticsRecord]
     snapshots: List[ProfileGrid]
     config: FlowConfig  # resolved thresholds actually used
+    steps: int  # time steps taken
 
 
 class FlowStopped(RuntimeError):
@@ -203,9 +218,9 @@ def rhs(p: ProfileGrid, space, Hbar: float) -> np.ndarray:
     return _velocity(_geometry(p.r, space, p.dz), Hbar, space.n - 1)
 
 
-# 2-point Gauss-Legendre abscissae on [0, 1]
-_GL_LO = 0.5 - 0.5 / math.sqrt(3.0)
-_GL_HI = 0.5 + 0.5 / math.sqrt(3.0)
+# 3-point Gauss-Legendre rule on [0, 1], abscissae as a column
+_GL_X = np.array([[0.5 - 0.5 * math.sqrt(0.6)], [0.5], [0.5 + 0.5 * math.sqrt(0.6)]])
+_GL_W = np.array([5.0, 8.0, 5.0]) / 18.0
 
 
 def _fh_pow(space, nm1, x):
@@ -214,20 +229,28 @@ def _fh_pow(space, nm1, x):
 
 
 def _volume_increment(space, nm1, wz_sigma, r_from, r_to):
-    # sigma * integral over z of (beta(r_to) - beta(r_from)); the radial
-    # slivers are narrow, so 2-point Gauss-Legendre is exact to roundoff
+    # sigma * integral over z of (beta(r_to) - beta(r_from)).  The error is
+    # O(|r_to - r_from|^7) per node: a 2-point rule, O(|dr|^5), left 1e-10
+    # relative volume errors per step at the semi-implicit step sizes in
+    # strongly curved spaces.
     d = r_to - r_from
-    g = _fh_pow(space, nm1, r_from + _GL_LO * d) + _fh_pow(space, nm1, r_from + _GL_HI * d)
-    return float(wz_sigma @ (d * g)) * 0.5
+    g = _GL_W @ _fh_pow(space, nm1, r_from + _GL_X * d)
+    return float(wz_sigma @ (d * g))
 
 
 def _project_volume(space, nm1, wz_sigma, r, v_at_r, v_target, r_max):
     """Uniform shift c with enclosed_volume(r + c) = v_target.
 
     Newton on the tracked volume with a bisection safeguard; at most 5
-    iterations, tolerance 1e-12 relative.  Returns (c, achieved volume).
+    iterations, tolerance 1e-12 relative.  Returns (c, achieved volume), or
+    raises ``FlowStopped`` (projection failed) when the tolerance is missed.
+    Newton iterates on to 1e-14, one quadratically convergent iteration
+    past 1e-12: from the 1e-6 relative residuals of semi-implicit steps, a
+    first iteration lands just under 1e-12, so stopping there let the
+    volumes of consecutive steps differ by nearly 1e-12.
     """
     tol = 1e-12 * abs(v_target)
+    tol_newton = 1e-2 * tol
     c = 0.0
     vc = v_at_r
     lo = hi = None  # bracket: G(lo) < 0 < G(hi)
@@ -235,7 +258,7 @@ def _project_volume(space, nm1, wz_sigma, r, v_at_r, v_target, r_max):
     rmax_prof = float(np.max(r))
     for _ in range(5):
         G = vc - v_target
-        if abs(G) <= tol:
+        if abs(G) <= tol_newton:
             break
         if G < 0.0:
             lo = c if lo is None else max(lo, c)
@@ -251,6 +274,8 @@ def _project_volume(space, nm1, wz_sigma, r, v_at_r, v_target, r_max):
             c_new = min(c_new, (r_max - rmax_prof) * 0.999999)
         vc += _volume_increment(space, nm1, wz_sigma, r + c, r + c_new)
         c = c_new
+    if not abs(vc - v_target) <= tol:
+        raise FlowStopped(StopReason(StopTag.PROJECTION_FAILED))
     return c, vc
 
 
@@ -263,14 +288,49 @@ def _resolve(cfg: FlowConfig, r0_min: float, hbar0: float) -> FlowConfig:
     return out
 
 
-class _Euler:
-    """One explicit Euler step with volume projection, shared by step and run.
+# dt = min(_DT_CAP * dt_cfl, max(dt_cfl, _DR_REL * min r / max|v|)), see the
+# module docstring.  _DR_REL keeps a step's radial change near 2% of min r.
+# The cap bounds the O(dt) volume drift of the unprojected flow: at m = 201
+# it is 1.1e-4 per 0.25 time units at 300 and 3.5e-4 at 1000, against the
+# documented 1e-3 per unit time.
+_DT_CAP = 300.0
+_DR_REL = 0.02
 
-    ``geometry`` evaluates the kernel and the lagged Hbar; ``advance`` takes
-    dt from min q, applies the update, checks it, and projects the volume.
+
+def _solve_diffusion(diag, rhs):
+    """Thomas sweep for diag_i x_i - x_{i-1} - x_{i+1} = rhs_i.
+
+    The end rows use the reflected ghosts x_{-1} = x_1 and x_m = x_{m-2} of
+    the Neumann second difference.  diag > 2 makes the system strictly
+    diagonally dominant, so the sweep needs no pivoting; rhs = 0 gives x = 0
+    exactly.
+    """
+    e = diag.tolist()
+    g = rhs.tolist()
+    m = len(e)
+    w = [2.0 / e[0]]  # x_i = y_i + w_i x_{i+1}
+    y = [g[0] / e[0]]
+    for i in range(1, m - 1):
+        wi = 1.0 / (e[i] - w[-1])
+        y.append((g[i] + y[-1]) * wi)
+        w.append(wi)
+    x = [0.0] * m
+    xi = x[-1] = (g[-1] + 2.0 * y[-1]) / (e[-1] - 2.0 * w[-1])
+    for i in range(m - 2, -1, -1):
+        xi = x[i] = y[i] + w[i] * xi
+    return np.array(x)
+
+
+class _Euler:
+    """One semi-implicit Euler step with volume projection, shared by step and run.
+
+    ``geometry`` evaluates the kernel and the lagged Hbar; ``advance`` picks
+    dt, applies the update, checks it, and projects the volume.  With
+    ``implicit=False`` the update is explicit Euler at dt_cfl, kept as the
+    reference that the differential tests compare against.
     """
 
-    def __init__(self, grid: ProfileGrid, space, cfg: FlowConfig):
+    def __init__(self, grid: ProfileGrid, space, cfg: FlowConfig, implicit: bool = True):
         self.space = space
         self.dz = grid.dz
         self.z = grid.z
@@ -279,6 +339,7 @@ class _Euler:
         self.wz_sigma = unit_sphere_area(space.n) * self.wz
         self.half_safety_dz2 = 0.5 * cfg.dt_safety * grid.dz * grid.dz
         self.project = cfg.volume_projection
+        self.implicit = implicit
 
     def geometry(self, r):
         g = _geometry(r, self.space, self.dz)
@@ -288,14 +349,29 @@ class _Euler:
         return FlowStopped(StopReason(StopTag.SINGULARITY,
                                       location=float(self.z[int(np.argmin(r))])))
 
+    def _increment(self, r, g, hbar):
+        """Return (dr, dt): the update before the checks and the projection."""
+        dt = self.half_safety_dz2 * float(np.min(g.q))
+        v = _velocity(g, hbar, self.nm1)
+        if not self.implicit:
+            return dt * v, dt
+        vmax = float(np.max(np.abs(v)))
+        if vmax > 0.0:
+            dt = min(_DT_CAP * dt, max(dt, _DR_REL * float(np.min(r)) / vmax))
+        else:  # v = 0, or NaN, which the finiteness check below reports
+            dt = _DT_CAP * dt
+        # (I - dt diag(1/q) D2) dr = dt v, each row scaled by q dz^2 / dt
+        dz2q = (self.dz * self.dz) * g.q
+        return _solve_diffusion(2.0 + dz2q / dt, dz2q * v), dt
+
     def advance(self, r, g, hbar, floor, v_tracked, v_target):
         """Return (r_new, dt, tracked volume) or raise ``FlowStopped``.
 
         A node at or below ``floor`` is a singularity; with projection on,
         the shifted profile is driven from ``v_tracked`` to ``v_target``.
         """
-        dt = self.half_safety_dz2 * float(np.min(g.q))
-        r_new = r + dt * _velocity(g, hbar, self.nm1)
+        dr, dt = self._increment(r, g, hbar)
+        r_new = r + dr
         mn = float(np.min(r_new))
         mx = float(np.max(r_new))
         if not (math.isfinite(mn) and math.isfinite(mx)):
@@ -317,12 +393,13 @@ class _Euler:
 
 
 def step(s: FlowState, space, cfg: FlowConfig) -> FlowState:
-    """Advance one explicit Euler step (plus volume projection if enabled).
+    """Advance one semi-implicit Euler step (plus volume projection if enabled).
 
     This is one iteration of the ``run`` loop, projecting onto ``s.cached.V``
     and followed by a full re-diagnosis of the new state.  Raises
-    ``FlowStopped`` if the update produces non-finite values or drives a node
-    out of (0, r_max); the caller's state is never mutated.
+    ``FlowStopped`` if the update produces non-finite values, drives a node
+    out of (0, r_max), or the volume projection misses its tolerance; the
+    caller's state is never mutated.
     """
     p = s.profile
     _check_domain(p, space)
@@ -403,7 +480,7 @@ def run(initial: ProfileGrid, space, cfg: FlowConfig) -> RunResult:
         snapshots.append(final_profile)
     final = FlowState(profile=final_profile, t=t, cached=final_record)
     return RunResult(final=final, reason=reason, history=history,
-                     snapshots=snapshots, config=rcfg)
+                     snapshots=snapshots, config=rcfg, steps=step_idx)
 
 
 def write_history_csv(history, path) -> None:
@@ -426,6 +503,7 @@ def build_summary(result: RunResult, bounds_report=None, config_echo=None, extra
                   for c, v in zip(HISTORY_COLUMNS, final.to_row())},
         "flow_config": result.config.to_dict(),
         "records": len(result.history),
+        "steps": result.steps,
         # empirical two-sided Hbar range (no closed form exists for the
         # sharper constants, which depend on an uncomputable infimum area)
         "hbar_range": [min(rec.Hbar for rec in result.history),

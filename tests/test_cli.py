@@ -2,13 +2,16 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from revflow import flow
 from revflow.cli import main
 from revflow.config import ConfigError, load_config
-from revflow.flow import HISTORY_COLUMNS
+from revflow.flow import HISTORY_COLUMNS, FlowStopped, StopReason, StopTag
 from revflow.hypersurface import load_profile_csv
 
 
@@ -170,6 +173,25 @@ class TestRunCommand:
                      "--out", str(tmp_path / "out")])
         assert code == 2
 
+    def test_projection_failure_exit_2(self, tmp_path, monkeypatch, capsys):
+        def miss(*args):
+            raise FlowStopped(StopReason(StopTag.PROJECTION_FAILED))
+
+        monkeypatch.setattr(flow, "_project_volume", miss)
+        outdir = tmp_path / "out"
+        code = main(["run", "--config", write_ini(tmp_path / "c.ini", BASE),
+                     "--out", str(outdir)])
+        assert code == 2
+        summary = json.loads((outdir / "summary.json").read_text())
+        assert summary["reason"] == "projection_failed" and summary["steps"] == 0
+
+    def test_import_leaves_scipy_out(self):
+        # scipy would add to every command's start-up time and memory
+        code = "import sys, revflow.cli; sys.exit('scipy' in sys.modules)"
+        src = os.path.dirname(os.path.dirname(os.path.abspath(flow.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
 
 class TestCmcCommand:
     def test_cylinder_mode(self, tmp_path, capsys):
@@ -203,6 +225,19 @@ class TestSweepCommand:
         assert len(rows) == 3
         assert all(row["reason"] == "converged" for row in rows)
         assert all((outdir / f"run_{i:04d}" / "summary.json").exists() for i in range(3))
+
+    def test_rows_and_summaries_report_steps(self, tmp_path, capsys):
+        text = BASE + "\n[sweep]\ninitial.perturb = 0.05*cos(pi*z), 0.1*cos(pi*z)\n"
+        outdir = tmp_path / "sweep"
+        code = main(["sweep", "--config", write_ini(tmp_path / "c.ini", text),
+                     "--out", str(outdir), "--jobs", "1"])
+        assert code == 0
+        with open(outdir / "sweep.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 2
+        for i, row in enumerate(rows):
+            summary = json.loads((outdir / f"run_{i:04d}" / "summary.json").read_text())
+            assert int(row["steps"]) == summary["steps"] >= summary["records"] - 1 > 0
 
     def test_neck_depth_transition(self, tmp_path, capsys):
         text = BASE.replace("m = 21", "m = 51") \

@@ -11,12 +11,13 @@ from revflow import (
     StopTag,
     averaged_mean_curvature,
     compute_bounds,
+    enclosed_volume,
     make_preset,
     rhs,
     run,
     step,
 )
-from revflow.flow import HISTORY_COLUMNS, _diagnose, write_history_csv
+from revflow.flow import HISTORY_COLUMNS, _diagnose, _Euler, write_history_csv
 from conftest import cos_profile, neck_profile
 
 
@@ -98,6 +99,17 @@ class TestStep:
         assert info.value.reason.tag is StopTag.SINGULARITY
         assert 0.0 < info.value.reason.location < 1.0
 
+    def test_unreachable_volume_is_a_projection_failure(self, sphere2):
+        # at r_max/2 the slab holds half its largest volume, and the shift
+        # that would reach ten times that is clamped below r_max
+        p = cylinder(41, 0.5 * sphere2.r_max_domain)
+        v = enclosed_volume(p, sphere2)
+        euler = _Euler(p, sphere2, FlowConfig())
+        g, hbar = euler.geometry(p.r)
+        with pytest.raises(FlowStopped) as info:
+            euler.advance(p.r, g, hbar, 0.0, v, 10.0 * v)
+        assert info.value.reason.tag is StopTag.PROJECTION_FAILED
+
 
 class TestRun:
     def test_cylinder_converges_immediately(self, euclid2):
@@ -105,6 +117,12 @@ class TestRun:
         assert res.reason.tag is StopTag.CONVERGED
         assert res.final.t == 0.0
         assert len(res.history) == 1
+
+    def test_steps_count_the_updates(self, euclid2):
+        assert run(cylinder(51, 1.0), euclid2, FlowConfig()).steps == 0
+        res = run(cos_profile(51), euclid2, FlowConfig(max_t=0.01, record_every=1))
+        assert res.reason.tag is StopTag.MAX_TIME
+        assert res.steps == len(res.history) - 1 > 0
 
     def test_small_volume_convergence(self, euclid2):
         res = run(cos_profile(51), euclid2, FlowConfig(max_t=5.0, record_every=100))

@@ -1,9 +1,12 @@
 """The shared geometry kernel and Euler update, checked from the outside.
 
 Property tests draw a constant-curvature preset, a dimension and a random
-cosine-mode profile; the differential test checks that ``step`` is one
-iteration of the ``run`` loop.
+cosine-mode profile.  The differential tests check that ``step`` is one
+iteration of the ``run`` loop, and that the semi-implicit update reaches the
+same limits and singularities as the explicit-Euler reference.
 """
+
+import functools
 
 import numpy as np
 import pytest
@@ -13,16 +16,22 @@ from revflow import (
     FlowConfig,
     FlowState,
     ProfileGrid,
+    StopTag,
     averaged_mean_curvature,
+    beta,
+    critical_point_count,
     curvature_field,
     make_preset,
     rhs,
     run,
     spatial_derivatives,
     step,
+    unit_sphere_area,
 )
-from revflow.flow import _diagnose
-from conftest import cos_profile
+from revflow import flow
+from revflow.flow import _diagnose, _velocity
+from revflow.hypersurface import trapezoid_weights
+from conftest import cos_profile, neck_profile
 
 
 @st.composite
@@ -94,3 +103,74 @@ def test_step_is_one_run_iteration(tag, lam):
     for state, snap, rec in zip(states, res.snapshots, res.history):
         assert float(np.max(np.abs(state.profile.r - snap.r))) <= 1e-12
         assert abs(state.t - rec.t) <= 1e-12 * state.t
+
+
+@settings(deadline=None, max_examples=60)
+@given(case=profiles())
+def test_semi_implicit_update_solves_the_diffusion_system(case):
+    # (I - dt diag(1/q) D2) dr = dt v with the ghost-node Neumann rows of D2
+    space, p = case
+    euler = flow._Euler(p, space, FlowConfig())
+    g, hbar = euler.geometry(p.r)
+    dr, dt = euler._increment(p.r, g, hbar)
+    m, dz = p.m, p.dz
+    d2 = (np.diag(np.full(m - 1, 1.0), -1) - 2.0 * np.eye(m)
+          + np.diag(np.full(m - 1, 1.0), 1)) / (dz * dz)
+    d2[0, 1] = d2[-1, -2] = 2.0 / (dz * dz)
+    dtv = dt * _velocity(g, hbar, space.n - 1)
+    residual = dr - dt * g.invq * (d2 @ dr) - dtv
+    scale = max(float(np.max(np.abs(dtv))),
+                float(np.max(np.abs(dr))) * (1.0 + 4.0 * dt * float(np.max(g.invq)) / (dz * dz)))
+    assert float(np.max(np.abs(residual))) <= 1e-13 * scale
+    assert dt >= 0.5 * FlowConfig().dt_safety * dz * dz * float(np.min(g.q))
+
+
+def _recorded_run(case):
+    space, p = case
+    return run(p, space, FlowConfig(max_t=0.1, record_every=1))
+
+
+@settings(deadline=None, max_examples=60)
+@given(case=profiles())
+def test_every_step_conserves_the_volume(case):
+    # The recorded V is adaptive Simpson at 1e-12 relative, a ruler as coarse
+    # as the bound; the snapshots are measured again at 1e-14.
+    space, p = case
+    res = _recorded_run(case)
+    w = unit_sphere_area(space.n) * trapezoid_weights(p.m, p.dz)
+    vols = [float(w @ beta(space, snap.r, rel_tol=1e-14)) for snap in res.snapshots]
+    assert max((abs(b - a) / a for a, b in zip(vols, vols[1:])), default=0.0) <= 1e-12
+
+
+@settings(deadline=None, max_examples=60)
+@given(case=profiles())
+def test_critical_points_never_appear(case):
+    counts = [critical_point_count(snap) for snap in _recorded_run(case).snapshots]
+    assert all(b <= a for a, b in zip(counts, counts[1:]))
+
+
+def _semi_implicit_and_explicit(monkeypatch, initial, space, cfg):
+    semi = run(initial, space, cfg)
+    monkeypatch.setattr(flow, "_Euler", functools.partial(flow._Euler, implicit=False))
+    return semi, run(initial, space, cfg)
+
+
+@pytest.mark.parametrize("tag,lam", [("euclidean", None), ("hyperbolic", -1.0)])
+def test_semi_implicit_reaches_the_explicit_limit(monkeypatch, tag, lam):
+    space = make_preset(tag, lam, n=2)
+    semi, ref = _semi_implicit_and_explicit(monkeypatch, cos_profile(51), space, FlowConfig())
+    assert ref.reason.tag is StopTag.CONVERGED and semi.reason == ref.reason
+    r_semi, r_ref = semi.final.profile.r, ref.final.profile.r
+    assert abs(float(np.mean(r_semi)) - float(np.mean(r_ref))) <= 1e-8
+    assert float(np.max(np.abs(r_semi - r_ref))) <= 1e-7
+    assert 100 * semi.steps <= ref.steps
+
+
+def test_semi_implicit_pinches_where_and_when_explicit_does(monkeypatch):
+    space = make_preset("euclidean", n=2)
+    cfg = FlowConfig(max_t=2.0, record_every=10)
+    semi, ref = _semi_implicit_and_explicit(monkeypatch, neck_profile(201), space, cfg)
+    assert ref.reason.tag is StopTag.SINGULARITY and semi.reason.tag is ref.reason.tag
+    assert abs(semi.reason.location - ref.reason.location) <= 2 * semi.final.profile.dz
+    assert abs(semi.final.t - ref.final.t) <= 0.05 * ref.final.t
+    assert semi.steps <= ref.steps
