@@ -176,7 +176,11 @@ def custom_space(n, f, df, d2f, h, dh, d2h, r_max: float = math.inf) -> AmbientS
                 np.asarray(d2f(r), dtype=float), np.asarray(h(r), dtype=float),
                 np.asarray(dh(r), dtype=float), np.asarray(d2h(r), dtype=float))
 
-    return AmbientSpace(n=n, warp=warp, r_max_domain=r_max, preset="custom")
+    def fh(r):
+        r = np.asarray(r, dtype=float)
+        return np.asarray(f(r), dtype=float), np.asarray(h(r), dtype=float)
+
+    return AmbientSpace(n=n, warp=warp, r_max_domain=r_max, preset="custom", fh=fh)
 
 
 def space_from_expressions(n, f, df, d2f, h, dh, d2h, r_max: float = math.inf) -> AmbientSpace:

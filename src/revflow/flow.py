@@ -40,8 +40,8 @@ volume projection that misses its tolerance (projection failed).
 
 ``step`` is one iteration of the ``run`` loop (the same ``_Euler`` update,
 projecting onto the cached volume) plus a full re-diagnosis of the new
-state.  That re-diagnosis, with its adaptive-Simpson volume, is why ``step``
-costs more per call than a step of ``run``.
+state.  That re-diagnosis, with its quadrature volume, is why ``step`` costs
+more per call than a step of ``run``.
 """
 
 from __future__ import annotations

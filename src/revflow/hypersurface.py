@@ -28,7 +28,7 @@ The averaged mean curvature splits as Hbar = I1 + I2 with
 
 where I1 uses the integrated-by-parts form whose boundary terms vanish under
 the Neumann condition.  Outer integrals are composite trapezoid on the grid;
-the radial integral inside the volume is adaptive Simpson.
+the radial integral inside the volume is panel Gauss-Legendre (``bounds.beta``).
 
 ``_geometry`` is the single discrete-geometry kernel: it (with its stencil
 helper ``_derivatives``) alone holds the ghost-node stencil and the k1/k2/H

@@ -56,7 +56,7 @@ def _bounds_for(result, space, a=0.0, b=1.0):
 def euclid_small_volume_run(euclid2):
     initial = cos_profile(201)
     hbar0 = averaged_mean_curvature(initial, euclid2).Hbar
-    cfg = FlowConfig(max_t=10.0, record_every=200, conv_tol=5e-7 * abs(hbar0))
+    cfg = FlowConfig(max_t=10.0, record_every=10, conv_tol=5e-7 * abs(hbar0))
     t0 = time.perf_counter()
     result = run(initial, euclid2, cfg)
     return {"result": result, "elapsed": time.perf_counter() - t0, "space": euclid2}
@@ -65,7 +65,7 @@ def euclid_small_volume_run(euclid2):
 @pytest.fixture(scope="module")
 def hyper_small_volume_run(hyper2):
     initial = cos_profile(201)
-    result = run(initial, hyper2, FlowConfig(max_t=10.0, record_every=200))
+    result = run(initial, hyper2, FlowConfig(max_t=10.0, record_every=10))
     return {"result": result, "space": hyper2}
 
 
@@ -82,7 +82,7 @@ def ramp_run(euclid2):
     z = np.linspace(0.0, 1.0, 101)
     initial = ProfileGrid(0.0, 1.0, 1.0 + z)
     hbar0 = averaged_mean_curvature(initial, euclid2).Hbar
-    cfg = FlowConfig(max_t=10.0, record_every=500, conv_tol=1e-9 * abs(hbar0))
+    cfg = FlowConfig(max_t=10.0, record_every=10, conv_tol=1e-9 * abs(hbar0))
     result = run(initial, euclid2, cfg)
     return {"result": result, "space": euclid2}
 

@@ -47,6 +47,17 @@ class TestPresets:
             make_preset("euclidean", n=1)
 
 
+def test_eval_fh_is_warp_f_and_h(euclid2, hyper2, sphere2, custom_rss2):
+    # every space has its own (f, h) evaluator, bit-identical to warp's
+    r = np.linspace(0.05, 1.5, 9).reshape(3, 3)
+    for space in (euclid2, hyper2, sphere2, custom_rss2):
+        assert space.fh is not None
+        w = space.warp(r)
+        f, h = space.eval_fh(r)
+        np.testing.assert_array_equal(f, w[0])
+        np.testing.assert_array_equal(h, w[3])
+
+
 class TestSectionalCurvatures:
     def test_euclidean_flat(self, euclid2):
         sc = sectional_curvatures(euclid2, 1.7)

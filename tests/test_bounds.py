@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from revflow import (
+    AmbientSpace,
     beta,
     compute_bounds,
     delta,
@@ -45,6 +46,48 @@ class TestBetaDelta:
     def test_domain_error(self, sphere2):
         with pytest.raises(ValueError):
             beta(sphere2, 2.0)
+
+
+_RADII = np.linspace(0.05, 2.0, 40)
+
+
+class TestQuadratureAccuracy:
+    """beta and delta against closed forms at rounding level."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("tag,lam", [("euclidean", None), ("hyperbolic", -0.5),
+                                         ("hyperbolic", -1.0), ("hyperbolic", -2.0),
+                                         ("spherical", 0.5), ("spherical", 1.0),
+                                         ("spherical", 2.0)])
+    def test_beta_closed_forms(self, n, tag, lam):
+        space = make_preset(tag, lam, n=n)
+        r = _RADII[_RADII < space.r_max_domain]
+        if tag == "euclidean":
+            closed = r ** n / n
+        else:
+            s = math.sqrt(abs(lam))
+            trig = np.sinh if tag == "hyperbolic" else np.sin
+            closed = trig(s * r) ** n / (n * s ** n)
+        np.testing.assert_allclose(beta(space, r), closed, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("lam", [-0.5, -1.0, -2.0])
+    def test_hyperbolic_delta_closed_form(self, lam):
+        s = math.sqrt(-lam)
+        # (cosh(sr) - 1)/s^2, written without the cancellation at small r
+        closed = 2.0 * np.sinh(0.5 * s * _RADII) ** 2 / (s * s)
+        np.testing.assert_allclose(delta(make_preset("hyperbolic", lam, n=2), _RADII),
+                                   closed, rtol=1e-14, atol=0.0)
+
+    def test_unreachable_tolerance_raises(self):
+        # h = sqrt(r) puts a branch point at the axis, so panel refinement
+        # gains only P^-3/2 and 1e-12 is out of reach within the panel cap
+        def warp(r):
+            r = np.asarray(r, dtype=float)
+            one, zero = np.ones_like(r), np.zeros_like(r)
+            return one, zero, zero, np.sqrt(r), zero, zero
+
+        with pytest.raises(RuntimeError, match="tolerance"):
+            beta(AmbientSpace(n=2, warp=warp), 1.0)
 
 
 class TestInvertIncreasing:

@@ -192,6 +192,14 @@ class TestRunCommand:
         env = dict(os.environ, PYTHONPATH=src)
         assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
+    def test_import_leaves_numpy_polynomial_out(self):
+        # the quadrature rules are literals; building them with leggauss at
+        # import would add to every command's start-up time and memory
+        code = "import sys, revflow.cli; sys.exit('numpy.polynomial' in sys.modules)"
+        src = os.path.dirname(os.path.dirname(os.path.abspath(flow.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
 
 class TestCmcCommand:
     def test_cylinder_mode(self, tmp_path, capsys):

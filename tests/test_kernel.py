@@ -133,13 +133,22 @@ def _recorded_run(case):
 @settings(deadline=None, max_examples=60)
 @given(case=profiles())
 def test_every_step_conserves_the_volume(case):
-    # The recorded V is adaptive Simpson at 1e-12 relative, a ruler as coarse
-    # as the bound; the snapshots are measured again at 1e-14.
+    # The snapshots are measured again at 1e-14, apart from the recorded V.
     space, p = case
     res = _recorded_run(case)
     w = unit_sphere_area(space.n) * trapezoid_weights(p.m, p.dz)
     vols = [float(w @ beta(space, snap.r, rel_tol=1e-14)) for snap in res.snapshots]
     assert max((abs(b - a) / a for a, b in zip(vols, vols[1:])), default=0.0) <= 1e-12
+
+
+@settings(deadline=None, max_examples=100, derandomize=True)
+@given(case=profiles())
+def test_recorded_volume_is_steady(case):
+    # history V is beta at its default 1e-12; the quadrature must be well
+    # below that, or V jumps when the refinement level switches.  Fixed
+    # draws, so a quadrature at only 1e-12 fails every time, not by luck.
+    vols = [rec.V for rec in _recorded_run(case).history]
+    assert max((abs(b - a) / a for a, b in zip(vols, vols[1:])), default=0.0) <= 1e-13
 
 
 @settings(deadline=None, max_examples=60)
