@@ -70,7 +70,7 @@ class AmbientSpace:
             raise ValueError("r_max_domain must be positive")
 
     def eval_fh(self, r):
-        """(f, h) only; cheaper than ``warp`` inside volume quadratures."""
+        """(f, h) only, cheaper than ``warp``: the volume density, beta and delta."""
         if self.fh is not None:
             return self.fh(r)
         w = self.warp(r)

@@ -16,7 +16,9 @@ with sigma the volume of the unit (n-1)-sphere.  The small-volume criterion
 A <= (V/(b-a)) * delta(r1)/beta(r1) is sufficient for global existence of
 the flow and convergence to a constant-mean-curvature limit; for f == 1 the
 threshold reduces to V/(b-a), and for n = 2 in constant curvature lam it has
-the closed form (2 pi / -lam) (-1 + sqrt(1 - lam V / (pi (b-a)))).
+the closed form (2 pi / -lam) (-1 + sqrt(1 - lam V / (pi (b-a)))).  The
+integrands take f and h from ``AmbientSpace.eval_fh``; ``_volume_density``
+also serves the flow's volume increments and projection.
 """
 
 from __future__ import annotations
@@ -92,36 +94,32 @@ def _integrate_from_zero(g, upper, rel_tol):
     raise RuntimeError("panel Gauss-Legendre failed to reach the requested tolerance")
 
 
-def _check_radii_in_domain(space, r):
+def _radial_integral(space, g, r, rel_tol):
     if space.r_max_domain < math.inf and np.any(np.asarray(r) > space.r_max_domain):
         raise ValueError(f"radius beyond the ambient domain (r_max={space.r_max_domain:g})")
+    out = _integrate_from_zero(g, r, rel_tol)
+    return float(out[0]) if np.ndim(r) == 0 else out
+
+
+def _h_pow(h, n):
+    """h^(n-1), without a power call for n = 2."""
+    return h if n == 2 else h ** (n - 1)
+
+
+def _volume_density(space, x):
+    """f h^(n-1) at the radii ``x``: the integrand of beta, the radial volume density."""
+    f, h = space.eval_fh(x)
+    return f * _h_pow(h, space.n)
 
 
 def beta(space, r, rel_tol: float = 1e-12):
     """beta(r) = int_0^r f h^(n-1), panel Gauss-Legendre to ``rel_tol``."""
-    _check_radii_in_domain(space, r)
-    nm1 = space.n - 1
-
-    def g(x):
-        w = space.warp(x)
-        h = w[3]
-        return w[0] * (h if nm1 == 1 else h ** nm1)
-
-    out = _integrate_from_zero(g, r, rel_tol)
-    return float(out[0]) if np.ndim(r) == 0 else out
+    return _radial_integral(space, lambda x: _volume_density(space, x), r, rel_tol)
 
 
 def delta(space, r, rel_tol: float = 1e-12):
     """delta(r) = int_0^r h^(n-1), panel Gauss-Legendre to ``rel_tol``."""
-    _check_radii_in_domain(space, r)
-    nm1 = space.n - 1
-
-    def g(x):
-        h = space.warp(x)[3]
-        return h if nm1 == 1 else h ** nm1
-
-    out = _integrate_from_zero(g, r, rel_tol)
-    return float(out[0]) if np.ndim(r) == 0 else out
+    return _radial_integral(space, lambda x: _h_pow(space.eval_fh(x)[1], space.n), r, rel_tol)
 
 
 def invert_increasing(g, y: float, r_max: float = math.inf) -> float:

@@ -45,14 +45,10 @@ def cmd_validate(cfg, args):
     return 0 if report.rss_ok else 2
 
 
-def _bounds_for_initial(cfg):
+def cmd_bounds(cfg, args):
     V = enclosed_volume(cfg.initial, cfg.space)
     area = lateral_area(cfg.initial, cfg.space)
-    return V, area, compute_bounds(cfg.space, cfg.a, cfg.b, V, area)
-
-
-def cmd_bounds(cfg, args):
-    _, _, report = _bounds_for_initial(cfg)
+    report = compute_bounds(cfg.space, cfg.a, cfg.b, V, area)
     print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     return 0
 
@@ -74,24 +70,17 @@ def run_to_directory(cfg, outdir, seed=None):
 
     os.makedirs(outdir, exist_ok=True)
     result = flow_mod.run(cfg.initial, cfg.space, cfg.flow)
-    _, _, bounds_report = _bounds_for_initial(cfg)
+    first = result.history[0]  # the initial profile
+    bounds_report = compute_bounds(cfg.space, cfg.a, cfg.b, first.V, first.area)
 
     write_history_csv(result.history, os.path.join(outdir, "history.csv"))
     for k in _snapshot_indices(len(result.snapshots)):
         save_profile_csv(result.snapshots[k], os.path.join(outdir, f"profile_{k}.csv"))
 
-    ts = [rec.t for rec in result.history]
-    write_line_plot(
-        os.path.join(outdir, "diagnostics.svg"),
-        ts,
-        {
-            "V": [rec.V for rec in result.history],
-            "area": [rec.area for rec in result.history],
-            "Hbar": [rec.Hbar for rec in result.history],
-            "min_r": [rec.min_r for rec in result.history],
-        },
-        title="flow diagnostics",
-    )
+    columns = {c: [getattr(rec, c) for rec in result.history]
+               for c in ("t", "V", "area", "Hbar", "min_r")}
+    write_line_plot(os.path.join(outdir, "diagnostics.svg"), columns.pop("t"), columns,
+                    title="flow diagnostics")
 
     extras = {} if seed is None else {"seed": seed}
     summary = build_summary(result, bounds_report, cfg.echo, extras)
@@ -141,6 +130,10 @@ def cmd_cmc(cfg, args):
     return 0
 
 
+_SWEEP_FINALS = ("V", "area", "Hbar", "min_r", "max_r", "max_v")  # final-record floats
+_SWEEP_COLUMNS = ("reason", "location", "t_final", "steps") + _SWEEP_FINALS + ("error",)
+
+
 def _sweep_worker(payload):
     idx, sections, outdir, base_dir = payload
     row = {"run_id": idx}
@@ -153,22 +146,13 @@ def _sweep_worker(payload):
             "location": "" if result.reason.location is None else repr(result.reason.location),
             "t_final": repr(final["t"]),
             "steps": summary["steps"],
-            "V": repr(final["V"]),
-            "area": repr(final["area"]),
-            "Hbar": repr(final["Hbar"]),
-            "min_r": repr(final["min_r"]),
-            "max_r": repr(final["max_r"]),
-            "max_v": repr(final["max_v"]),
+            **{col: repr(final[col]) for col in _SWEEP_FINALS},
             "error": "",
         })
     except Exception as exc:  # a failed run must not sink the sweep
         row.setdefault("reason", "error")
         row["error"] = f"{type(exc).__name__}: {exc}"
     return row
-
-
-_SWEEP_COLUMNS = ("reason", "location", "t_final", "steps", "V", "area", "Hbar",
-                  "min_r", "max_r", "max_v", "error")
 
 
 def cmd_sweep(cfg, args):

@@ -26,7 +26,8 @@ import numpy as np
 from .bounds import beta, invert_increasing, unit_sphere_area
 from .hypersurface import (
     ProfileGrid,
-    averaged_mean_curvature,
+    _checked_geometry,
+    _hbar,
     curvature_field,
     enclosed_volume,
 )
@@ -154,6 +155,6 @@ def _package(space, H_target, a, b, nodes):
 def distance_to_cmc(p: ProfileGrid, space) -> CMCDistance:
     """Best constant-curvature fit: the area-weighted mean of H and the
     max-norm deviation from it."""
-    h_best = averaged_mean_curvature(p, space).Hbar
-    cf = curvature_field(p, space)
-    return CMCDistance(h_best=h_best, deviation=float(np.max(np.abs(cf.H - h_best))))
+    g, wz = _checked_geometry(p, space)
+    h_best = _hbar(g, wz)
+    return CMCDistance(h_best=h_best, deviation=float(np.max(np.abs(g.H - h_best))))

@@ -214,6 +214,9 @@ def _build_sweep(sections) -> List[Tuple[Tuple[str, str], List[str]]]:
 
 def parse_config(sections: Dict[str, Dict[str, str]], base_dir: str = ".") -> RunConfig:
     """Build a RunConfig from normalized ``{section: {key: value}}`` strings."""
+    for name, kv in sections.items():
+        if not isinstance(kv, dict) or not all(isinstance(v, str) for v in kv.values()):
+            raise ConfigError(f"[{name}] section must map option names to strings, got {kv!r}")
     sections = {s.lower(): {k.lower(): v for k, v in kv.items()} for s, kv in sections.items()}
     for required in ("space", "domain", "grid", "initial"):
         if required not in sections:

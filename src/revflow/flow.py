@@ -29,14 +29,16 @@ Scheme choices:
   driven back to the initial volume by a safeguarded Newton iteration
   (<= 5 steps, 1e-12 relative; a miss stops the flow with
   ``projection_failed``).  Between-step volume changes are accumulated
-  with narrow-interval Gauss-Legendre increments, so the projection costs a
-  few warp evaluations per step instead of a full radial quadrature.
+  with 3-point Gauss-Legendre increments of ``bounds._volume_density``, so a
+  projection costs a few (f, h) evaluations, not a full radial quadrature.
 
 ``run`` iterates until one of the terminal conditions fires: max|H - Hbar|
 below conv_tol (converged), min r below r_min_stop (singularity, the arg-min
 z is recorded), max v above v_max_stop (graph failure), t beyond max_t,
 non-finite values / leaving a finite ambient ball (instability), or a
-volume projection that misses its tolerance (projection failed).
+volume projection that misses its tolerance (projection failed).  Each
+state, the initial one included, goes through the geometry kernel once: its
+stop checks, its step and its record (``_record``) all reduce that output.
 
 ``step`` is one iteration of the ``run`` loop (the same ``_Euler`` update,
 projecting onto the cached volume) plus a full re-diagnosis of the new
@@ -46,27 +48,29 @@ more per call than a step of ``run``.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from enum import Enum
 from typing import List, Optional
 
 import numpy as np
 
-from .bounds import unit_sphere_area
+from .bounds import _volume_density, unit_sphere_area
 from .hypersurface import (
     ProfileGrid,
+    _L2,
+    _area,
     _check_domain,
+    _curve_length,
     _geometry,
     _graph_slope,
     _hbar,
-    averaged_mean_curvature,
+    _checked_geometry,
+    _split,
     critical_point_count,
-    curvature_field,
-    curve_length,
     enclosed_volume,
-    lateral_area,
     trapezoid_weights,
 )
 
@@ -136,10 +140,6 @@ class FlowConfig:
         return asdict(self)
 
 
-HISTORY_COLUMNS = ("t", "V", "area", "Hbar", "I1", "I2", "min_r", "max_r",
-                   "max_v", "N", "curve_len", "max_L2")
-
-
 @dataclass
 class DiagnosticsRecord:
     t: float
@@ -156,7 +156,11 @@ class DiagnosticsRecord:
     max_L2: float
 
     def to_row(self):
-        return [getattr(self, c) for c in HISTORY_COLUMNS]
+        """Values in ``HISTORY_COLUMNS`` order: N an int, the rest floats."""
+        return [int(self.N) if c == "N" else float(getattr(self, c)) for c in HISTORY_COLUMNS]
+
+
+HISTORY_COLUMNS = tuple(f.name for f in fields(DiagnosticsRecord))
 
 
 @dataclass
@@ -184,23 +188,28 @@ class FlowStopped(RuntimeError):
         self.reason = reason
 
 
-def _diagnose(profile: ProfileGrid, space, t: float) -> DiagnosticsRecord:
-    cf = curvature_field(profile, space)
-    avg = averaged_mean_curvature(profile, space)
+def _record(profile: ProfileGrid, space, g, hbar: float, wz, t: float) -> DiagnosticsRecord:
+    """The record of ``profile`` from its kernel output ``g`` and lagged ``hbar``."""
+    i1, i2 = _split(g, wz, space.n)
     return DiagnosticsRecord(
         t=t,
         V=enclosed_volume(profile, space),
-        area=lateral_area(profile, space),
-        Hbar=avg.Hbar,
-        I1=avg.I1,
-        I2=avg.I2,
+        area=_area(g, wz, space.n),
+        Hbar=hbar,
+        I1=i1,
+        I2=i2,
         min_r=float(np.min(profile.r)),
         max_r=float(np.max(profile.r)),
-        max_v=float(np.max(cf.v)),
+        max_v=float(np.max(_graph_slope(g))),
         N=critical_point_count(profile),
-        curve_len=curve_length(profile, space),
-        max_L2=float(np.max(cf.L2)),
+        curve_len=_curve_length(g, wz),
+        max_L2=float(np.max(_L2(g, space.n))),
     )
+
+
+def _diagnose(profile: ProfileGrid, space, t: float) -> DiagnosticsRecord:
+    g, wz = _checked_geometry(profile, space)
+    return _record(profile, space, g, _hbar(g, wz), wz, t)
 
 
 def _velocity(g, hbar: float, nm1: int) -> np.ndarray:
@@ -214,8 +223,7 @@ def rhs(p: ProfileGrid, space, Hbar: float) -> np.ndarray:
     """Nodal dr/dt of the graph flow for a given averaged mean curvature."""
     if not math.isfinite(Hbar):
         raise ValueError("Hbar must be finite")
-    _check_domain(p, space)
-    return _velocity(_geometry(p.r, space, p.dz), Hbar, space.n - 1)
+    return _velocity(_checked_geometry(p, space)[0], Hbar, space.n - 1)
 
 
 # 3-point Gauss-Legendre rule on [0, 1], abscissae as a column
@@ -223,22 +231,17 @@ _GL_X = np.array([[0.5 - 0.5 * math.sqrt(0.6)], [0.5], [0.5 + 0.5 * math.sqrt(0.
 _GL_W = np.array([5.0, 8.0, 5.0]) / 18.0
 
 
-def _fh_pow(space, nm1, x):
-    f, h = space.eval_fh(x)
-    return f * (h if nm1 == 1 else h ** nm1)
-
-
-def _volume_increment(space, nm1, wz_sigma, r_from, r_to):
+def _volume_increment(space, wz_sigma, r_from, r_to):
     # sigma * integral over z of (beta(r_to) - beta(r_from)).  The error is
     # O(|r_to - r_from|^7) per node: a 2-point rule, O(|dr|^5), left 1e-10
     # relative volume errors per step at the semi-implicit step sizes in
     # strongly curved spaces.
     d = r_to - r_from
-    g = _GL_W @ _fh_pow(space, nm1, r_from + _GL_X * d)
+    g = _GL_W @ _volume_density(space, r_from + _GL_X * d)
     return float(wz_sigma @ (d * g))
 
 
-def _project_volume(space, nm1, wz_sigma, r, v_at_r, v_target, r_max):
+def _project_volume(space, wz_sigma, r, v_at_r, v_target, r_max):
     """Uniform shift c with enclosed_volume(r + c) = v_target.
 
     Newton on the tracked volume with a bisection safeguard; at most 5
@@ -264,7 +267,7 @@ def _project_volume(space, nm1, wz_sigma, r, v_at_r, v_target, r_max):
             lo = c if lo is None else max(lo, c)
         else:
             hi = c if hi is None else min(hi, c)
-        slope = float(wz_sigma @ _fh_pow(space, nm1, r + c))  # dV/dc > 0
+        slope = float(wz_sigma @ _volume_density(space, r + c))  # dV/dc > 0
         c_new = c - G / slope
         if lo is not None and hi is not None and not (lo < c_new < hi):
             c_new = 0.5 * (lo + hi)
@@ -272,7 +275,7 @@ def _project_volume(space, nm1, wz_sigma, r, v_at_r, v_target, r_max):
         c_new = max(c_new, -0.999999 * rmin)
         if r_max < math.inf:
             c_new = min(c_new, (r_max - rmax_prof) * 0.999999)
-        vc += _volume_increment(space, nm1, wz_sigma, r + c, r + c_new)
+        vc += _volume_increment(space, wz_sigma, r + c, r + c_new)
         c = c_new
     if not abs(vc - v_target) <= tol:
         raise FlowStopped(StopReason(StopTag.PROJECTION_FAILED))
@@ -382,9 +385,8 @@ class _Euler:
         if mx >= r_max:
             raise FlowStopped(StopReason(StopTag.INSTABILITY))
         if self.project:
-            space, nm1, wz_sigma = self.space, self.nm1, self.wz_sigma
-            v_after = v_tracked + _volume_increment(space, nm1, wz_sigma, r, r_new)
-            c, v_tracked = _project_volume(space, nm1, wz_sigma, r_new, v_after,
+            v_after = v_tracked + _volume_increment(self.space, self.wz_sigma, r, r_new)
+            c, v_tracked = _project_volume(self.space, self.wz_sigma, r_new, v_after,
                                            v_target, r_max)
             r_new = r_new + c
             if mn + c <= floor:
@@ -419,32 +421,34 @@ def run(initial: ProfileGrid, space, cfg: FlowConfig) -> RunResult:
     the resolved default thresholds.  A run is strictly sequential in time;
     independent runs share no mutable state and can execute in parallel.
     """
+    _check_domain(initial, space)
     a, b = initial.a, initial.b
     r = initial.r.copy()
     r_max = space.r_max_domain
-
-    hbar0 = averaged_mean_curvature(initial, space).Hbar
-    rcfg = _resolve(cfg, float(np.min(r)), hbar0)
-    r_min_stop = rcfg.r_min_stop
-    conv_tol = rcfg.conv_tol
-    euler = _Euler(initial, space, rcfg)
-
-    v_target = enclosed_volume(initial, space)
-    v_tracked = v_target
-
+    euler = _Euler(initial, space, cfg)
     history: List[DiagnosticsRecord] = []
     snapshots: List[ProfileGrid] = []
     t = 0.0
     step_idx = 0
 
+    def record():  # the current state, from its kernel output g
+        prof = ProfileGrid(a, b, r)
+        history.append(_record(prof, space, g, hbar, euler.wz, t))
+        snapshots.append(prof)
+
+    g, hbar = euler.geometry(r)
+    record()
+    rcfg = _resolve(cfg, history[0].min_r, hbar)
+    r_min_stop = rcfg.r_min_stop
+    conv_tol = rcfg.conv_tol
+    v_target = v_tracked = history[0].V
+
     while True:
-        g, hbar = euler.geometry(r)
         if not math.isfinite(hbar):
             reason = StopReason(StopTag.INSTABILITY)
             break
         if float(np.min(r)) < r_min_stop:
-            reason = StopReason(StopTag.SINGULARITY,
-                                location=float(euler.z[int(np.argmin(r))]))
+            reason = euler._singularity(r).reason
             break
         if r_max < math.inf and float(np.max(r)) > 0.99 * r_max:
             # outside the regime the theory covers; treated as a failure
@@ -460,11 +464,6 @@ def run(initial: ProfileGrid, space, cfg: FlowConfig) -> RunResult:
             reason = StopReason(StopTag.MAX_TIME)
             break
 
-        if step_idx % rcfg.record_every == 0:
-            prof = ProfileGrid(a, b, r)
-            history.append(_diagnose(prof, space, t))
-            snapshots.append(prof)
-
         try:
             r, dt, v_tracked = euler.advance(r, g, hbar, r_min_stop, v_tracked, v_target)
         except FlowStopped as stop:
@@ -472,13 +471,14 @@ def run(initial: ProfileGrid, space, cfg: FlowConfig) -> RunResult:
             break
         t += dt
         step_idx += 1
+        g, hbar = euler.geometry(r)
+        if step_idx % rcfg.record_every == 0:
+            record()
 
-    final_profile = ProfileGrid(a, b, r)
-    final_record = _diagnose(final_profile, space, t)
-    if not history or history[-1].t != t:
-        history.append(final_record)
-        snapshots.append(final_profile)
-    final = FlowState(profile=final_profile, t=t, cached=final_record)
+    # a failed advance leaves r, g and hbar at the last state
+    if step_idx % rcfg.record_every:
+        record()
+    final = FlowState(profile=snapshots[-1], t=t, cached=history[-1])
     return RunResult(final=final, reason=reason, history=history,
                      snapshots=snapshots, config=rcfg, steps=step_idx)
 
@@ -486,12 +486,9 @@ def run(initial: ProfileGrid, space, cfg: FlowConfig) -> RunResult:
 def write_history_csv(history, path) -> None:
     """One row per diagnostics record, columns exactly ``HISTORY_COLUMNS``."""
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(HISTORY_COLUMNS) + "\n")
-        for rec in history:
-            cells = []
-            for col, val in zip(HISTORY_COLUMNS, rec.to_row()):
-                cells.append(str(int(val)) if col == "N" else repr(float(val)))
-            fh.write(",".join(cells) + "\n")
+        writer = csv.writer(fh, lineterminator="\n")  # writes floats as repr
+        writer.writerow(HISTORY_COLUMNS)
+        writer.writerows(rec.to_row() for rec in history)
 
 
 def build_summary(result: RunResult, bounds_report=None, config_echo=None, extras=None):
@@ -499,8 +496,7 @@ def build_summary(result: RunResult, bounds_report=None, config_echo=None, extra
     summary = {
         "reason": result.reason.tag.value,
         "location": result.reason.location,
-        "final": {c: (int(v) if c == "N" else float(v))
-                  for c, v in zip(HISTORY_COLUMNS, final.to_row())},
+        "final": dict(zip(HISTORY_COLUMNS, final.to_row())),
         "flow_config": result.config.to_dict(),
         "records": len(result.history),
         "steps": result.steps,

@@ -32,8 +32,9 @@ the radial integral inside the volume is panel Gauss-Legendre (``bounds.beta``).
 
 ``_geometry`` is the single discrete-geometry kernel: it (with its stencil
 helper ``_derivatives``) alone holds the ghost-node stencil and the k1/k2/H
-formula.  The public functions below are thin reductions of it, and the flow
-stepper calls it on bare arrays.
+formula.  Each reduction of its output (``_L2``, ``_area``, ``_split``,
+``_curve_length``) is written once; the public functions apply them to a
+checked profile, and the flow to the kernel output of its own step.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .bounds import beta, unit_sphere_area
+from .bounds import _h_pow, beta, unit_sphere_area
 
 __all__ = [
     "ProfileGrid",
@@ -166,7 +167,7 @@ def _geometry(r: np.ndarray, space, dz: float) -> _Geometry:
     k1 = ((fp * rd2 - rddot * f) * invq + fp) / sq
     k2 = f * hp / (h * sq)
     H = k1 + nm1 * k2
-    w = sq * (h if nm1 == 1 else h ** nm1)
+    w = sq * _h_pow(h, space.n)
     return _Geometry(rdot, rddot, f, fp, h, hp, rd2, q, invq, sq, k1, k2, H, w)
 
 
@@ -190,12 +191,38 @@ def _check_domain(p: ProfileGrid, space) -> None:
         raise ValueError(f"profile leaves the ambient domain (r_max={space.r_max_domain:g})")
 
 
+def _checked_geometry(p: ProfileGrid, space):
+    """Domain check, then ``(_geometry, trapezoid weights)`` of ``p``."""
+    _check_domain(p, space)
+    return _geometry(p.r, space, p.dz), trapezoid_weights(p.m, p.dz)
+
+
+def _L2(g: _Geometry, n: int) -> np.ndarray:
+    return g.k1 * g.k1 + (n - 1) * g.k2 * g.k2
+
+
+def _area(g: _Geometry, wz: np.ndarray, n: int) -> float:
+    return unit_sphere_area(n) * float(wz @ g.w)
+
+
+def _split(g: _Geometry, wz: np.ndarray, n: int):
+    """(I1, I2) of the nonlocal split Hbar ~= I1 + I2."""
+    nm1 = n - 1
+    area_w = float(wz @ g.w)
+    hn2 = g.h ** (n - 2)
+    i1 = float(wz @ (np.arctan(g.rdot / g.f) * nm1 * hn2 * g.hp * g.rdot)) / area_w
+    i2 = float(wz @ ((nm1 * g.hp * g.f + g.fp * g.h) * hn2)) / area_w
+    return i1, i2
+
+
+def _curve_length(g: _Geometry, wz: np.ndarray) -> float:
+    return float(wz @ g.sq)
+
+
 def curvature_field(p: ProfileGrid, space) -> CurvatureField:
     """Principal curvatures, mean curvature, graph slope v, and |L|^2."""
-    _check_domain(p, space)
-    g = _geometry(p.r, space, p.dz)
-    L2 = g.k1 * g.k1 + (space.n - 1) * g.k2 * g.k2
-    return CurvatureField(k1=g.k1, k2=g.k2, H=g.H, v=_graph_slope(g), L2=L2)
+    g, _ = _checked_geometry(p, space)
+    return CurvatureField(k1=g.k1, k2=g.k2, H=g.H, v=_graph_slope(g), L2=_L2(g, space.n))
 
 
 def enclosed_volume(p: ProfileGrid, space) -> float:
@@ -207,9 +234,7 @@ def enclosed_volume(p: ProfileGrid, space) -> float:
 
 def lateral_area(p: ProfileGrid, space) -> float:
     """n-volume of the hypersurface (the lateral area of the revolution graph)."""
-    _check_domain(p, space)
-    g = _geometry(p.r, space, p.dz)
-    return unit_sphere_area(space.n) * float(trapezoid_weights(p.m, p.dz) @ g.w)
+    return _area(*_checked_geometry(p, space), space.n)
 
 
 def averaged_mean_curvature(p: ProfileGrid, space) -> MeanCurvatureSplit:
@@ -219,22 +244,13 @@ def averaged_mean_curvature(p: ProfileGrid, space) -> MeanCurvatureSplit:
     quadratures of the same quantity, so |Hbar - (I1 + I2)| -> 0 at second
     order under grid refinement.
     """
-    _check_domain(p, space)
-    g = _geometry(p.r, space, p.dz)
-    nm1 = space.n - 1
-    w = trapezoid_weights(p.m, p.dz)
-    area_w = float(w @ g.w)
-    hn2 = g.h ** (space.n - 2)
-    i1 = float(w @ (np.arctan(g.rdot / g.f) * nm1 * hn2 * g.hp * g.rdot)) / area_w
-    i2 = float(w @ ((nm1 * g.hp * g.f + g.fp * g.h) * hn2)) / area_w
-    return MeanCurvatureSplit(Hbar=_hbar(g, w), I1=i1, I2=i2)
+    g, wz = _checked_geometry(p, space)
+    return MeanCurvatureSplit(_hbar(g, wz), *_split(g, wz, space.n))
 
 
 def curve_length(p: ProfileGrid, space) -> float:
     """Length of the generating curve in the ambient metric."""
-    _check_domain(p, space)
-    g = _geometry(p.r, space, p.dz)
-    return float(trapezoid_weights(p.m, p.dz) @ g.sq)
+    return _curve_length(*_checked_geometry(p, space))
 
 
 def _interior_critical_z(p: ProfileGrid, slope_tol: Optional[float]):

@@ -79,6 +79,22 @@ class TestConfigParsing:
         cfg = load_config(write_ini(tmp_path / "c.ini", text))
         np.testing.assert_array_equal(cfg.initial.r, prof.r)
 
+    @pytest.mark.parametrize("section,value", [
+        ("space", "euclidean"),
+        ("flow", {"max_t": "5.0", "volume_projection": True}),
+    ])
+    def test_malformed_json_sections_are_config_errors(self, tmp_path, capsys, section, value):
+        sections = {"space": {"preset": "euclidean", "n": "2"},
+                    "domain": {"a": "0.0", "b": "1.0"}, "grid": {"m": "21"},
+                    "initial": {"cylinder": "1.0"}, "flow": {"max_t": "5.0"}}
+        sections[section] = value
+        path = tmp_path / "summary.json"
+        path.write_text(json.dumps({"config": sections}))
+        with pytest.raises(ConfigError, match=r"section must map option names to strings"):
+            load_config(str(path))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("error: [")
+
     def test_custom_space(self, tmp_path):
         text = BASE.replace(
             "preset = euclidean\nn = 2",

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -180,6 +181,27 @@ class TestRun:
         assert res.config.r_min_stop == pytest.approx(1e-3 * float(np.min(p0.r)))
         hbar0 = averaged_mean_curvature(p0, euclid2).Hbar
         assert res.config.conv_tol == pytest.approx(1e-6 * abs(hbar0))
+
+    @pytest.mark.parametrize("share", [1.0, 1.1])
+    def test_initial_profile_outside_the_domain_raises(self, sphere2, share):
+        with pytest.raises(ValueError, match="ambient domain"):
+            run(cylinder(51, share * sphere2.r_max_domain), sphere2, FlowConfig())
+
+    @pytest.mark.parametrize("name", ["euclid2", "hyper2", "custom_rss2"])
+    def test_one_warp_evaluation_per_state(self, request, name):
+        # records, Hbar(0) and the volume target reuse the step's geometry;
+        # volumes and the projection evaluate only (f, h)
+        base = request.getfixturevalue(name)
+        calls = []
+
+        def warp(r):
+            calls.append(1)
+            return base.warp(r)
+
+        space = dataclasses.replace(base, warp=warp)
+        res = run(cos_profile(51), space, FlowConfig(max_t=0.05, record_every=1))
+        assert res.steps > 0 and len(res.history) == res.steps + 1
+        assert len(calls) == res.steps + 1
 
     def test_snapshots_align_with_history(self, euclid2):
         res = run(cos_profile(51), euclid2, FlowConfig(max_t=0.01, record_every=20))

@@ -153,6 +153,17 @@ def test_recorded_volume_is_steady(case):
 
 @settings(deadline=None, max_examples=60)
 @given(case=profiles())
+def test_records_equal_a_fresh_diagnosis(case):
+    # run reduces each record from its step's geometry; _diagnose starts over
+    space, _ = case
+    res = _recorded_run(case)
+    for rec, snap in zip(res.history, res.snapshots, strict=True):
+        assert rec == _diagnose(snap, space, rec.t)
+    assert res.final.cached == _diagnose(res.final.profile, space, res.final.t)
+
+
+@settings(deadline=None, max_examples=60)
+@given(case=profiles())
 def test_critical_points_never_appear(case):
     counts = [critical_point_count(snap) for snap in _recorded_run(case).snapshots]
     assert all(b <= a for a, b in zip(counts, counts[1:]))
