@@ -22,7 +22,8 @@ The four sectional curvatures of the warped metric in the frame adapted to
 
 ``validate_space`` checks the smoothness limits at the axis, positivity of
 the warp functions, and classifies the sign conditions S_zi < 0, S_ri <= 0
-used by the flow theory (branch "a"; the Euclidean space is branch "b").
+used by the flow theory (branch "a"; a flat space, where all four vanish,
+is branch "b").
 """
 
 from __future__ import annotations
@@ -197,7 +198,12 @@ def sectional_curvatures(space: AmbientSpace, r) -> SectionalCurvatures:
     arr = np.asarray(r, dtype=float)
     if np.any(arr <= 0.0) or np.any(arr >= space.r_max_domain):
         raise ValueError(f"radius must lie in (0, {space.r_max_domain}), got {r!r}")
-    f, fp, fpp, h, hp, hpp = space.warp(arr)
+    return _curvatures(space.warp(arr))
+
+
+def _curvatures(w) -> SectionalCurvatures:
+    """The four sectional curvatures from the warp tuple ``(f, f', f'', h, h', h'')``."""
+    f, fp, fpp, h, hp, hpp = w
     return SectionalCurvatures(
         S_rz=-fpp / f,
         S_ri=-hpp / h,
@@ -248,7 +254,8 @@ def validate_space(space: AmbientSpace, r_probe_max: float, samples: int = 129) 
     grid = np.linspace(r_probe_max / samples, r_probe_max, samples)
     if space.r_max_domain < math.inf:
         grid = grid[grid < space.r_max_domain]
-    f, fp, _, h, hp, hpp = space.warp(grid)
+    w = space.warp(grid)
+    f, h = w[0], w[3]
     if np.any(f <= 0.0) or not np.all(np.isfinite(f)):
         violations.append(f"f not positive on (0, {r_probe_max:g}]")
     if np.any(h <= 0.0) or not np.all(np.isfinite(h)):
@@ -257,12 +264,11 @@ def validate_space(space: AmbientSpace, r_probe_max: float, samples: int = 129) 
     rss_ok = not violations
 
     branch = None
-    if space.preset == "euclidean":
-        branch = "b"
-    elif rss_ok:
-        s_zi = -hp * fp / (h * f)
-        s_ri = -hpp / h
-        if np.all(s_zi < 0.0) and np.all(s_ri <= 0.0):
+    if rss_ok:
+        sc = _curvatures(w)
+        if all(np.all(s == 0.0) for s in (sc.S_rz, sc.S_ri, sc.S_zi, sc.S_ij)):
+            branch = "b"  # flat: with the axis limits, f = 1 and h = r
+        elif np.all(sc.S_zi < 0.0) and np.all(sc.S_ri <= 0.0):
             branch = "a"
 
     return ValidationReport(rss_ok=rss_ok, rss2_branch=branch, violations=violations,

@@ -4,7 +4,7 @@ These are the limit objects of the convergent flow runs and serve as
 oracles in tests and experiments.  Two constructions:
 
 * ``cylinder_for_volume``: the constant profile r = r1 enclosing a given
-  volume, with H = f'/f + (n-1) h'/h evaluated at r1.
+  volume, with H = f'/f + (n-1) h'/h at r1 taken from the geometry kernel.
 * ``shoot_cmc``: non-constant CMC graphs with Neumann ends, by integrating
   the second-order ODE obtained from k1 + (n-1) k2 = H,
 
@@ -66,10 +66,11 @@ def cylinder_for_volume(space, a: float, b: float, V: float, m: int = 401) -> CM
     sigma = unit_sphere_area(space.n)
     r1 = invert_increasing(lambda x: beta(space, x), V / ((b - a) * sigma),
                            r_max=space.r_max_domain)
-    f, fp, _, h, hp, _ = space.warp(r1)
-    h_const = float(fp / f + (space.n - 1) * hp / h)
     profile = ProfileGrid(a, b, np.full(m, r1))
-    return CMCProfile(H_const=h_const, profile=profile, residual=0.0,
+    H = _checked_geometry(profile, space)[0].H
+    h_const = float(H[0])
+    return CMCProfile(H_const=h_const, profile=profile,
+                      residual=float(np.max(np.abs(H - h_const))),
                       volume=enclosed_volume(profile, space))
 
 

@@ -82,43 +82,37 @@ def _get(sections, section, key, default=None, required=False):
         return default
 
 
-def _get_float(sections, section, key, default=None, required=False):
-    raw = _get(sections, section, key, required=required)
-    if raw is None:
-        return default
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"[{section}] {key}: expected a number, got {raw!r}")
-
-
-def _get_int(sections, section, key, default=None, required=False):
-    raw = _get(sections, section, key, required=required)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"[{section}] {key}: expected an integer, got {raw!r}")
-
-
-def _get_bool(sections, section, key, default=None):
-    raw = _get(sections, section, key)
-    if raw is None:
-        return default
+def _parse_bool(raw: str) -> bool:
     val = raw.strip().lower()
     if val in ("true", "yes", "on", "1"):
         return True
     if val in ("false", "no", "off", "0"):
         return False
-    raise ConfigError(f"[{section}] {key}: expected a boolean, got {raw!r}")
+    raise ValueError(raw)
+
+
+# (parser, name of the expected kind) pairs for ``_get_as``
+_NUMBER = (float, "a number")
+_INTEGER = (int, "an integer")
+_BOOLEAN = (_parse_bool, "a boolean")
+
+
+def _get_as(kind, sections, section, key, default=None, required=False):
+    parse, name = kind
+    raw = _get(sections, section, key, required=required)
+    if raw is None:
+        return default
+    try:
+        return parse(raw)
+    except ValueError:
+        raise ConfigError(f"[{section}] {key}: expected {name}, got {raw!r}")
 
 
 def _build_space(sections) -> AmbientSpace:
     preset = _get(sections, "space", "preset", required=True).strip().lower()
-    n = _get_int(sections, "space", "n", default=2)
+    n = _get_as(_INTEGER, sections, "space", "n", default=2)
     if preset in ("euclidean", "hyperbolic", "spherical"):
-        lam = _get_float(sections, "space", "lambda")
+        lam = _get_as(_NUMBER, sections, "space", "lambda")
         try:
             return make_preset(preset, lam, n=n)
         except ValueError as exc:
@@ -191,8 +185,8 @@ def _build_flow(sections) -> FlowConfig:
     kwargs = {}
     for f in fields(FlowConfig):
         # the default's type picks the parser; None defaults are numbers
-        getter = {int: _get_int, bool: _get_bool}.get(type(f.default), _get_float)
-        val = getter(sections, "flow", f.name)
+        kind = {int: _INTEGER, bool: _BOOLEAN}.get(type(f.default), _NUMBER)
+        val = _get_as(kind, sections, "flow", f.name)
         if val is not None:
             kwargs[f.name] = val
     try:
@@ -227,23 +221,23 @@ def parse_config(sections: Dict[str, Dict[str, str]], base_dir: str = ".") -> Ru
         sections["initial"]["csv"] = os.path.abspath(os.path.join(base_dir, csv_raw))
 
     space = _build_space(sections)
-    a = _get_float(sections, "domain", "a", required=True)
-    b = _get_float(sections, "domain", "b", required=True)
+    a = _get_as(_NUMBER, sections, "domain", "a", required=True)
+    b = _get_as(_NUMBER, sections, "domain", "b", required=True)
     if not b > a:
         raise ConfigError("[domain] need b > a")
-    m = _get_int(sections, "grid", "m", required=True)
+    m = _get_as(_INTEGER, sections, "grid", "m", required=True)
     if m < 11:
         raise ConfigError(f"[grid] m: need m >= 11, got {m}")
 
     initial = _build_initial(sections, space, a, b, m, base_dir)
     flow_cfg = _build_flow(sections)
 
-    probe = _get_float(sections, "validate", "r_probe_max")
+    probe = _get_as(_NUMBER, sections, "validate", "r_probe_max")
     if probe is None:
         probe = 3.0
         if space.r_max_domain < math.inf:
             probe = min(probe, 0.99 * space.r_max_domain)
-    samples = _get_int(sections, "validate", "samples", default=129)
+    samples = _get_as(_INTEGER, sections, "validate", "samples", default=129)
 
     return RunConfig(
         space=space, a=a, b=b, m=m, initial=initial, flow=flow_cfg,

@@ -68,8 +68,8 @@ from .hypersurface import (
     _graph_slope,
     _hbar,
     _checked_geometry,
+    _interior_critical_z,
     _split,
-    critical_point_count,
     enclosed_volume,
     trapezoid_weights,
 )
@@ -201,7 +201,7 @@ def _record(profile: ProfileGrid, space, g, hbar: float, wz, t: float) -> Diagno
         min_r=float(np.min(profile.r)),
         max_r=float(np.max(profile.r)),
         max_v=float(np.max(_graph_slope(g))),
-        N=critical_point_count(profile),
+        N=2 + _interior_critical_z(g.rdot, profile.z, None).size,  # with both endpoints
         curve_len=_curve_length(g, wz),
         max_L2=float(np.max(_L2(g, space.n))),
     )

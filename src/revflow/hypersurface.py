@@ -34,7 +34,10 @@ the radial integral inside the volume is panel Gauss-Legendre (``bounds.beta``).
 helper ``_derivatives``) alone holds the ghost-node stencil and the k1/k2/H
 formula.  Each reduction of its output (``_L2``, ``_area``, ``_split``,
 ``_curve_length``) is written once; the public functions apply them to a
-checked profile, and the flow to the kernel output of its own step.
+checked profile, and the flow to the kernel output of its own step.  The
+critical-point census (``_interior_critical_z``) reads the kernel's slope
+``rdot``; ``critical_point_count`` and ``critical_points`` pass it the
+slope of ``spatial_derivatives``, the same stencil.
 """
 
 from __future__ import annotations
@@ -253,37 +256,25 @@ def curve_length(p: ProfileGrid, space) -> float:
     return _curve_length(*_checked_geometry(p, space))
 
 
-def _interior_critical_z(p: ProfileGrid, slope_tol: Optional[float]):
-    rdot, _ = spatial_derivatives(p)
+def _interior_critical_z(rdot: np.ndarray, z: np.ndarray, slope_tol: Optional[float]):
+    """z of the interior slope events of the nodal slope ``rdot`` on nodes ``z``.
+
+    Between two consecutive nonzero slopes, a sign change or a run of zeros
+    (a plateau) is one event, at the midpoint of the pair or of the run.
+    Zeros with no nonzero slope on one side merge with an endpoint.
+    """
     if slope_tol is None:
         slope_tol = 1e-9 * float(np.max(np.abs(rdot)))
     signs = np.sign(rdot[1:-1])
     signs[np.abs(rdot[1:-1]) <= slope_tol] = 0.0
-    z = p.z[1:-1]
-
-    points = []
-    last = 0.0
-    run_start = None  # index of first zero in the current zero run
-    for i, s in enumerate(signs):
-        if s == 0.0:
-            if run_start is None:
-                run_start = i
-            continue
-        if last == 0.0:
-            # leading zeros merge with the endpoint critical point at z=a
-            last = s
-            run_start = None
-            continue
-        if run_start is not None:
-            # a zero run counts once, whether a sign change or a plateau
-            points.append(0.5 * (z[run_start] + z[i - 1]))
-            run_start = None
-            last = s
-        elif s != last:
-            points.append(0.5 * (z[i - 1] + z[i]))
-            last = s
-    # trailing zeros merge with the endpoint critical point at z=b
-    return np.asarray(points)
+    z = z[1:-1]
+    nz = np.flatnonzero(signs)
+    j, k = nz[:-1], nz[1:]
+    gap = k > j + 1
+    event = gap | (signs[j] != signs[k])
+    lo = np.where(gap, j + 1, j)[event]
+    hi = np.where(gap, k - 1, k)[event]
+    return 0.5 * (z[lo] + z[hi])
 
 
 def critical_point_count(p: ProfileGrid, slope_tol: Optional[float] = None) -> int:
@@ -292,12 +283,12 @@ def critical_point_count(p: ProfileGrid, slope_tol: Optional[float] = None) -> i
     Interior slopes below ``slope_tol`` (default 1e-9 * max|rdot|) are treated
     as zero, and each run of zeros contributes a single critical point.
     """
-    return 2 + _interior_critical_z(p, slope_tol).size
+    return 2 + _interior_critical_z(spatial_derivatives(p)[0], p.z, slope_tol).size
 
 
 def critical_points(p: ProfileGrid, slope_tol: Optional[float] = None) -> np.ndarray:
     """z-locations of the critical points counted by ``critical_point_count``."""
-    interior = _interior_critical_z(p, slope_tol)
+    interior = _interior_critical_z(spatial_derivatives(p)[0], p.z, slope_tol)
     return np.concatenate(([p.a], interior, [p.b]))
 
 

@@ -140,6 +140,18 @@ class TestValidateSpace:
         rep = validate_space(custom_rss2, 2.5)
         assert rep.rss_ok and rep.rss2_branch == "a"
 
+    def test_flat_custom_space_is_branch_b(self, euclid2, hyper2, sphere2, custom_rss2):
+        # a custom space with the euclidean warp is classified by its
+        # curvatures, not by its preset tag
+        flat = space_from_expressions(2, "1", "0", "0", "r", "1", "0")
+        rep = validate_space(flat, 3.0)
+        assert rep.rss_ok and rep.rss2_branch == "b" and not rep.violations
+        assert rep.to_dict() == validate_space(euclid2, 3.0).to_dict()
+        for space, probe, branch in ((hyper2, 3.0, "a"),
+                                     (sphere2, 0.99 * sphere2.r_max_domain, None),
+                                     (custom_rss2, 2.5, "a")):
+            assert validate_space(space, probe).rss2_branch == branch
+
 
 class TestMonotonicityRemarks:
     """Sign conditions force h increasing, h' non-decreasing, and f >= 1."""

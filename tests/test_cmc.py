@@ -10,7 +10,9 @@ from revflow import (
     cylinder_for_volume,
     distance_to_cmc,
     enclosed_volume,
+    make_preset,
     shoot_cmc,
+    unit_sphere_area,
 )
 from conftest import neck_profile
 
@@ -38,6 +40,27 @@ class TestCylinderForVolume:
         prof = cylinder_for_volume(hyper2, 0.0, 1.5, V)
         assert enclosed_volume(prof.profile, hyper2) == pytest.approx(V, rel=1e-10)
         assert prof.volume == pytest.approx(V, rel=1e-10)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("lam", [1.0, 2.0])
+    @pytest.mark.parametrize("share", [0.25, 0.4, 0.8])
+    def test_spherical_closed_form(self, n, lam, share):
+        space = make_preset("spherical", lam, n=n)
+        s = math.sqrt(lam)
+        r1 = share * space.r_max_domain
+        V = unit_sphere_area(n) * math.sin(s * r1) ** n / (n * s ** n)  # beta(r1)
+        prof = cylinder_for_volume(space, 0.0, 1.0, V)
+        r1 = float(prof.profile.r[0])
+        H = -s * math.tan(s * r1) + (n - 1) * s / math.tan(s * r1)
+        assert prof.H_const == pytest.approx(H, rel=1e-12)
+
+    @pytest.mark.parametrize("name", ["euclid3", "hyper2", "sphere2", "custom_rss2"])
+    def test_kernel_curvature_and_residual(self, request, name):
+        space = request.getfixturevalue(name)
+        prof = cylinder_for_volume(space, 0.0, 1.0, 0.8, m=51)
+        H = curvature_field(prof.profile, space).H
+        assert prof.H_const == H[0]
+        assert prof.residual == float(np.max(np.abs(H - prof.H_const)))
 
     def test_invalid_volume(self, euclid2):
         with pytest.raises(ValueError):

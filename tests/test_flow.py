@@ -18,6 +18,7 @@ from revflow import (
     run,
     step,
 )
+from revflow import hypersurface
 from revflow.flow import HISTORY_COLUMNS, _diagnose, _Euler, write_history_csv
 from conftest import cos_profile, neck_profile
 
@@ -199,6 +200,22 @@ class TestRun:
             return base.warp(r)
 
         space = dataclasses.replace(base, warp=warp)
+        res = run(cos_profile(51), space, FlowConfig(max_t=0.05, record_every=1))
+        assert res.steps > 0 and len(res.history) == res.steps + 1
+        assert len(calls) == res.steps + 1
+
+    @pytest.mark.parametrize("name", ["euclid2", "hyper2", "custom_rss2"])
+    def test_one_slope_stencil_per_state(self, request, name, monkeypatch):
+        # the records' critical-point census reads the kernel's slope
+        space = request.getfixturevalue(name)
+        calls = []
+        stencil = hypersurface._derivatives
+
+        def counted(r, dz):
+            calls.append(1)
+            return stencil(r, dz)
+
+        monkeypatch.setattr(hypersurface, "_derivatives", counted)
         res = run(cos_profile(51), space, FlowConfig(max_t=0.05, record_every=1))
         assert res.steps > 0 and len(res.history) == res.steps + 1
         assert len(calls) == res.steps + 1

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from revflow import (
     ProfileGrid,
@@ -212,6 +213,67 @@ class TestCriticalPoints:
         z = np.linspace(0.0, 1.0, 101)
         p = ProfileGrid(0.0, 1.0, 1.0 + 1e-12 * np.sin(2 * np.pi * z))
         assert critical_point_count(p, slope_tol=1e-9) == 2
+
+
+def _reference_critical_points(p, slope_tol):
+    """The census as a scan over the interior slopes, one node at a time."""
+    rdot, _ = spatial_derivatives(p)
+    if slope_tol is None:
+        slope_tol = 1e-9 * float(np.max(np.abs(rdot)))
+    signs = np.sign(rdot[1:-1])
+    signs[np.abs(rdot[1:-1]) <= slope_tol] = 0.0
+    z = p.z[1:-1]
+    points = []
+    last = 0.0
+    run_start = None  # index of first zero in the current zero run
+    for i, s in enumerate(signs):
+        if s == 0.0:
+            if run_start is None:
+                run_start = i
+            continue
+        if last == 0.0:
+            # leading zeros merge with the endpoint critical point at z=a
+            last = s
+            run_start = None
+            continue
+        if run_start is not None:
+            # a zero run counts once, whether a sign change or a plateau
+            points.append(0.5 * (z[run_start] + z[i - 1]))
+            run_start = None
+            last = s
+        elif s != last:
+            points.append(0.5 * (z[i - 1] + z[i]))
+            last = s
+    # trailing zeros merge with the endpoint critical point at z=b
+    return np.concatenate(([p.a], points, [p.b]))
+
+
+# runs of equal integer steps: plateaus, and leading or trailing zero runs
+_STEP_RUNS = st.lists(st.tuples(st.integers(-2, 2), st.integers(1, 8)),
+                      min_size=1, max_size=12)
+
+
+@settings(deadline=None, max_examples=300)
+@given(runs=_STEP_RUNS, tol=st.one_of(st.none(), st.integers(0, 4),
+                                      st.floats(0.0, 2.0)))
+@example(runs=[(0, 20)], tol=None)  # all-zero slope
+@example(runs=[(0, 5), (1, 4), (0, 6)], tol=None)
+@example(runs=[(1, 3), (0, 4), (1, 3), (-1, 2), (0, 3)], tol=1)
+def test_census_matches_the_reference_scan(runs, tol):
+    steps = [s for s, count in runs for _ in range(count)]
+    # radii on a 1/64 lattice, so slopes of equal neighbours are exactly 0
+    r = 4.0 + np.concatenate(([0], np.cumsum(steps))) / 64.0
+    if r.size < 3:  # a profile needs three nodes
+        r = np.concatenate((r, r[-1:], r[-1:]))
+    p = ProfileGrid(0.0, 1.3, r)
+    if isinstance(tol, int):
+        # exactly the slope of an integer step of ``tol`` lattice units
+        tol = (tol / 64.0) * (1.0 / (2.0 * p.dz))
+    expected = _reference_critical_points(p, tol)
+    got = critical_points(p, slope_tol=tol)
+    np.testing.assert_array_equal(got, expected)
+    assert got.dtype == expected.dtype
+    assert critical_point_count(p, slope_tol=tol) == expected.size
 
 
 class TestProfileCsv:
