@@ -61,7 +61,6 @@ class AmbientSpace:
     warp: Callable = field(repr=False)
     r_max_domain: float = math.inf
     preset: str = "custom"
-    curvature: Optional[float] = None
     fh: Optional[Callable] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -125,7 +124,7 @@ def make_preset(tag: str, lam: Optional[float] = None, n: int = 2) -> AmbientSpa
             return np.ones_like(r), r
 
         return AmbientSpace(n=n, warp=warp, r_max_domain=math.inf,
-                            preset="euclidean", curvature=0.0, fh=fh)
+                            preset="euclidean", fh=fh)
 
     if key == "hyperbolic":
         if lam is None or not lam < 0:
@@ -144,7 +143,7 @@ def make_preset(tag: str, lam: Optional[float] = None, n: int = 2) -> AmbientSpa
             return np.cosh(sr), np.sinh(sr) / s
 
         return AmbientSpace(n=n, warp=warp, r_max_domain=math.inf,
-                            preset="hyperbolic", curvature=float(lam), fh=fh)
+                            preset="hyperbolic", fh=fh)
 
     if key == "spherical":
         if lam is None or not lam > 0:
@@ -163,7 +162,7 @@ def make_preset(tag: str, lam: Optional[float] = None, n: int = 2) -> AmbientSpa
             return np.cos(sr), np.sin(sr) / s
 
         return AmbientSpace(n=n, warp=warp, r_max_domain=math.pi / (2.0 * s),
-                            preset="spherical", curvature=float(lam), fh=fh)
+                            preset="spherical", fh=fh)
 
     raise ValueError(f"unknown preset tag {tag!r}")
 

@@ -18,7 +18,7 @@ from . import flow as flow_mod
 from .ambient import validate_space
 from .bounds import compute_bounds
 from .cmc import ShootingError, cylinder_for_volume, shoot_cmc
-from .config import ConfigError, load_config, parse_config
+from .config import _NUMBER, ConfigError, _get_as, load_config, parse_config
 from .flow import FlowConfig, StopTag, build_summary, write_history_csv, write_summary_json
 from .hypersurface import enclosed_volume, lateral_area, save_profile_csv
 from .svgplot import write_line_plot
@@ -105,16 +105,14 @@ def cmd_cmc(cfg, args):
     os.makedirs(outdir, exist_ok=True)
     section = cfg.cmc
     mode = section.get("mode", "shoot" if "h_target" in section else "cylinder")
+
+    def number(key):
+        return _get_as(_NUMBER, {"cmc": section}, "cmc", key, required=True)
+
     if mode == "cylinder":
-        if "volume" not in section:
-            raise ConfigError("[cmc] volume: required for cylinder mode")
-        prof = cylinder_for_volume(cfg.space, cfg.a, cfg.b,
-                                   float(section["volume"]), m=cfg.m)
+        prof = cylinder_for_volume(cfg.space, cfg.a, cfg.b, number("volume"), m=cfg.m)
     elif mode == "shoot":
-        if "h_target" not in section or "guess" not in section:
-            raise ConfigError("[cmc] shoot mode needs h_target and guess")
-        prof = shoot_cmc(cfg.space, cfg.a, cfg.b, float(section["h_target"]),
-                         float(section["guess"]), m=cfg.m)
+        prof = shoot_cmc(cfg.space, cfg.a, cfg.b, number("h_target"), number("guess"), m=cfg.m)
     else:
         raise ConfigError(f"[cmc] mode: unknown value {mode!r}")
 
@@ -208,7 +206,8 @@ def main(argv=None) -> int:
         p.add_argument("--out", help="output directory")
         p.add_argument("--jobs", type=int, default=None, help="sweep worker count")
         p.add_argument("--seed", type=int, default=None,
-                       help="seed recorded in outputs (reserved for randomized tests)")
+                       help="recorded as 'seed' in the summary.json of 'run'; "
+                            "the computation does not use it")
     args = parser.parse_args(argv)
 
     try:

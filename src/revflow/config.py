@@ -237,7 +237,12 @@ def parse_config(sections: Dict[str, Dict[str, str]], base_dir: str = ".") -> Ru
         probe = 3.0
         if space.r_max_domain < math.inf:
             probe = min(probe, 0.99 * space.r_max_domain)
+    if not 0 < probe <= space.r_max_domain:
+        raise ConfigError(f"[validate] r_probe_max: need 0 < r_probe_max <= "
+                          f"{space.r_max_domain:g}, got {probe!r}")
     samples = _get_as(_INTEGER, sections, "validate", "samples", default=129)
+    if samples < 2:
+        raise ConfigError(f"[validate] samples: need samples >= 2, got {samples}")
 
     return RunConfig(
         space=space, a=a, b=b, m=m, initial=initial, flow=flow_cfg,

@@ -1,4 +1,4 @@
-"""Tiny arithmetic-expression interpreter for warp functions and profiles.
+"""Arithmetic expressions for warp functions and profiles.
 
 Config files describe custom ambient spaces and initial profiles with
 closed-form strings such as ``cosh(r)^2`` or ``1 + 0.1*cos(pi*z)``.  This
@@ -13,11 +13,22 @@ Grammar (``^`` is right-associative power)::
     power := atom ['^' unary]
     atom  := NUMBER | 'pi' | <variable> | FUNC '(' expr ')' | '(' expr ')'
 
-with FUNC one of sin, cos, sinh, cosh, exp, log, sqrt.
+with FUNC one of sin, cos, sinh, cosh, exp, log, sqrt and NUMBER a decimal
+literal (``2``, ``0.5``, ``.5``, ``1e-3``).  Whitespace, line breaks
+included, is insignificant.
+
+With ``^`` read as ``**`` this is a subset of Python's expression syntax,
+so Python's parser (``ast``) reads the text and ``_check`` holds the tree
+to a whitelist: every node must be one of the productions above.  ``**``,
+a leading ``+`` and every other Python construct (attributes, subscripts,
+keyword arguments, other literals and names) raise ``ExpressionError``.
+The checked tree is compiled once into a plain function that runs with
+no builtins.
 """
 
 from __future__ import annotations
 
+import ast
 import re
 from typing import Callable
 
@@ -34,142 +45,65 @@ _FUNCTIONS = {
     "log": np.log,
     "sqrt": np.sqrt,
 }
+_NAMESPACE = {"__builtins__": {}, "pi": np.pi, **_FUNCTIONS}
 
-_TOKEN_RE = re.compile(
-    r"""(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)
-      | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
-      | (?P<op>[()+\-*/^])
-    """,
-    re.VERBOSE,
-)
+_FORBIDDEN = re.compile(r"[^\sA-Za-z0-9_.()+\-*/^]")
+_NUMBER = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
+# Python rejects integer literals such as ``07``; the grammar reads them as 7.0
+_LEADING_ZEROS = re.compile(r"(?<![\w.])0+(?=\d)")
 
 
 class ExpressionError(ValueError):
-    """Raised when an expression cannot be tokenized or parsed."""
+    """Raised when an expression is not in the grammar."""
 
 
-def _tokenize(text):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ExpressionError(f"unexpected character {text[pos]!r} at position {pos}")
-        if m.lastgroup == "num":
-            tokens.append(("num", float(m.group()), pos))
-        elif m.lastgroup == "name":
-            tokens.append(("name", m.group(), pos))
-        else:
-            tokens.append(("op", m.group(), pos))
-        pos = m.end()
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens, var):
-        self.tokens = tokens
-        self.var = var
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
-    def take(self):
-        tok = self.peek()
-        if tok is None:
-            raise ExpressionError("unexpected end of expression")
-        self.i += 1
-        return tok
-
-    def expect_op(self, symbol):
-        tok = self.take()
-        if tok[0] != "op" or tok[1] != symbol:
-            raise ExpressionError(f"expected {symbol!r} at position {tok[2]}")
-
-    def parse(self):
-        node = self.expr()
-        tok = self.peek()
-        if tok is not None:
-            raise ExpressionError(f"trailing input at position {tok[2]}")
-        return node
-
-    def expr(self):
-        node = self.term()
-        while (tok := self.peek()) and tok[0] == "op" and tok[1] in "+-":
-            self.take()
-            rhs = self.term()
-            if tok[1] == "+":
-                node = (lambda l, r: lambda x: l(x) + r(x))(node, rhs)
-            else:
-                node = (lambda l, r: lambda x: l(x) - r(x))(node, rhs)
-        return node
-
-    def term(self):
-        node = self.unary()
-        while (tok := self.peek()) and tok[0] == "op" and tok[1] in "*/":
-            self.take()
-            rhs = self.unary()
-            if tok[1] == "*":
-                node = (lambda l, r: lambda x: l(x) * r(x))(node, rhs)
-            else:
-                node = (lambda l, r: lambda x: l(x) / r(x))(node, rhs)
-        return node
-
-    def unary(self):
-        tok = self.peek()
-        if tok and tok[0] == "op" and tok[1] == "-":
-            self.take()
-            inner = self.unary()
-            return lambda x: -inner(x)
-        return self.power()
-
-    def power(self):
-        base = self.atom()
-        tok = self.peek()
-        if tok and tok[0] == "op" and tok[1] == "^":
-            self.take()
-            exponent = self.unary()
-            return lambda x: base(x) ** exponent(x)
-        return base
-
-    def atom(self):
-        tok = self.take()
-        if tok[0] == "num":
-            value = tok[1]
-            return lambda x: value
-        if tok[0] == "name":
-            name = tok[1]
-            if name == "pi":
-                return lambda x: np.pi
-            if name == self.var:
-                return lambda x: x
-            if name in _FUNCTIONS:
-                fn = _FUNCTIONS[name]
-                self.expect_op("(")
-                inner = self.expr()
-                self.expect_op(")")
-                return lambda x: fn(inner(x))
-            raise ExpressionError(f"unknown name {name!r} at position {tok[2]}")
-        if tok[1] == "(":
-            inner = self.expr()
-            self.expect_op(")")
-            return inner
-        raise ExpressionError(f"unexpected token {tok[1]!r} at position {tok[2]}")
+def _check(node, source, var):
+    """Raise ExpressionError unless ``node`` is in the grammar; make constants floats."""
+    match node:
+        case ast.BinOp(op=ast.Add() | ast.Sub() | ast.Mult() | ast.Div() | ast.Pow()):
+            _check(node.left, source, var)
+            _check(node.right, source, var)
+        case ast.UnaryOp(op=ast.USub()):
+            _check(node.operand, source, var)
+        case ast.Name(id=name) if name in ("pi", var):
+            pass
+        # a function name in parentheses, ``(sin)(r)``, starts after its call
+        case ast.Call(func=ast.Name(id=name), args=[arg], keywords=[]) if (
+                name in _FUNCTIONS and node.func.col_offset == node.col_offset):
+            _check(arg, source, var)
+        case ast.Constant() if _NUMBER.fullmatch(
+                literal := source[node.col_offset:node.end_col_offset]):
+            # float arithmetic on constant subexpressions, as on the values
+            node.value = float(literal)
+        case _:
+            segment = source[node.col_offset:node.end_col_offset]
+            raise ExpressionError(f"{segment!r} is not allowed")
 
 
 def compile_expression(text: str, var: str = "r") -> Callable:
     """Compile ``text`` into a callable of the single variable ``var``.
 
+    ``var`` is an identifier other than ``pi`` and the function names.
     The callable accepts floats or numpy arrays and returns a matching
     float or array (constant expressions broadcast to the input shape).
     """
-    tokens = _tokenize(text)
-    if not tokens:
-        raise ExpressionError("empty expression")
-    node = _Parser(tokens, var).parse()
+    bad = _FORBIDDEN.search(text)
+    if bad:
+        raise ExpressionError(f"unexpected character {bad.group()!r} at position {bad.start()}")
+    if "**" in text:
+        raise ExpressionError("'**' is not allowed; write powers with '^'")
+    # One line of single spaces, so Python's indentation rules do not apply.
+    # With no ':' or ',' in the text, the lambda's body is all of the text.
+    body = _LEADING_ZEROS.sub("", " ".join(text.split()).replace("^", "**"))
+    source = f"lambda {var}: {body}"
+    try:
+        tree = ast.parse(source, mode="eval")
+        _check(tree.body.body, source, var)
+        node = eval(compile(tree, "<expression>", "eval"), _NAMESPACE)
+    except SyntaxError as exc:
+        raise ExpressionError(f"cannot parse {text!r}: {exc.msg}") from None
+    except (RecursionError, MemoryError):  # how Python's parser and compiler report depth
+        raise ExpressionError("expression nested too deeply") from None
 
     def evaluate(x):
         arr = np.asarray(x, dtype=float)
@@ -179,5 +113,4 @@ def compile_expression(text: str, var: str = "r") -> Callable:
             out = np.full(arr.shape, float(out))
         return float(out) if arr.shape == () else out
 
-    evaluate.source = text  # type: ignore[attr-defined]
     return evaluate

@@ -139,6 +139,15 @@ class TestValidateCommand:
         assert code == 1
         assert "[domain] b" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["validate", "run", "sweep"])
+    @pytest.mark.parametrize("option,value", [("samples", "1"), ("r_probe_max", "-1")])
+    def test_out_of_range_validate_option_exit_1(self, tmp_path, capsys, command, option, value):
+        text = BASE + f"\n[validate]\n{option} = {value}\n"
+        code = main([command, "--config", write_ini(tmp_path / "c.ini", text),
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert f"[validate] {option}" in capsys.readouterr().err
+
 
 class TestBoundsCommand:
     def test_json_fields(self, tmp_path, capsys):
@@ -235,6 +244,18 @@ class TestCmcCommand:
         assert code == 0
         out = json.loads(capsys.readouterr().out)
         assert out["residual"] <= 1e-6
+
+    @pytest.mark.parametrize("section,key", [
+        ("mode = cylinder\nvolume = abc", "volume"),
+        ("mode = shoot\nh_target = abc\nguess = 1.1", "h_target"),
+        ("mode = shoot\nh_target = 1.0\nguess = abc", "guess"),
+    ])
+    def test_non_numeric_value_exit_1(self, tmp_path, capsys, section, key):
+        text = BASE + f"\n[cmc]\n{section}\n"
+        code = main(["cmc", "--config", write_ini(tmp_path / "c.ini", text),
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert f"error: [cmc] {key}: expected a number, got 'abc'" in capsys.readouterr().err
 
 
 class TestSweepCommand:
