@@ -14,6 +14,10 @@ constant-curvature model spaces are built-in presets:
     spherical  (lam > 0) f = cos(s r),         h = sin(s r)/s,    s = sqrt(lam)
                          (open half sphere, ball radius pi/(2 s))
 
+The two curved presets are one family, f = C(s r), h = S(s r)/s with
+s = sqrt(|lam|) and (C, S) = (cosh, sinh) or (cos, sin), so that
+f' = h'' = k S(s r), f'' = k s C(s r) and h' = C(s r) with k = s or -s.
+
 The four sectional curvatures of the warped metric in the frame adapted to
 (r, z, sphere directions) are
 
@@ -101,6 +105,10 @@ class ValidationReport:
         return asdict(self)
 
 
+# curved preset -> (sign of lam, C, S): f = C(s r), h = S(s r)/s, s = sqrt(|lam|)
+_CURVED = {"hyperbolic": (-1.0, np.cosh, np.sinh), "spherical": (1.0, np.cos, np.sin)}
+
+
 def make_preset(tag: str, lam: Optional[float] = None, n: int = 2) -> AmbientSpace:
     """Build one of the constant-curvature model spaces.
 
@@ -126,43 +134,28 @@ def make_preset(tag: str, lam: Optional[float] = None, n: int = 2) -> AmbientSpa
         return AmbientSpace(n=n, warp=warp, r_max_domain=math.inf,
                             preset="euclidean", fh=fh)
 
-    if key == "hyperbolic":
-        if lam is None or not lam < 0:
-            raise ValueError(f"hyperbolic preset needs lam < 0, got {lam!r}")
-        s = math.sqrt(-lam)
-        s2 = s * s
+    if key in _CURVED:
+        sign, C, S = _CURVED[key]
+        if lam is None or not sign * lam > 0:
+            raise ValueError(f"{key} preset needs lam {'>' if sign > 0 else '<'} 0, got {lam!r}")
+        s = math.sqrt(sign * lam)
+        k = -sign * s  # f' = k S(s r)
+        k2 = k * s     # f'' = k2 C(s r)
+
+        def cs(r):
+            sr = s * np.asarray(r, dtype=float)
+            return C(sr), S(sr)
 
         def warp(r):
-            sr = s * np.asarray(r, dtype=float)
-            ch = np.cosh(sr)
-            sh = np.sinh(sr)
-            return ch, s * sh, s2 * ch, sh / s, ch, s * sh
+            c, si = cs(r)
+            return c, k * si, k2 * c, si / s, c, k * si
 
         def fh(r):
-            sr = s * np.asarray(r, dtype=float)
-            return np.cosh(sr), np.sinh(sr) / s
+            c, si = cs(r)
+            return c, si / s
 
-        return AmbientSpace(n=n, warp=warp, r_max_domain=math.inf,
-                            preset="hyperbolic", fh=fh)
-
-    if key == "spherical":
-        if lam is None or not lam > 0:
-            raise ValueError(f"spherical preset needs lam > 0, got {lam!r}")
-        s = math.sqrt(lam)
-        s2 = s * s
-
-        def warp(r):
-            sr = s * np.asarray(r, dtype=float)
-            c = np.cos(sr)
-            si = np.sin(sr)
-            return c, -s * si, -s2 * c, si / s, c, -s * si
-
-        def fh(r):
-            sr = s * np.asarray(r, dtype=float)
-            return np.cos(sr), np.sin(sr) / s
-
-        return AmbientSpace(n=n, warp=warp, r_max_domain=math.pi / (2.0 * s),
-                            preset="spherical", fh=fh)
+        r_max = math.pi / (2.0 * s) if sign > 0 else math.inf
+        return AmbientSpace(n=n, warp=warp, r_max_domain=r_max, preset=key, fh=fh)
 
     raise ValueError(f"unknown preset tag {tag!r}")
 
@@ -211,11 +204,6 @@ def _curvatures(w) -> SectionalCurvatures:
     )
 
 
-def _richardson_to_zero(fn, eps):
-    # first-order Richardson: 2 g(eps/2) - g(eps) = g(0) + O(eps^2)
-    return 2.0 * fn(0.5 * eps) - fn(eps)
-
-
 _AXIS_TOL = 1e-10
 
 
@@ -236,17 +224,11 @@ def validate_space(space: AmbientSpace, r_probe_max: float, samples: int = 129) 
     eps = 1e-6 * r_probe_max
     violations = []
 
-    def comp(idx):
-        return lambda x: float(space.warp(x)[idx])
-
-    limits = [
-        ("f(0)", comp(0), 1.0),
-        ("f'(0)", comp(1), 0.0),
-        ("h(0)", comp(3), 0.0),
-        ("h'(0)", comp(4), 1.0),
-    ]
-    for label, fn, expected in limits:
-        got = _richardson_to_zero(fn, eps)
+    # first-order Richardson: 2 g(eps/2) - g(eps) = g(0) + O(eps^2)
+    near, far = space.warp(0.5 * eps), space.warp(eps)
+    for label, idx, expected in (("f(0)", 0, 1.0), ("f'(0)", 1, 0.0),
+                                 ("h(0)", 3, 0.0), ("h'(0)", 4, 1.0)):
+        got = 2.0 * float(near[idx]) - float(far[idx])
         if not math.isfinite(got) or abs(got - expected) > _AXIS_TOL:
             violations.append(f"{label}={got:.6g} (expected {expected:g})")
 

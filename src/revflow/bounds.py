@@ -158,6 +158,12 @@ def invert_increasing(g, y: float, r_max: float = math.inf) -> float:
     return x
 
 
+def _cylinder_radius(space, length, V):
+    """beta^-1(V / (length sigma)): radius of the cylinder of axial length ``length`` holding V."""
+    return invert_increasing(lambda x: beta(space, x), V / (length * unit_sphere_area(space.n)),
+                             r_max=space.r_max_domain)
+
+
 @dataclass
 class BoundsReport:
     """Reference radii, the small-volume threshold, and sigma."""
@@ -188,15 +194,13 @@ def compute_bounds(space, a: float, b: float, V: float, area_M: float) -> Bounds
         raise ValueError("need area_M > 0")
 
     sigma = unit_sphere_area(space.n)
-    rmax = space.r_max_domain
-    beta_fn = lambda x: beta(space, x)
-    delta_fn = lambda x: delta(space, x)
+    r1 = _cylinder_radius(space, b - a, V)
+    r3 = _cylinder_radius(space, 2.0 * (b - a), V)
+    delta_r1 = delta(space, r1)
+    r2 = invert_increasing(lambda x: delta(space, x), area_M / sigma + delta_r1,
+                           r_max=space.r_max_domain)
 
-    r1 = invert_increasing(beta_fn, V / ((b - a) * sigma), r_max=rmax)
-    r3 = invert_increasing(beta_fn, V / (2.0 * (b - a) * sigma), r_max=rmax)
-    r2 = invert_increasing(delta_fn, area_M / sigma + delta(space, r1), r_max=rmax)
-
-    threshold = (V / (b - a)) * delta(space, r1) / beta(space, r1)
+    threshold = (V / (b - a)) * delta_r1 / beta(space, r1)
     return BoundsReport(r1=r1, r2=r2, r3=r3,
                         small_volume_threshold=threshold,
                         criterion_met=bool(area_M <= threshold),

@@ -204,10 +204,12 @@ def main(argv=None) -> int:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to config (.ini or summary.json)")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--jobs", type=int, default=None, help="sweep worker count")
-        p.add_argument("--seed", type=int, default=None,
-                       help="recorded as 'seed' in the summary.json of 'run'; "
-                            "the computation does not use it")
+        if name == "sweep":
+            p.add_argument("--jobs", type=int, default=None, help="worker count")
+        if name == "run":
+            p.add_argument("--seed", type=int, default=None,
+                           help="recorded as 'seed' in summary.json; "
+                                "the computation does not use it")
     args = parser.parse_args(argv)
 
     try:

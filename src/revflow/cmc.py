@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import beta, invert_increasing, unit_sphere_area
+from .bounds import _cylinder_radius
 from .hypersurface import (
     ProfileGrid,
     _checked_geometry,
@@ -63,9 +63,7 @@ def cylinder_for_volume(space, a: float, b: float, V: float, m: int = 401) -> CM
     """The cylinder r = r1 enclosing volume V inside the slab [a, b]."""
     if not V > 0.0:
         raise ValueError("need V > 0")
-    sigma = unit_sphere_area(space.n)
-    r1 = invert_increasing(lambda x: beta(space, x), V / ((b - a) * sigma),
-                           r_max=space.r_max_domain)
+    r1 = _cylinder_radius(space, b - a, V)
     profile = ProfileGrid(a, b, np.full(m, r1))
     H = _checked_geometry(profile, space)[0].H
     h_const = float(H[0])

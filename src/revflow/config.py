@@ -26,9 +26,11 @@ and flow thresholds.  Example::
 
 Custom spaces give the six warp expressions in ``r``: ``f, df, d2f, h, dh,
 d2h`` (first and second derivatives must be supplied analytically) plus an
-optional ``r_max``.  ``summary.json`` files echo the parsed sections under
-the ``config`` key; ``load_config`` accepts such a JSON file directly, which
-reproduces the run bit for bit.
+optional ``r_max`` (a positive number or ``inf``, the default).  Exactly one
+``[initial]`` source must be given; an empty ``expr``, ``csv`` or
+``cylinder`` counts as not given.  ``summary.json`` files echo the parsed
+sections under the ``config`` key; ``load_config`` accepts such a JSON file
+directly, which reproduces the run bit for bit.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field, fields
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -111,58 +114,45 @@ def _get_as(kind, sections, section, key, default=None, required=False):
 def _build_space(sections) -> AmbientSpace:
     preset = _get(sections, "space", "preset", required=True).strip().lower()
     n = _get_as(_INTEGER, sections, "space", "n", default=2)
-    if preset in ("euclidean", "hyperbolic", "spherical"):
-        lam = _get_as(_NUMBER, sections, "space", "lambda")
-        try:
-            return make_preset(preset, lam, n=n)
-        except ValueError as exc:
-            raise ConfigError(f"[space] {exc}")
     if preset == "custom":
-        exprs = {}
-        for key in ("f", "df", "d2f", "h", "dh", "d2h"):
-            exprs[key] = _get(sections, "space", key, required=True)
-        r_max_raw = _get(sections, "space", "r_max", default="inf")
-        try:
-            r_max = math.inf if r_max_raw.strip().lower() == "inf" else float(r_max_raw)
-        except ValueError:
-            raise ConfigError(f"[space] r_max: expected a number or 'inf', got {r_max_raw!r}")
-        try:
-            return space_from_expressions(n, r_max=r_max, **exprs)
-        except ExpressionError as exc:
-            raise ConfigError(f"[space] warp expression: {exc}")
-    raise ConfigError(f"[space] preset: unknown value {preset!r}")
+        exprs = {key: _get(sections, "space", key, required=True)
+                 for key in ("f", "df", "d2f", "h", "dh", "d2h")}
+        r_max = _get_as(_NUMBER, sections, "space", "r_max", default=math.inf)
+        build = partial(space_from_expressions, n, r_max=r_max, **exprs)
+    elif preset in ("euclidean", "hyperbolic", "spherical"):
+        build = partial(make_preset, preset, _get_as(_NUMBER, sections, "space", "lambda"), n=n)
+    else:
+        raise ConfigError(f"[space] preset: unknown value {preset!r}")
+    try:
+        return build()
+    except ValueError as exc:  # ExpressionError included
+        raise ConfigError(f"[space] {exc}")
 
 
-def _build_initial(sections, space, a, b, m, base_dir) -> ProfileGrid:
+def _build_initial(sections, space, a, b, m) -> ProfileGrid:
     z = np.linspace(a, b, m)
-    expr = _get(sections, "initial", "expr")
-    csv_path = _get(sections, "initial", "csv")
-    cylinder = _get(sections, "initial", "cylinder")
-    given = [k for k, v in (("expr", expr), ("csv", csv_path), ("cylinder", cylinder)) if v]
+    given = [k for k in ("expr", "csv", "cylinder") if _get(sections, "initial", k)]
     if len(given) != 1:
         raise ConfigError("[initial] give exactly one of: expr, csv, cylinder")
+    source = given[0]
+    raw = _get(sections, "initial", source)
 
-    if csv_path is not None:
-        path = csv_path if os.path.isabs(csv_path) else os.path.join(base_dir, csv_path)
+    if source == "csv":  # parse_config has made the path absolute
         try:
-            profile = load_profile_csv(path)
+            profile = load_profile_csv(raw)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"[initial] csv: {exc}")
         if profile.m != m or abs(profile.a - a) > 1e-12 or abs(profile.b - b) > 1e-12:
             raise ConfigError("[initial] csv: grid does not match [domain]/[grid]")
         return profile
 
-    if expr is not None:
+    if source == "expr":
         try:
-            r = compile_expression(expr, var="z")(z)
+            r = compile_expression(raw, var="z")(z)
         except ExpressionError as exc:
             raise ConfigError(f"[initial] expr: {exc}")
     else:
-        try:
-            radius = float(cylinder)
-        except ValueError:
-            raise ConfigError(f"[initial] cylinder: expected a number, got {cylinder!r}")
-        r = np.full(m, radius)
+        r = np.full(m, _get_as(_NUMBER, sections, "initial", "cylinder"))
         perturb = _get(sections, "initial", "perturb")
         if perturb is not None:
             try:
@@ -229,7 +219,7 @@ def parse_config(sections: Dict[str, Dict[str, str]], base_dir: str = ".") -> Ru
     if m < 11:
         raise ConfigError(f"[grid] m: need m >= 11, got {m}")
 
-    initial = _build_initial(sections, space, a, b, m, base_dir)
+    initial = _build_initial(sections, space, a, b, m)
     flow_cfg = _build_flow(sections)
 
     probe = _get_as(_NUMBER, sections, "validate", "r_probe_max")

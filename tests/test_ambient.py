@@ -46,6 +46,27 @@ class TestPresets:
         with pytest.raises(ValueError):
             make_preset("euclidean", n=1)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("tag,lam", [("hyperbolic", -5.5), ("hyperbolic", -1.0),
+                                         ("hyperbolic", -0.3), ("spherical", 0.3),
+                                         ("spherical", 1.0), ("spherical", 7.1)])
+    def test_curved_closed_form_exact(self, tag, lam, n):
+        space = make_preset(tag, lam, n=n)
+        s = math.sqrt(abs(lam))
+        r_top = 3.0 if tag == "hyperbolic" else 0.99 * space.r_max_domain
+        for r in (np.linspace(0.0, r_top, 57), 0.7 * r_top):
+            sr = s * np.asarray(r)
+            if tag == "hyperbolic":
+                c, si = np.cosh(sr), np.sinh(sr)
+                expected = (c, s * si, s * s * c, si / s, c, s * si)
+            else:
+                c, si = np.cos(sr), np.sin(sr)
+                expected = (c, -s * si, -s * s * c, si / s, c, -s * si)
+            for got, want in zip(space.warp(r), expected):
+                np.testing.assert_array_equal(got, want)
+            for got, want in zip(space.fh(r), (c, si / s)):
+                np.testing.assert_array_equal(got, want)
+
 
 def test_eval_fh_is_warp_f_and_h(euclid2, hyper2, sphere2, custom_rss2):
     # every space has its own (f, h) evaluator, bit-identical to warp's

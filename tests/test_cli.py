@@ -330,3 +330,43 @@ class TestSweepCommand:
         assert all(len(row) == len(header) for row in rows)
         row = dict(zip(header, rows[0]))
         assert row["reason"] == "error" and "expr, csv, cylinder" in row["error"]
+
+
+CUSTOM_FLAT = BASE.replace(
+    "preset = euclidean\nn = 2",
+    "preset = custom\nn = 2\nf = 1\ndf = 0\nd2f = 0\nh = r\ndh = 1\nd2h = 0")
+
+
+class TestSpaceAndInitialSources:
+    @pytest.mark.parametrize("command", ["validate", "run", "sweep"])
+    @pytest.mark.parametrize("old,new", [
+        ("n = 2", "n = 1"), ("d2h = 0", "d2h = 0\nr_max = -1"),
+        ("d2h = 0", "d2h = 0\nr_max = nan"), ("d2h = 0", "d2h = 0\nr_max = -inf"),
+    ], ids=["n=1", "r_max=-1", "r_max=nan", "r_max=-inf"])
+    def test_bad_custom_space_exit_1(self, tmp_path, capsys, command, old, new):
+        text = CUSTOM_FLAT.replace(old, new)
+        code = main([command, "--config", write_ini(tmp_path / "c.ini", text),
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: [space] ")
+
+    def test_custom_r_max_inf_and_number(self, tmp_path):
+        for raw, expected in (("INF", math.inf), ("4.5", 4.5)):
+            text = CUSTOM_FLAT.replace("d2h = 0", f"d2h = 0\nr_max = {raw}")
+            cfg = load_config(write_ini(tmp_path / "c.ini", text))
+            assert cfg.space.r_max_domain == expected
+
+    @pytest.mark.parametrize("empty", ["expr", "csv"])
+    def test_empty_source_counts_as_not_given(self, tmp_path, empty):
+        text = BASE.replace("cylinder = 1.0", f"{empty} =\ncylinder = 1.0")
+        cfg = load_config(write_ini(tmp_path / "c.ini", text))
+        assert cfg.initial.r[0] == pytest.approx(1.05)
+
+    @pytest.mark.parametrize("argv", [["bounds", "--jobs", "2"], ["sweep", "--seed", "1"],
+                                      ["validate", "--seed", "1"], ["run", "--jobs", "2"]],
+                             ids=["bounds-jobs", "sweep-seed", "validate-seed", "run-jobs"])
+    def test_flag_on_wrong_subcommand_rejected(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--config", write_ini(tmp_path / "c.ini", BASE)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
