@@ -38,7 +38,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .expressions import compile_expression
+from .expressions import ExpressionError, compile_expression
 
 __all__ = [
     "AmbientSpace",
@@ -177,8 +177,16 @@ def custom_space(n, f, df, d2f, h, dh, d2h, r_max: float = math.inf) -> AmbientS
 
 
 def space_from_expressions(n, f, df, d2f, h, dh, d2h, r_max: float = math.inf) -> AmbientSpace:
-    """Assemble a custom space from six expression strings in the variable r."""
-    fns = [compile_expression(src, var="r") for src in (f, df, d2f, h, dh, d2h)]
+    """Assemble a custom space from six expression strings in the variable r.
+
+    A malformed expression raises ``ExpressionError`` naming its argument.
+    """
+    fns = []
+    for name, src in zip(("f", "df", "d2f", "h", "dh", "d2h"), (f, df, d2f, h, dh, d2h)):
+        try:
+            fns.append(compile_expression(src, var="r"))
+        except ExpressionError as exc:
+            raise ExpressionError(f"{name}: {exc}") from None
     return custom_space(n, *fns, r_max=r_max)
 
 

@@ -46,7 +46,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .ambient import AmbientSpace, make_preset, space_from_expressions
-from .expressions import ExpressionError, compile_expression
+from .expressions import compile_expression
 from .flow import FlowConfig
 from .hypersurface import ProfileGrid, load_profile_csv
 
@@ -149,15 +149,15 @@ def _build_initial(sections, space, a, b, m) -> ProfileGrid:
     if source == "expr":
         try:
             r = compile_expression(raw, var="z")(z)
-        except ExpressionError as exc:
+        except (ValueError, ArithmeticError) as exc:  # ExpressionError included
             raise ConfigError(f"[initial] expr: {exc}")
     else:
         r = np.full(m, _get_as(_NUMBER, sections, "initial", "cylinder"))
         perturb = _get(sections, "initial", "perturb")
-        if perturb is not None:
+        if perturb:  # empty counts as not given, like an empty source
             try:
                 r = r + compile_expression(perturb, var="z")(z)
-            except ExpressionError as exc:
+            except (ValueError, ArithmeticError) as exc:
                 raise ConfigError(f"[initial] perturb: {exc}")
 
     if np.any(~np.isfinite(r)) or np.any(r <= 0.0):

@@ -23,7 +23,9 @@ to a whitelist: every node must be one of the productions above.  ``**``,
 a leading ``+`` and every other Python construct (attributes, subscripts,
 keyword arguments, other literals and names) raise ``ExpressionError``.
 The checked tree is compiled once into a plain function that runs with
-no builtins.
+no builtins.  A power with no real value raises ``ValueError`` when its
+operands are constants, ``(-2)^0.5``, and gives nan when they vary,
+``(-r)^0.5``, as numpy does.
 """
 
 from __future__ import annotations
@@ -45,7 +47,23 @@ _FUNCTIONS = {
     "log": np.log,
     "sqrt": np.sqrt,
 }
-_NAMESPACE = {"__builtins__": {}, "pi": np.pi, **_FUNCTIONS}
+
+
+def _real_pow(base, exp):
+    """``base ** exp``, raising ValueError where Python floats give a complex.
+
+    Constant subexpressions run as Python floats, whose ``(-2.0) ** 0.5`` is
+    complex; numpy values give nan there instead.
+    """
+    out = base ** exp
+    if isinstance(out, complex):
+        raise ValueError(f"({base!r})^{exp!r} has no real value")
+    return out
+
+
+# A name that is no identifier, so it cannot be the expression's variable
+_POW = "^"
+_NAMESPACE = {"__builtins__": {}, "pi": np.pi, _POW: _real_pow, **_FUNCTIONS}
 
 _FORBIDDEN = re.compile(r"[^\sA-Za-z0-9_.()+\-*/^]")
 _NUMBER = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
@@ -58,19 +76,25 @@ class ExpressionError(ValueError):
 
 
 def _check(node, source, var):
-    """Raise ExpressionError unless ``node`` is in the grammar; make constants floats."""
+    """Return ``node`` if it is in the grammar, else raise ExpressionError.
+
+    Constants become floats and powers calls of ``_real_pow``.
+    """
     match node:
         case ast.BinOp(op=ast.Add() | ast.Sub() | ast.Mult() | ast.Div() | ast.Pow()):
-            _check(node.left, source, var)
-            _check(node.right, source, var)
+            node.left = _check(node.left, source, var)
+            node.right = _check(node.right, source, var)
+            if isinstance(node.op, ast.Pow):
+                func = ast.copy_location(ast.Name(_POW, ast.Load()), node)
+                return ast.copy_location(ast.Call(func, [node.left, node.right], []), node)
         case ast.UnaryOp(op=ast.USub()):
-            _check(node.operand, source, var)
+            node.operand = _check(node.operand, source, var)
         case ast.Name(id=name) if name in ("pi", var):
             pass
         # a function name in parentheses, ``(sin)(r)``, starts after its call
         case ast.Call(func=ast.Name(id=name), args=[arg], keywords=[]) if (
                 name in _FUNCTIONS and node.func.col_offset == node.col_offset):
-            _check(arg, source, var)
+            node.args = [_check(arg, source, var)]
         case ast.Constant() if _NUMBER.fullmatch(
                 literal := source[node.col_offset:node.end_col_offset]):
             # float arithmetic on constant subexpressions, as on the values
@@ -78,6 +102,7 @@ def _check(node, source, var):
         case _:
             segment = source[node.col_offset:node.end_col_offset]
             raise ExpressionError(f"{segment!r} is not allowed")
+    return node
 
 
 def compile_expression(text: str, var: str = "r") -> Callable:
@@ -98,7 +123,7 @@ def compile_expression(text: str, var: str = "r") -> Callable:
     source = f"lambda {var}: {body}"
     try:
         tree = ast.parse(source, mode="eval")
-        _check(tree.body.body, source, var)
+        tree.body.body = _check(tree.body.body, source, var)
         node = eval(compile(tree, "<expression>", "eval"), _NAMESPACE)
     except SyntaxError as exc:
         raise ExpressionError(f"cannot parse {text!r}: {exc.msg}") from None

@@ -17,13 +17,22 @@ Scheme choices:
   the explicit velocity above and D2 the ghost-node Neumann second
   difference.  dr = 0 exactly where v = 0, so cylinders stay exact fixed
   points and the discrete steady state is the explicit scheme's;
-* dt is bounded by accuracy, not stability: with the parabolic step
-  dt_cfl = dt_safety * dz^2 * min(q) / 2 of explicit Euler as the base,
-  dt = min(K dt_cfl, max(dt_cfl, eta min(r) / max|v|)) with K = 300 and
-  eta = 0.02 (``_DT_CAP``, ``_DR_REL``).  The eta term keeps
-  the radial change per step below about eta min(r), which resolves pinch
-  transients; the floor never takes more steps than explicit Euler, and the
-  cap K dt_cfl keeps dt proportional to dz^2;
+* dt is set by a local error estimate (standard step-size control, Hairer
+  & Wanner, Solving ODEs II, IV.2).  est = max|dr - dt v|, the gap between
+  the semi-implicit and the explicit update, is O(dt^2) and costs no extra
+  solve.  A step is accepted when est <= min(1e-3 min r, 0.4 max|dr|)
+  (``_ATOL``, ``_RTOL``); a rejected one re-solves the tridiagonal system
+  with a smaller dt.  The min r term resolves pinches; the max|dr| term
+  bounds the error per unit of motion, so t stays physical in the
+  exponential approach to the limit.  dt sits on the ladder
+  dt_cfl 2^(k/4), k >= 0, with the explicit parabolic step
+  dt_cfl = dt_safety * dz^2 * min(q) / 2 as its floor, and grows at most 4x
+  per step.  The floor keeps dt from collapsing and never takes more steps
+  than explicit Euler; the ladder keeps last-bit differences of the state
+  from moving dt, so ``step`` and ``run`` take the same steps.  The last
+  step is clipped so that t lands on max_t.  Without volume projection dt
+  is also capped at 300 dt_cfl (``_DT_CAP``), which bounds the O(dt) volume
+  drift;
 * optional exact discrete volume conservation: after each update a uniform
   additive shift c is applied to the radii, with enclosed_volume(r+c)
   driven back to the initial volume by a safeguarded Newton iteration
@@ -34,14 +43,15 @@ Scheme choices:
 
 ``run`` iterates until one of the terminal conditions fires: max|H - Hbar|
 below conv_tol (converged), min r below r_min_stop (singularity, the arg-min
-z is recorded), max v above v_max_stop (graph failure), t beyond max_t,
+z is recorded), max v above v_max_stop (graph failure), t at max_t,
 non-finite values / leaving a finite ambient ball (instability), or a
 volume projection that misses its tolerance (projection failed).  Each
 state, the initial one included, goes through the geometry kernel once: its
 stop checks, its step and its record (``_record``) all reduce that output.
 
 ``step`` is one iteration of the ``run`` loop (the same ``_Euler`` update,
-projecting onto the cached volume) plus a full re-diagnosis of the new
+projecting onto the cached volume, with the controller's proposal carried
+in ``FlowState.dt_rung``) plus a full re-diagnosis of the new
 state.  That re-diagnosis, with its quadrature volume, is why ``step`` costs
 more per call than a step of ``run``.
 """
@@ -168,6 +178,7 @@ class FlowState:
     profile: ProfileGrid
     t: float
     cached: DiagnosticsRecord
+    dt_rung: int = 0  # the step-size controller's proposal, see ``_Euler``
 
 
 @dataclass
@@ -291,13 +302,17 @@ def _resolve(cfg: FlowConfig, r0_min: float, hbar0: float) -> FlowConfig:
     return out
 
 
-# dt = min(_DT_CAP * dt_cfl, max(dt_cfl, _DR_REL * min r / max|v|)), see the
-# module docstring.  _DR_REL keeps a step's radial change near 2% of min r.
-# The cap bounds the O(dt) volume drift of the unprojected flow: at m = 201
-# it is 1.1e-4 per 0.25 time units at 300 and 3.5e-4 at 1000, against the
-# documented 1e-3 per unit time.
+# Step-size control, see the module docstring: est <= min(_ATOL min r,
+# _RTOL max|dr|), dt = dt_cfl 2^(k / _RUNGS_PER_OCTAVE) with k >= 0, and at
+# most _MAX_GROWTH rungs (4x) up per step.
+_ATOL = 1e-3
+_RTOL = 0.4
+_RUNGS_PER_OCTAVE = 4
+_MAX_GROWTH = 8
+# Only without volume projection: dt <= _DT_CAP dt_cfl bounds the O(dt) volume
+# drift.  At m = 201 the drift is 1.1e-4 per 0.25 time units at 300 and
+# 3.5e-4 at 1000, against the documented 1e-3 per unit time.
 _DT_CAP = 300.0
-_DR_REL = 0.02
 
 
 def _solve_diffusion(diag, rhs):
@@ -328,12 +343,14 @@ class _Euler:
     """One semi-implicit Euler step with volume projection, shared by step and run.
 
     ``geometry`` evaluates the kernel and the lagged Hbar; ``advance`` picks
-    dt, applies the update, checks it, and projects the volume.  With
-    ``implicit=False`` the update is explicit Euler at dt_cfl, kept as the
-    reference that the differential tests compare against.
+    dt, applies the update, checks it, and projects the volume.  ``rung`` is
+    the step-size controller's proposal k for the next dt = dt_cfl 2^(k/4).
+    With ``implicit=False`` the update is explicit Euler at dt_cfl, kept as
+    the reference that the differential tests compare against.
     """
 
-    def __init__(self, grid: ProfileGrid, space, cfg: FlowConfig, implicit: bool = True):
+    def __init__(self, grid: ProfileGrid, space, cfg: FlowConfig, implicit: bool = True,
+                 rung: int = 0):
         self.space = space
         self.dz = grid.dz
         self.z = grid.z
@@ -343,6 +360,7 @@ class _Euler:
         self.half_safety_dz2 = 0.5 * cfg.dt_safety * grid.dz * grid.dz
         self.project = cfg.volume_projection
         self.implicit = implicit
+        self.rung = rung
 
     def geometry(self, r):
         g = _geometry(r, self.space, self.dz)
@@ -352,28 +370,53 @@ class _Euler:
         return FlowStopped(StopReason(StopTag.SINGULARITY,
                                       location=float(self.z[int(np.argmin(r))])))
 
-    def _increment(self, r, g, hbar):
-        """Return (dr, dt): the update before the checks and the projection."""
-        dt = self.half_safety_dz2 * float(np.min(g.q))
+    def _increment(self, r, g, hbar, dt_left=math.inf):
+        """Return (dr, dt): the update before the checks and the projection.
+
+        ``dt_left`` is the time left to max_t.  A positive one clips dt so
+        that t lands on max_t; past max_t (only ``step`` gets there) dt is
+        dt_cfl.
+        """
+        dt_cfl = self.half_safety_dz2 * float(np.min(g.q))
+        ceiling = dt_left if dt_left > 0.0 else dt_cfl
+        if not self.project:
+            ceiling = min(ceiling, _DT_CAP * dt_cfl)
         v = _velocity(g, hbar, self.nm1)
         if not self.implicit:
+            dt = min(dt_cfl, ceiling)
             return dt * v, dt
-        vmax = float(np.max(np.abs(v)))
-        if vmax > 0.0:
-            dt = min(_DT_CAP * dt, max(dt, _DR_REL * float(np.min(r)) / vmax))
-        else:  # v = 0, or NaN, which the finiteness check below reports
-            dt = _DT_CAP * dt
         # (I - dt diag(1/q) D2) dr = dt v, each row scaled by q dz^2 / dt
         dz2q = (self.dz * self.dz) * g.q
-        return _solve_diffusion(2.0 + dz2q / dt, dz2q * v), dt
+        dz2qv = dz2q * v
+        atol = _ATOL * float(np.min(r))
+        k = self.rung
+        while True:
+            rung_dt = dt_cfl * 2.0 ** (k / _RUNGS_PER_OCTAVE)
+            if rung_dt <= ceiling:
+                dt, pos = rung_dt, k
+            else:  # pos: the ladder position of the clipped dt
+                dt = ceiling
+                pos = _RUNGS_PER_OCTAVE * math.log2(dt / dt_cfl)
+            dr = _solve_diffusion(2.0 + dz2q / dt, dz2qv)
+            est = float(np.max(np.abs(dr - dt * v)))
+            tol = min(atol, _RTOL * float(np.max(np.abs(dr))))
+            # rungs that take the O(dt^2) est to tol; a NaN update steps down
+            # to the floor, where the finiteness check reports it
+            ratio = tol / est if est > 0.0 else math.inf
+            change = (min(_MAX_GROWTH, 0.5 * _RUNGS_PER_OCTAVE * math.log2(ratio))
+                      if ratio > 0.0 else -1)
+            if est <= tol or pos <= 0.0:  # accepted, or at the floor dt_cfl
+                self.rung = max(0, math.floor(pos + change))
+                return dr, dt
+            k = max(0, min(k - 1, math.floor(pos + change)))
 
-    def advance(self, r, g, hbar, floor, v_tracked, v_target):
+    def advance(self, r, g, hbar, floor, v_tracked, v_target, dt_left=math.inf):
         """Return (r_new, dt, tracked volume) or raise ``FlowStopped``.
 
         A node at or below ``floor`` is a singularity; with projection on,
         the shifted profile is driven from ``v_tracked`` to ``v_target``.
         """
-        dr, dt = self._increment(r, g, hbar)
+        dr, dt = self._increment(r, g, hbar, dt_left)
         r_new = r + dr
         mn = float(np.min(r_new))
         mx = float(np.max(r_new))
@@ -398,19 +441,23 @@ def step(s: FlowState, space, cfg: FlowConfig) -> FlowState:
     """Advance one semi-implicit Euler step (plus volume projection if enabled).
 
     This is one iteration of the ``run`` loop, projecting onto ``s.cached.V``
-    and followed by a full re-diagnosis of the new state.  Raises
+    and followed by a full re-diagnosis of the new state.  dt starts from
+    the proposal ``s.dt_rung`` and is clipped to land on ``cfg.max_t``; past
+    max_t it is dt_cfl.  Raises
     ``FlowStopped`` if the update produces non-finite values, drives a node
     out of (0, r_max), or the volume projection misses its tolerance; the
     caller's state is never mutated.
     """
     p = s.profile
     _check_domain(p, space)
-    euler = _Euler(p, space, cfg)
+    euler = _Euler(p, space, cfg, rung=s.dt_rung)
     g, hbar = euler.geometry(p.r)
-    r_new, dt, _ = euler.advance(p.r, g, hbar, 0.0, s.cached.V, s.cached.V)
-    t_new = s.t + dt
+    dt_left = cfg.max_t - s.t
+    r_new, dt, _ = euler.advance(p.r, g, hbar, 0.0, s.cached.V, s.cached.V, dt_left)
+    t_new = cfg.max_t if dt == dt_left else s.t + dt
     profile = ProfileGrid(p.a, p.b, r_new)
-    return FlowState(profile=profile, t=t_new, cached=_diagnose(profile, space, t_new))
+    return FlowState(profile=profile, t=t_new, cached=_diagnose(profile, space, t_new),
+                     dt_rung=euler.rung)
 
 
 def run(initial: ProfileGrid, space, cfg: FlowConfig) -> RunResult:
@@ -464,12 +511,14 @@ def run(initial: ProfileGrid, space, cfg: FlowConfig) -> RunResult:
             reason = StopReason(StopTag.MAX_TIME)
             break
 
+        dt_left = rcfg.max_t - t
         try:
-            r, dt, v_tracked = euler.advance(r, g, hbar, r_min_stop, v_tracked, v_target)
+            r, dt, v_tracked = euler.advance(r, g, hbar, r_min_stop, v_tracked, v_target,
+                                             dt_left)
         except FlowStopped as stop:
             reason = stop.reason
             break
-        t += dt
+        t = rcfg.max_t if dt == dt_left else t + dt
         step_idx += 1
         g, hbar = euler.geometry(r)
         if step_idx % rcfg.record_every == 0:
@@ -478,7 +527,7 @@ def run(initial: ProfileGrid, space, cfg: FlowConfig) -> RunResult:
     # a failed advance leaves r, g and hbar at the last state
     if step_idx % rcfg.record_every:
         record()
-    final = FlowState(profile=snapshots[-1], t=t, cached=history[-1])
+    final = FlowState(profile=snapshots[-1], t=t, cached=history[-1], dt_rung=euler.rung)
     return RunResult(final=final, reason=reason, history=history,
                      snapshots=snapshots, config=rcfg, steps=step_idx)
 

@@ -362,6 +362,32 @@ class TestSpaceAndInitialSources:
         cfg = load_config(write_ini(tmp_path / "c.ini", text))
         assert cfg.initial.r[0] == pytest.approx(1.05)
 
+    def test_empty_perturb_counts_as_not_given(self, tmp_path):
+        text = BASE.replace("perturb = 0.05*cos(pi*z)", "perturb =")
+        cfg = load_config(write_ini(tmp_path / "c.ini", text))
+        assert np.all(cfg.initial.r == 1.0)
+
+    @pytest.mark.parametrize("key", ["f", "dh"])
+    def test_malformed_warp_names_its_option(self, tmp_path, capsys, key):
+        text = CUSTOM_FLAT.replace(f"\n{key} = ", f"\n{key} = cosh(r + ")
+        code = main(["validate", "--config", write_ini(tmp_path / "c.ini", text)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: [space] {key}: cannot parse")
+
+    @pytest.mark.parametrize("expr", ["1 + 0*(-2)^0.5", "1 + r*(-2)^0.5"])
+    def test_constant_power_with_no_real_value_exit_2(self, tmp_path, capsys, expr):
+        text = CUSTOM_FLAT.replace("\nf = 1\n", f"\nf = {expr}\n")
+        code = main(["validate", "--config", write_ini(tmp_path / "c.ini", text)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: (-2.0)^0.5 has no real value\n"
+
+    @pytest.mark.parametrize("perturb", ["0/0", "(-2)^0.5"])
+    def test_initial_evaluation_error_exit_1(self, tmp_path, capsys, perturb):
+        text = BASE.replace("perturb = 0.05*cos(pi*z)", f"perturb = {perturb}")
+        code = main(["validate", "--config", write_ini(tmp_path / "c.ini", text)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: [initial] perturb: ")
+
     @pytest.mark.parametrize("argv", [["bounds", "--jobs", "2"], ["sweep", "--seed", "1"],
                                       ["validate", "--seed", "1"], ["run", "--jobs", "2"]],
                              ids=["bounds-jobs", "sweep-seed", "validate-seed", "run-jobs"])

@@ -104,8 +104,11 @@ def _direct(tree, x):
     if kind == "call":
         return _NUMPY[tree[1]](_direct(tree[2], x))
     left, right = _direct(tree[2], x), _direct(tree[3], x)
-    return {"+": operator.add, "-": operator.sub, "*": operator.mul,
-            "/": operator.truediv, "^": operator.pow}[tree[1]](left, right)
+    out = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+           "/": operator.truediv, "^": operator.pow}[tree[1]](left, right)
+    if isinstance(out, complex):  # a power of negative constants
+        raise ValueError("no real value")
+    return out
 
 
 @settings(deadline=None, max_examples=300)
@@ -118,7 +121,7 @@ def test_compiled_trees_match_direct_evaluation_bit_for_bit(tree, var, data):
         with np.errstate(all="ignore"):
             try:
                 want = np.asarray(_direct(tree, arr), dtype=float)
-            except (ArithmeticError, TypeError) as exc:
+            except (ArithmeticError, TypeError, ValueError) as exc:
                 with pytest.raises(type(exc)):
                     fn(x)
                 continue
@@ -126,6 +129,20 @@ def test_compiled_trees_match_direct_evaluation_bit_for_bit(tree, var, data):
         assert isinstance(got, float) == np.isscalar(x)
         want = np.broadcast_to(want, arr.shape)
         assert np.asarray(got).tobytes() == want.tobytes(), text
+
+
+@pytest.mark.parametrize("text", ["cos(-(-pi)^pi)", "r*(-2)^0.5", "(-8)^(1/3)"])
+def test_constant_power_with_no_real_value_raises(text):
+    with pytest.raises(ValueError, match="no real value"):
+        compile_expression(text, var="r")(np.linspace(0.5, 1.0, 3))
+
+
+@pytest.mark.parametrize("text,want", [("(-2)^2", 4.0), ("(-r)^0.5", math.nan)])
+def test_real_powers_of_negative_bases(text, want):
+    with np.errstate(invalid="ignore"):
+        got = compile_expression(text, var="r")(2.0)
+    assert isinstance(got, float)
+    assert got == want or (math.isnan(got) and math.isnan(want))
 
 
 @pytest.mark.parametrize("bad", [

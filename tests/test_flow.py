@@ -18,7 +18,7 @@ from revflow import (
     run,
     step,
 )
-from revflow import hypersurface
+from revflow import flow, hypersurface
 from revflow.flow import HISTORY_COLUMNS, _diagnose, _Euler, write_history_csv
 from conftest import cos_profile, neck_profile
 
@@ -238,3 +238,64 @@ class TestHistoryCsv:
             assert len(cells) == len(HISTORY_COLUMNS)
             [float(c) for c in cells]
         assert len(lines) == len(res.history) + 1
+
+
+def _run_with_steps(monkeypatch, initial, space, cfg):
+    """run, plus (dt, dt_cfl) of every accepted step."""
+    seen = []
+    advance = flow._Euler.advance
+
+    def recorded(self, r, g, hbar, *args):
+        out = advance(self, r, g, hbar, *args)
+        seen.append((out[1], 0.5 * cfg.dt_safety * self.dz * self.dz * float(np.min(g.q))))
+        return out
+
+    monkeypatch.setattr(flow._Euler, "advance", recorded)
+    return run(initial, space, cfg), seen
+
+
+class TestStepSizeControl:
+    def test_converge_steps_do_not_grow_with_m(self, euclid2):
+        steps = {}
+        for m in (201, 401):
+            res = run(cos_profile(m), euclid2, FlowConfig())
+            assert res.reason.tag is StopTag.CONVERGED
+            steps[m] = res.steps
+        assert steps[201] <= 150
+        assert steps[401] <= 2 * steps[201]
+
+    def test_last_step_lands_on_max_t(self, euclid2):
+        res = run(cos_profile(51), euclid2, FlowConfig(max_t=0.05))
+        assert res.reason.tag is StopTag.MAX_TIME
+        assert res.final.t == 0.05
+
+    @pytest.mark.parametrize("initial,stop", [(cos_profile(201), StopTag.CONVERGED),
+                                              (neck_profile(201), StopTag.SINGULARITY)],
+                             ids=["converge", "pinch"])
+    def test_dt_never_below_the_explicit_step(self, monkeypatch, euclid2, initial, stop):
+        res, seen = _run_with_steps(monkeypatch, initial, euclid2, FlowConfig())
+        assert res.reason.tag is stop and len(seen) == res.steps
+        assert all(dt >= dt_cfl for dt, dt_cfl in seen)
+        if stop is StopTag.CONVERGED:  # far above the cap of the unprojected flow
+            assert max(dt / dt_cfl for dt, dt_cfl in seen) > flow._DT_CAP
+        else:  # the error control resolves the pinch down to the floor
+            assert seen[-1][0] == seen[-1][1]
+
+    def test_cap_without_volume_projection(self, monkeypatch, euclid2):
+        cfg = FlowConfig(max_t=0.25, volume_projection=False)
+        res, seen = _run_with_steps(monkeypatch, cos_profile(101), euclid2, cfg)
+        assert res.steps == len(seen) > 0
+        assert all(dt <= flow._DT_CAP * dt_cfl for dt, dt_cfl in seen)
+        assert max(dt / dt_cfl for dt, dt_cfl in seen) == pytest.approx(flow._DT_CAP)
+
+    def test_step_carries_the_proposal_and_lands_on_max_t(self, euclid2):
+        p0 = cos_profile(51)
+        cfg = FlowConfig(max_t=0.05)
+        s = FlowState(p0, 0.0, _diagnose(p0, euclid2, 0.0))
+        dts = []
+        while s.t < cfg.max_t:
+            t = s.t
+            s = step(s, euclid2, cfg)
+            dts.append(s.t - t)
+        assert s.t == 0.05 and s.dt_rung > 0
+        assert dts[1] > dts[0]  # the proposal grows dt from the floor
