@@ -29,10 +29,12 @@ Scheme choices:
   dt_cfl = dt_safety * dz^2 * min(q) / 2 as its floor, and grows at most 4x
   per step.  The floor keeps dt from collapsing and never takes more steps
   than explicit Euler; the ladder keeps last-bit differences of the state
-  from moving dt, so ``step`` and ``run`` take the same steps.  The last
-  step is clipped so that t lands on max_t.  Without volume projection dt
-  is also capped at 300 dt_cfl (``_DT_CAP``), which bounds the O(dt) volume
-  drift;
+  from moving dt, so ``step`` and ``run`` take the same steps.  The ceiling
+  dt <= 2^20 dz^2 min(q) (``_DIAG_MARGIN``) keeps the tridiagonal system
+  well conditioned where est says nothing, as on a cylinder, where v = 0
+  and est = 0 at every dt.  The last step is clipped so that t lands on
+  max_t.  Without volume projection dt is also capped at 300 dt_cfl
+  (``_DT_CAP``), which bounds the O(dt) volume drift;
 * optional exact discrete volume conservation: after each update a uniform
   additive shift c is applied to the radii, with enclosed_volume(r+c)
   driven back to the initial volume by a safeguarded Newton iteration
@@ -309,6 +311,12 @@ _ATOL = 1e-3
 _RTOL = 0.4
 _RUNGS_PER_OCTAVE = 4
 _MAX_GROWTH = 8
+# dt <= dz^2 min(q) / _DIAG_MARGIN keeps the diagonal 2 + dz^2 q / dt of the
+# Neumann system at least 2 + 2^-20: its condition number stays below about
+# 4 2^20, far from the rounding to 2 where it turns singular.  This bounds dt
+# where est gives no information, as on a cylinder (v = 0, so est = 0).  The
+# acceptance runs reach a margin of 7e-4 at m = 201.
+_DIAG_MARGIN = 2.0 ** -20
 # Only without volume projection: dt <= _DT_CAP dt_cfl bounds the O(dt) volume
 # drift.  At m = 201 the drift is 1.1e-4 per 0.25 time units at 300 and
 # 3.5e-4 at 1000, against the documented 1e-3 per unit time.
@@ -373,12 +381,11 @@ class _Euler:
     def _increment(self, r, g, hbar, dt_left=math.inf):
         """Return (dr, dt): the update before the checks and the projection.
 
-        ``dt_left`` is the time left to max_t.  A positive one clips dt so
-        that t lands on max_t; past max_t (only ``step`` gets there) dt is
-        dt_cfl.
+        dt is at most ``dt_left``, the time left to max_t.
         """
-        dt_cfl = self.half_safety_dz2 * float(np.min(g.q))
-        ceiling = dt_left if dt_left > 0.0 else dt_cfl
+        min_q = float(np.min(g.q))
+        dt_cfl = self.half_safety_dz2 * min_q
+        ceiling = min(dt_left, (self.dz * self.dz) * min_q / _DIAG_MARGIN)
         if not self.project:
             ceiling = min(ceiling, _DT_CAP * dt_cfl)
         v = _velocity(g, hbar, self.nm1)
@@ -410,12 +417,15 @@ class _Euler:
                 return dr, dt
             k = max(0, min(k - 1, math.floor(pos + change)))
 
-    def advance(self, r, g, hbar, floor, v_tracked, v_target, dt_left=math.inf):
-        """Return (r_new, dt, tracked volume) or raise ``FlowStopped``.
+    def advance(self, r, g, hbar, floor, v_tracked, v_target, t=0.0, max_t=math.inf):
+        """Return (r_new, t_new, tracked volume) or raise ``FlowStopped``.
 
-        A node at or below ``floor`` is a singularity; with projection on,
-        the shifted profile is driven from ``v_tracked`` to ``v_target``.
+        dt is clipped so that t_new lands exactly on max_t; a step from past
+        max_t (only ``step`` gets there) is not clipped.  A node at or below
+        ``floor`` is a singularity; with projection on, the shifted profile
+        is driven from ``v_tracked`` to ``v_target``.
         """
+        dt_left = max_t - t if t < max_t else math.inf
         dr, dt = self._increment(r, g, hbar, dt_left)
         r_new = r + dr
         mn = float(np.min(r_new))
@@ -434,7 +444,7 @@ class _Euler:
             r_new = r_new + c
             if mn + c <= floor:
                 raise self._singularity(r_new)
-        return r_new, dt, v_tracked
+        return r_new, (max_t if dt == dt_left else t + dt), v_tracked
 
 
 def step(s: FlowState, space, cfg: FlowConfig) -> FlowState:
@@ -442,19 +452,16 @@ def step(s: FlowState, space, cfg: FlowConfig) -> FlowState:
 
     This is one iteration of the ``run`` loop, projecting onto ``s.cached.V``
     and followed by a full re-diagnosis of the new state.  dt starts from
-    the proposal ``s.dt_rung`` and is clipped to land on ``cfg.max_t``; past
-    max_t it is dt_cfl.  Raises
-    ``FlowStopped`` if the update produces non-finite values, drives a node
-    out of (0, r_max), or the volume projection misses its tolerance; the
-    caller's state is never mutated.
+    the proposal ``s.dt_rung`` and is clipped to land on ``cfg.max_t``.
+    Raises ``FlowStopped`` if the update produces non-finite values, drives
+    a node out of (0, r_max), or the volume projection misses its
+    tolerance; the caller's state is never mutated.
     """
     p = s.profile
     _check_domain(p, space)
     euler = _Euler(p, space, cfg, rung=s.dt_rung)
     g, hbar = euler.geometry(p.r)
-    dt_left = cfg.max_t - s.t
-    r_new, dt, _ = euler.advance(p.r, g, hbar, 0.0, s.cached.V, s.cached.V, dt_left)
-    t_new = cfg.max_t if dt == dt_left else s.t + dt
+    r_new, t_new, _ = euler.advance(p.r, g, hbar, 0.0, s.cached.V, s.cached.V, s.t, cfg.max_t)
     profile = ProfileGrid(p.a, p.b, r_new)
     return FlowState(profile=profile, t=t_new, cached=_diagnose(profile, space, t_new),
                      dt_rung=euler.rung)
@@ -511,14 +518,12 @@ def run(initial: ProfileGrid, space, cfg: FlowConfig) -> RunResult:
             reason = StopReason(StopTag.MAX_TIME)
             break
 
-        dt_left = rcfg.max_t - t
         try:
-            r, dt, v_tracked = euler.advance(r, g, hbar, r_min_stop, v_tracked, v_target,
-                                             dt_left)
+            r, t, v_tracked = euler.advance(r, g, hbar, r_min_stop, v_tracked, v_target,
+                                            t, rcfg.max_t)
         except FlowStopped as stop:
             reason = stop.reason
             break
-        t = rcfg.max_t if dt == dt_left else t + dt
         step_idx += 1
         g, hbar = euler.geometry(r)
         if step_idx % rcfg.record_every == 0:

@@ -96,6 +96,42 @@ def _all_runs(euclid_small_volume_run, hyper_small_volume_run, dumbbell_run, ram
     ]
 
 
+def test_every_step_keeps_the_bounds_and_monotonicity(euclid2, hyper2):
+    # the four acceptance runs recorded at every step: the fixtures above
+    # record every 10th, which the error-controlled step makes a few records
+    z = np.linspace(0.0, 1.0, 101)
+    ramp = ProfileGrid(0.0, 1.0, 1.0 + z)
+    hbar_e = averaged_mean_curvature(cos_profile(201), euclid2).Hbar
+    hbar_r = averaged_mean_curvature(ramp, euclid2).Hbar
+    runs = (("euclid", cos_profile(201), euclid2,
+             FlowConfig(max_t=10.0, record_every=1, conv_tol=5e-7 * abs(hbar_e))),
+            ("hyperbolic", cos_profile(201), hyper2, FlowConfig(max_t=10.0, record_every=1)),
+            ("dumbbell", neck_profile(201), euclid2, FlowConfig(max_t=2.0, record_every=1)),
+            ("ramp", ramp, euclid2,
+             FlowConfig(max_t=10.0, record_every=1, conv_tol=1e-9 * abs(hbar_r))))
+    checks = []
+    for name, initial, space, cfg in runs:
+        res = run(initial, space, cfg)
+        hist = res.history
+        checks.append((len(hist) == res.steps + 1, f"{name}: {res.steps} steps recorded"))
+        rep = _bounds_for(res, space)
+        v0 = hist[0].V
+        drift = max(abs(rec.V - v0) / v0 for rec in hist)
+        checks.append((drift <= 1e-10, f"{name}: |dV|/V={drift:.1e} (tol 1e-10)"))
+        pairs = list(zip(hist, hist[1:]))
+        checks.append((all(b.area <= a.area * (1.0 + 1e-8) for a, b in pairs),
+                       f"{name}: area non-increasing"))
+        checks.append((all(b.N <= a.N for a, b in pairs), f"{name}: N non-increasing"))
+        checks.append((all(rec.max_r < rep.r2 for rec in hist), f"{name}: max_r<r2"))
+        checks.append((all(rec.Hbar > 0.0 for rec in hist), f"{name}: Hbar>0"))
+        if res.reason.tag is StopTag.CONVERGED:  # criterion 8's early window
+            window = [rec.max_v for rec in hist if rec.t <= 0.01 * res.final.t]
+            peak = max(rec.max_v for rec in hist)
+            checks.append((len(window) > 1 and peak <= 10.0 * max(window),
+                           f"{name}: max_v {peak:.4f} <= 10 x early ({len(window)} records)"))
+    _criterion("5, 6, 8", "bounds and monotonicity at every step", checks)
+
+
 def test_criterion_1_curvature_oracle():
     checks = []
     for tag, lam in (("hyperbolic", -1.0), ("spherical", 1.0)):

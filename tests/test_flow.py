@@ -242,15 +242,21 @@ class TestHistoryCsv:
 
 def _run_with_steps(monkeypatch, initial, space, cfg):
     """run, plus (dt, dt_cfl) of every accepted step."""
-    seen = []
-    advance = flow._Euler.advance
+    seen, last = [], []
+    increment, advance = flow._Euler._increment, flow._Euler.advance
 
-    def recorded(self, r, g, hbar, *args):
-        out = advance(self, r, g, hbar, *args)
-        seen.append((out[1], 0.5 * cfg.dt_safety * self.dz * self.dz * float(np.min(g.q))))
+    def spied_increment(self, r, g, *args):
+        dr, dt = increment(self, r, g, *args)
+        last[:] = [(dt, 0.5 * cfg.dt_safety * self.dz * self.dz * float(np.min(g.q)))]
+        return dr, dt
+
+    def spied_advance(self, *args):  # a step that raises is not accepted
+        out = advance(self, *args)
+        seen.extend(last)
         return out
 
-    monkeypatch.setattr(flow._Euler, "advance", recorded)
+    monkeypatch.setattr(flow._Euler, "_increment", spied_increment)
+    monkeypatch.setattr(flow._Euler, "advance", spied_advance)
     return run(initial, space, cfg), seen
 
 
@@ -299,3 +305,20 @@ class TestStepSizeControl:
             dts.append(s.t - t)
         assert s.t == 0.05 and s.dt_rung > 0
         assert dts[1] > dts[0]  # the proposal grows dt from the floor
+
+    @pytest.mark.parametrize("space_name", ["euclid2", "hyper2"])
+    def test_cylinder_step_chain_without_max_t_stays_fixed(self, request, space_name):
+        # est = 0 on a cylinder, so only the ceiling bounds dt: it must keep
+        # the Neumann system's diagonal 2 + dz^2 q / dt from rounding to 2
+        space = request.getfixturevalue(space_name)
+        p0 = cylinder(101, 1.0)
+        cfg = FlowConfig(max_t=math.inf)
+        s = FlowState(p0, 0.0, _diagnose(p0, space, 0.0))
+        ts = [s.t]
+        for _ in range(1000):
+            s = step(s, space, cfg)
+            ts.append(s.t)
+        assert float(np.max(np.abs(s.profile.r - 1.0))) < 1e-10
+        assert all(b > a for a, b in zip(ts, ts[1:])) and math.isfinite(ts[-1])
+        dt_ceiling = p0.dz * p0.dz * float(np.min(space.warp(1.0)[0])) ** 2 / flow._DIAG_MARGIN
+        assert ts[-1] - ts[-2] == pytest.approx(dt_ceiling, rel=1e-9)

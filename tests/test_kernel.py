@@ -125,6 +125,28 @@ def test_semi_implicit_update_solves_the_diffusion_system(case):
     assert dt >= 0.5 * FlowConfig().dt_safety * dz * dz * float(np.min(g.q))
 
 
+@settings(deadline=None, max_examples=60)
+@given(case=profiles(), rung=st.integers(0, 40))
+def test_semi_implicit_update_solves_the_diffusion_system_up_the_ladder(case, rung):
+    # the same residual bound from a step-size proposal up to 2^10 dt_cfl,
+    # the range the error control reaches in converging runs
+    space, p = case
+    euler = flow._Euler(p, space, FlowConfig(), rung=rung)
+    g, hbar = euler.geometry(p.r)
+    dr, dt = euler._increment(p.r, g, hbar)
+    m, dz = p.m, p.dz
+    d2 = (np.diag(np.full(m - 1, 1.0), -1) - 2.0 * np.eye(m)
+          + np.diag(np.full(m - 1, 1.0), 1)) / (dz * dz)
+    d2[0, 1] = d2[-1, -2] = 2.0 / (dz * dz)
+    dtv = dt * _velocity(g, hbar, space.n - 1)
+    residual = dr - dt * g.invq * (d2 @ dr) - dtv
+    scale = max(float(np.max(np.abs(dtv))),
+                float(np.max(np.abs(dr))) * (1.0 + 4.0 * dt * float(np.max(g.invq)) / (dz * dz)))
+    assert float(np.max(np.abs(residual))) <= 1e-13 * scale
+    dt_cfl = 0.5 * FlowConfig().dt_safety * dz * dz * float(np.min(g.q))
+    assert dt_cfl <= dt <= dt_cfl * 2.0 ** (rung / 4) * (1.0 + 1e-12)
+
+
 def _recorded_run(case):
     space, p = case
     return run(p, space, FlowConfig(max_t=0.1, record_every=1))
