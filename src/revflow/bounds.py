@@ -65,19 +65,22 @@ def _panel_rule(panels):
     return rule
 
 
-def _integrate_from_zero(g, upper, rel_tol):
-    """Integrate g from 0 to each entry of ``upper`` by panel Gauss-Legendre.
+def _radial_integral(space, g, r, rel_tol):
+    """Integrate g from 0 to each radius in ``r`` by panel Gauss-Legendre.
 
-    An 8-point rule is applied on P equal panels of a shared normalized grid,
-    with P = 1, 2, 4, ... until |G_2P - G_P| <= ``rel_tol`` |G_2P| for every
-    integral; the finer sum is returned.  All upper limits are handled in one
+    Every radius must be finite and lie in [0, r_max].  An 8-point rule is
+    applied on P equal panels of a shared normalized grid, with P = 1, 2, 4,
+    ... until |G_2P - G_P| <= ``rel_tol`` |G_2P| for every integral; the finer
+    sum is returned, a float for scalar ``r``.  All radii are handled in one
     vectorized evaluation per panel count.
     """
-    u = np.atleast_1d(np.asarray(upper, dtype=float))
-    if np.any(u < 0.0) or not np.all(np.isfinite(u)):
-        raise ValueError("upper limits must be finite and >= 0")
+    u = np.atleast_1d(np.asarray(r, dtype=float))
     if u.size == 0:
         return u.copy()
+    top = u.max()  # NaN propagates through min and max and fails the test
+    if not (u.min() >= 0.0 and top <= space.r_max_domain and top < math.inf):
+        raise ValueError(f"radii must be finite, >= 0 and within the ambient domain "
+                         f"(r_max={space.r_max_domain:g})")
 
     def gauss(panels):
         nodes, weights = _panel_rule(panels)
@@ -89,16 +92,9 @@ def _integrate_from_zero(g, upper, rel_tol):
         panels *= 2
         vals = gauss(panels)
         if np.all(np.abs(vals - prev) <= rel_tol * np.abs(vals)):
-            return vals
+            return float(vals[0]) if np.ndim(r) == 0 else vals
         prev = vals
     raise RuntimeError("panel Gauss-Legendre failed to reach the requested tolerance")
-
-
-def _radial_integral(space, g, r, rel_tol):
-    if space.r_max_domain < math.inf and np.any(np.asarray(r) > space.r_max_domain):
-        raise ValueError(f"radius beyond the ambient domain (r_max={space.r_max_domain:g})")
-    out = _integrate_from_zero(g, r, rel_tol)
-    return float(out[0]) if np.ndim(r) == 0 else out
 
 
 def _h_pow(h, n):
@@ -127,8 +123,10 @@ def invert_increasing(g, y: float, r_max: float = math.inf) -> float:
 
     Bracket expansion by doubling followed by bisection to 1e-14 relative
     width; the result satisfies |g(x) - y| <= 1e-12 * max(1, |y|).  Raises
-    ``ValueError`` when y is unreachable within the domain.
+    ``ValueError`` when y is not finite or is unreachable within the domain.
     """
+    if not math.isfinite(y):
+        raise ValueError(f"target {y!r} is not finite")
     resid_tol = 1e-12 * max(1.0, abs(y))
     g0 = g(0.0)
     if y < g0 - resid_tol:

@@ -6,13 +6,13 @@ oracles in tests and experiments.  Two constructions:
 * ``cylinder_for_volume``: the constant profile r = r1 enclosing a given
   volume, with H = f'/f + (n-1) h'/h at r1 taken from the geometry kernel.
 * ``shoot_cmc``: non-constant CMC graphs with Neumann ends, by integrating
-  the second-order ODE obtained from k1 + (n-1) k2 = H,
+  the second-order ODE obtained from k1 + (n-1) k2 = H.  The kernel's H is
+  affine in rddot with slope -f / (q sqrt(q)), q = rdot^2 + f^2, so
 
-      rddot = [ rdot^2 f' - q (H sqrt(q) - (n-1) f h'/h - f') ] / f,
-      q = rdot^2 + f^2,
+      rddot = (H0 - H) q sqrt(q) / f,   H0 = the kernel's H at rddot = 0,
 
-  from z = a with rdot(a) = 0 (classic RK4 at step dz/4) and adjusting r(a)
-  by secant iteration until |rdot(b)| <= 1e-10.
+  integrated from z = a with rdot(a) = 0 (classic RK4 at step dz/4) while
+  r(a) is adjusted by secant iteration until |rdot(b)| <= 1e-10.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from .bounds import _cylinder_radius
 from .hypersurface import (
     ProfileGrid,
     _checked_geometry,
+    _curvatures,
     _hbar,
-    curvature_field,
     enclosed_volume,
 )
 
@@ -63,13 +63,7 @@ def cylinder_for_volume(space, a: float, b: float, V: float, m: int = 401) -> CM
     """The cylinder r = r1 enclosing volume V inside the slab [a, b]."""
     if not V > 0.0:
         raise ValueError("need V > 0")
-    r1 = _cylinder_radius(space, b - a, V)
-    profile = ProfileGrid(a, b, np.full(m, r1))
-    H = _checked_geometry(profile, space)[0].H
-    h_const = float(H[0])
-    return CMCProfile(H_const=h_const, profile=profile,
-                      residual=float(np.max(np.abs(H - h_const))),
-                      volume=enclosed_volume(profile, space))
+    return _package(space, None, a, b, np.full(m, _cylinder_radius(space, b - a, V)))
 
 
 def _shoot_once(space, a, b, H, r_start, m, substeps=4):
@@ -83,8 +77,8 @@ def _shoot_once(space, a, b, H, r_start, m, substeps=4):
         if not 0.0 < rr < r_max:
             raise ShootingError(f"trajectory left (0, {r_max:g}) at r={rr:.6g}")
         f, fp, _, h, hp, _ = (float(x) for x in space.warp(rr))
-        q = p * p + f * f
-        return (p * p * fp - q * (H * math.sqrt(q) - (n - 1) * f * hp / h - fp)) / f
+        _, q, _, sq, _, _, H0 = _curvatures(p, 0.0, f, fp, h, hp, n, math.sqrt)
+        return (H0 - H) * q * sq / f
 
     r_nodes = np.empty(m)
     r_nodes[0] = r_start
@@ -144,10 +138,13 @@ def shoot_cmc(space, a: float, b: float, H_target: float, r_start_guess: float,
 
 
 def _package(space, H_target, a, b, nodes):
+    """CMCProfile of ``nodes``; ``H_target=None`` takes the kernel's H at the first node."""
     profile = ProfileGrid(a, b, nodes)
-    cf = curvature_field(profile, space)
-    residual = float(np.max(np.abs(cf.H - H_target)))
-    return CMCProfile(H_const=float(H_target), profile=profile, residual=residual,
+    H = _checked_geometry(profile, space)[0].H
+    if H_target is None:
+        H_target = H[0]
+    return CMCProfile(H_const=float(H_target), profile=profile,
+                      residual=float(np.max(np.abs(H - H_target))),
                       volume=enclosed_volume(profile, space))
 
 

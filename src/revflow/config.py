@@ -28,9 +28,12 @@ Custom spaces give the six warp expressions in ``r``: ``f, df, d2f, h, dh,
 d2h`` (first and second derivatives must be supplied analytically) plus an
 optional ``r_max`` (a positive number or ``inf``, the default).  Exactly one
 ``[initial]`` source must be given; an empty ``expr``, ``csv`` or
-``cylinder`` counts as not given.  ``summary.json`` files echo the parsed
-sections under the ``config`` key; ``load_config`` accepts such a JSON file
-directly, which reproduces the run bit for bit.
+``cylinder`` counts as not given.  Each source only produces radii, which
+one check passes through ``ProfileGrid`` and the ambient ball (r < r_max), so
+every ``[initial]`` problem, a CSV's included, is a ``ConfigError`` (exit 1).
+``summary.json`` files echo the parsed sections under the ``config`` key;
+``load_config`` accepts such a JSON file directly, which reproduces the run
+bit for bit.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ import numpy as np
 from .ambient import AmbientSpace, make_preset, space_from_expressions
 from .expressions import compile_expression
 from .flow import FlowConfig
-from .hypersurface import ProfileGrid, load_profile_csv
+from .hypersurface import ProfileGrid, _check_domain, load_profile_csv
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "parse_config"]
 
@@ -144,9 +147,8 @@ def _build_initial(sections, space, a, b, m) -> ProfileGrid:
             raise ConfigError(f"[initial] csv: {exc}")
         if profile.m != m or abs(profile.a - a) > 1e-12 or abs(profile.b - b) > 1e-12:
             raise ConfigError("[initial] csv: grid does not match [domain]/[grid]")
-        return profile
-
-    if source == "expr":
+        a, b, r = profile.a, profile.b, profile.r
+    elif source == "expr":
         try:
             r = compile_expression(raw, var="z")(z)
         except (ValueError, ArithmeticError) as exc:  # ExpressionError included
@@ -160,11 +162,12 @@ def _build_initial(sections, space, a, b, m) -> ProfileGrid:
             except (ValueError, ArithmeticError) as exc:
                 raise ConfigError(f"[initial] perturb: {exc}")
 
-    if np.any(~np.isfinite(r)) or np.any(r <= 0.0):
-        raise ConfigError("[initial] profile must be strictly positive on the grid")
-    if space.r_max_domain < math.inf and np.any(r >= space.r_max_domain):
-        raise ConfigError("[initial] profile leaves the ambient domain")
-    return ProfileGrid(a, b, r)
+    try:
+        profile = ProfileGrid(a, b, r)
+        _check_domain(profile, space)
+    except ValueError as exc:
+        raise ConfigError(f"[initial] {exc}")
+    return profile
 
 
 def _build_flow(sections) -> FlowConfig:
@@ -213,8 +216,8 @@ def parse_config(sections: Dict[str, Dict[str, str]], base_dir: str = ".") -> Ru
     space = _build_space(sections)
     a = _get_as(_NUMBER, sections, "domain", "a", required=True)
     b = _get_as(_NUMBER, sections, "domain", "b", required=True)
-    if not b > a:
-        raise ConfigError("[domain] need b > a")
+    if not (b > a and math.isfinite(b - a)):
+        raise ConfigError("[domain] need finite a < b")
     m = _get_as(_INTEGER, sections, "grid", "m", required=True)
     if m < 11:
         raise ConfigError(f"[grid] m: need m >= 11, got {m}")

@@ -30,14 +30,15 @@ where I1 uses the integrated-by-parts form whose boundary terms vanish under
 the Neumann condition.  Outer integrals are composite trapezoid on the grid;
 the radial integral inside the volume is panel Gauss-Legendre (``bounds.beta``).
 
-``_geometry`` is the single discrete-geometry kernel: it (with its stencil
-helper ``_derivatives``) alone holds the ghost-node stencil and the k1/k2/H
-formula.  Each reduction of its output (``_L2``, ``_area``, ``_split``,
-``_curve_length``) is written once; the public functions apply them to a
-checked profile, and the flow to the kernel output of its own step.  The
-critical-point census (``_interior_critical_z``) reads the kernel's slope
-``rdot``; ``critical_point_count`` and ``critical_points`` pass it the
-slope of ``spatial_derivatives``, the same stencil.
+``_geometry`` is the single discrete-geometry kernel: it (with its helpers
+``_derivatives`` and ``_curvatures``, which ``cmc`` shooting also calls)
+alone holds the ghost-node stencil and the k1/k2/H formula.  Each reduction
+of its output (``_L2``, ``_area``, ``_split``, ``_curve_length``) is written
+once; the public functions apply them to a checked profile, and the flow to
+the kernel output of its own step.  The critical-point census
+(``_interior_critical_z``) reads the kernel's slope ``rdot``;
+``critical_point_count`` and ``critical_points`` pass it the slope of
+``spatial_derivatives``, the same stencil.
 """
 
 from __future__ import annotations
@@ -81,8 +82,8 @@ class ProfileGrid:
         self.r = np.array(self.r, dtype=float, copy=True)
         if self.r.ndim != 1 or self.r.size < 3:
             raise ValueError("profile needs at least 3 nodes")
-        if not self.b > self.a:
-            raise ValueError("need b > a")
+        if not (self.b > self.a and math.isfinite(self.b - self.a)):
+            raise ValueError("need finite a < b")
         if not np.all(np.isfinite(self.r)) or np.any(self.r <= 0.0):
             raise ValueError("nodal radii must be finite and positive")
 
@@ -154,22 +155,23 @@ def _derivatives(r: np.ndarray, dz: float):
     return rdot, rddot
 
 
-def _geometry(r: np.ndarray, space, dz: float) -> _Geometry:
-    """Derivatives, warps, principal and mean curvatures of bare radii ``r``.
-
-    No validation: callers check the domain.  The operation order is fixed
-    (multiply by 1/q), so flow trajectories are reproducible bit for bit.
-    """
-    f, fp, _, h, hp, _ = space.warp(r)
-    rdot, rddot = _derivatives(r, dz)
-    nm1 = space.n - 1
+def _curvatures(rdot, rddot, f, fp, h, hp, n, sqrt=np.sqrt):
+    """Pointwise (rd2, q, 1/q, sqrt q, k1, k2, H), in the fixed operation order
+    that keeps flow runs bit for bit; floats take ``sqrt=math.sqrt``."""
     rd2 = rdot * rdot
     q = rd2 + f * f
-    sq = np.sqrt(q)
+    sq = sqrt(q)
     invq = 1.0 / q
     k1 = ((fp * rd2 - rddot * f) * invq + fp) / sq
     k2 = f * hp / (h * sq)
-    H = k1 + nm1 * k2
+    return rd2, q, invq, sq, k1, k2, k1 + (n - 1) * k2
+
+
+def _geometry(r: np.ndarray, space, dz: float) -> _Geometry:
+    """Derivatives, warps and curvatures of bare radii ``r``; callers check the domain."""
+    f, fp, _, h, hp, _ = space.warp(r)
+    rdot, rddot = _derivatives(r, dz)
+    rd2, q, invq, sq, k1, k2, H = _curvatures(rdot, rddot, f, fp, h, hp, space.n)
     w = sq * _h_pow(h, space.n)
     return _Geometry(rdot, rddot, f, fp, h, hp, rd2, q, invq, sq, k1, k2, H, w)
 
@@ -295,14 +297,13 @@ def critical_points(p: ProfileGrid, slope_tol: Optional[float] = None) -> np.nda
 def save_profile_csv(p: ProfileGrid, path) -> None:
     """Write the profile as a two-column CSV with header ``z,r``."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")  # writes floats as repr
         writer.writerow(["z", "r"])
-        for zi, ri in zip(p.z, p.r):
-            writer.writerow([repr(float(zi)), repr(float(ri))])
+        writer.writerows(zip(p.z.tolist(), p.r.tolist()))
 
 
 def load_profile_csv(path) -> ProfileGrid:
-    """Read a ``z,r`` CSV, checking uniform increasing z and positive r."""
+    """Read a ``z,r`` CSV with strictly increasing, uniform z; ``ProfileGrid`` checks the rest."""
     zs, rs = [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -319,14 +320,10 @@ def load_profile_csv(path) -> ProfileGrid:
                 raise ValueError(f"{path}:{lineno}: bad row {row!r}") from exc
     if len(zs) < 3:
         raise ValueError(f"{path}: need at least 3 rows")
-    z = np.asarray(zs)
-    r = np.asarray(rs)
-    dz = np.diff(z)
-    if np.any(dz <= 0.0):
+    dz = np.diff(zs)
+    if not np.all(dz > 0.0):  # NaN fails too
         raise ValueError(f"{path}: z must be strictly increasing")
-    span = z[-1] - z[0]
-    if np.max(np.abs(dz - dz[0])) > 1e-9 * max(1.0, span):
+    profile = ProfileGrid(a=zs[0], b=zs[-1], r=rs)
+    if np.max(np.abs(dz - profile.dz)) > 1e-9 * max(1.0, profile.b - profile.a):
         raise ValueError(f"{path}: z must be uniformly spaced")
-    if np.any(r <= 0.0):
-        raise ValueError(f"{path}: radii must be positive")
-    return ProfileGrid(a=float(z[0]), b=float(z[-1]), r=r)
+    return profile

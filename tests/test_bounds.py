@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -177,3 +178,28 @@ class TestComputeBounds:
         rep = compute_bounds(euclid2, 0.0, 1.0, math.pi, 2 * math.pi)
         assert set(rep.to_dict()) == {"r1", "r2", "r3", "small_volume_threshold",
                                       "criterion_met", "sigma"}
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("y", [math.nan, math.inf, -math.inf])
+    def test_invert_increasing_rejects_target(self, euclid2, y):
+        with pytest.raises(ValueError, match="not finite"):
+            invert_increasing(lambda x: beta(euclid2, x), y)
+
+    @pytest.mark.parametrize("V,area", [(math.inf, 1.0), (1.0, math.inf)])
+    def test_compute_bounds_rejects_infinite_volume_or_area(self, hyper2, V, area):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="not finite"):
+                compute_bounds(hyper2, 0.0, 1.0, V, area)
+
+    @pytest.mark.parametrize("r", [-0.1, math.nan, math.inf, [1.0, math.inf]],
+                             ids=["negative", "nan", "inf", "array-with-inf"])
+    def test_radial_limits_checked(self, euclid2, r):
+        with pytest.raises(ValueError, match="ambient domain"):
+            beta(euclid2, r)
+
+    def test_radial_limit_past_r_max(self, sphere2):
+        assert delta(sphere2, sphere2.r_max_domain) == pytest.approx(1.0)
+        with pytest.raises(ValueError, match="ambient domain"):
+            delta(sphere2, np.nextafter(sphere2.r_max_domain, 2.0))

@@ -396,3 +396,64 @@ class TestSpaceAndInitialSources:
             main(argv + ["--config", write_ini(tmp_path / "c.ini", BASE)])
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+SPHERE = BASE.replace("preset = euclidean\nn = 2", "preset = spherical\nlambda = 1.0\nn = 2")
+
+
+class TestInitialChecks:
+    @pytest.mark.parametrize("command", ["validate", "bounds", "run"])
+    @pytest.mark.parametrize("source", ["csv", "cylinder"])
+    def test_profile_past_r_max_exit_1(self, tmp_path, capsys, command, source):
+        # r = 1.6 > r_max = pi/2: the same error whichever source gives it
+        from revflow import ProfileGrid, save_profile_csv
+        save_profile_csv(ProfileGrid(0.0, 1.0, np.full(21, 1.6)), tmp_path / "prof.csv")
+        initial = "csv = prof.csv" if source == "csv" else "cylinder = 1.6"
+        text = SPHERE.replace("cylinder = 1.0\nperturb = 0.05*cos(pi*z)", initial)
+        code = main([command, "--config", write_ini(tmp_path / "c.ini", text),
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: [initial] ") and "ambient domain" in err
+
+    @pytest.mark.parametrize("radius", ["-1.0", "nan"])
+    def test_csv_radius_not_positive_exit_1(self, tmp_path, capsys, radius):
+        rows = "".join(f"{0.05 * i!r},{radius if i == 3 else '1.0'}\n" for i in range(21))
+        (tmp_path / "prof.csv").write_text("z,r\n" + rows)
+        text = BASE.replace("cylinder = 1.0\nperturb = 0.05*cos(pi*z)", "csv = prof.csv")
+        code = main(["validate", "--config", write_ini(tmp_path / "c.ini", text)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: [initial] csv: ")
+
+    @pytest.mark.parametrize("a,b", [("0.0", "inf"), ("-inf", "1.0"), ("0.0", "nan")])
+    def test_slab_must_be_finite(self, tmp_path, a, b):
+        text = BASE.replace("a = 0.0\nb = 1.0", f"a = {a}\nb = {b}")
+        with pytest.raises(ConfigError, match=r"\[domain\] need finite a < b"):
+            load_config(write_ini(tmp_path / "c.ini", text))
+
+
+class TestFlowOptions:
+    def test_volume_projection_no(self, tmp_path, capsys):
+        outdir = tmp_path / "out"
+        text = BASE + "volume_projection = no\n"
+        assert main(["run", "--config", write_ini(tmp_path / "c.ini", text),
+                     "--out", str(outdir)]) == 0
+        summary = json.loads((outdir / "summary.json").read_text())
+        assert summary["flow_config"]["volume_projection"] is False
+
+    def test_volume_projection_not_a_boolean_exit_1(self, tmp_path, capsys):
+        text = BASE + "volume_projection = maybe\n"
+        code = main(["run", "--config", write_ini(tmp_path / "c.ini", text),
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "[flow] volume_projection: expected a boolean" in capsys.readouterr().err
+
+    def test_snapshots_thinned_to_nine(self, tmp_path, capsys):
+        outdir = tmp_path / "out"
+        text = BASE.replace("record_every = 100", "record_every = 1")
+        assert main(["run", "--config", write_ini(tmp_path / "c.ini", text),
+                     "--out", str(outdir)]) == 0
+        records = json.loads((outdir / "summary.json").read_text())["records"]
+        assert records > 9
+        ks = sorted(int(p.stem.split("_")[1]) for p in outdir.glob("profile_*.csv"))
+        assert len(ks) == 9 and ks[0] == 0 and ks[-1] == records - 1

@@ -9,6 +9,7 @@ from revflow import (
     FlowState,
     FlowStopped,
     ProfileGrid,
+    StopReason,
     StopTag,
     averaged_mean_curvature,
     compute_bounds,
@@ -111,6 +112,26 @@ class TestStep:
         with pytest.raises(FlowStopped) as info:
             euler.advance(p.r, g, hbar, 0.0, v, 10.0 * v)
         assert info.value.reason.tag is StopTag.PROJECTION_FAILED
+
+
+    def test_reaching_r_max_is_an_instability(self, sphere2):
+        # the bulge at z = 1 grows into r_max while every radius stays finite
+        r_max = sphere2.r_max_domain
+        z = np.linspace(0.0, 1.0, 51)
+        p = ProfileGrid(0.0, 1.0, 0.99999 * r_max - 0.3 * (1.0 + np.cos(np.pi * z)) / 2.0)
+        s = FlowState(p, 0.0, _diagnose(p, sphere2, 0.0))
+        taken = 0
+        with pytest.raises(FlowStopped) as info:
+            for taken in range(200):
+                s = step(s, sphere2, FlowConfig())
+        assert info.value.reason == StopReason(StopTag.INSTABILITY)
+        assert taken > 0
+        # the refused update is finite and reaches r_max: the r_max stop fired
+        euler = _Euler(s.profile, sphere2, FlowConfig(), rung=s.dt_rung)
+        g, hbar = euler.geometry(s.profile.r)
+        dr, _ = euler._increment(s.profile.r, g, hbar, FlowConfig().max_t - s.t)
+        r_new = s.profile.r + dr
+        assert np.all(np.isfinite(r_new)) and np.max(r_new) >= r_max
 
 
 class TestRun:

@@ -298,3 +298,42 @@ class TestProfileCsv:
         noheader.write_text("0.0,1.0\n0.1,1.0\n0.2,1.0\n")
         with pytest.raises(ValueError, match="header"):
             load_profile_csv(noheader)
+
+
+class TestProfileCsvFormat:
+    def test_writes_unix_line_endings(self, tmp_path):
+        # like history.csv and sweep.csv
+        path = tmp_path / "prof.csv"
+        save_profile_csv(cos_profile(5), path)
+        data = path.read_bytes()
+        assert b"\r" not in data and data.startswith(b"z,r\n0.0,1.1\n")
+
+    @pytest.mark.parametrize("z,match", [
+        ("0.0,nan,0.2", "strictly increasing"), ("nan,0.1,0.2", "strictly increasing"),
+        ("0.0,0.1,nan", "strictly increasing"), ("-inf,0.0,1.0", "finite a < b"),
+        ("0.0,1.0,inf", "finite a < b"),
+    ])
+    def test_non_finite_z_rejected(self, tmp_path, z, match):
+        path = tmp_path / "z.csv"
+        path.write_text("z,r\n" + "".join(f"{zi},1.0\n" for zi in z.split(",")))
+        with pytest.raises(ValueError, match=match):
+            load_profile_csv(path)
+
+    @pytest.mark.parametrize("radius", ["0.0", "nan"])
+    def test_radii_checked_by_profile_grid(self, tmp_path, radius):
+        path = tmp_path / "r.csv"
+        path.write_text(f"z,r\n0.0,1.0\n0.1,{radius}\n0.2,1.0\n")
+        with pytest.raises(ValueError, match="finite and positive"):
+            load_profile_csv(path)
+
+    def test_too_few_rows(self, tmp_path):
+        path = tmp_path / "short.csv"
+        path.write_text("z,r\n0.0,1.0\n0.1,1.0\n")
+        with pytest.raises(ValueError, match="at least 3 rows"):
+            load_profile_csv(path)
+
+
+@pytest.mark.parametrize("a,b", [(0.0, math.inf), (-math.inf, 0.0), (0.0, math.nan)])
+def test_profile_grid_needs_a_finite_slab(a, b):
+    with pytest.raises(ValueError, match="finite a < b"):
+        ProfileGrid(a, b, np.ones(5))
