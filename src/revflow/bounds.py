@@ -19,6 +19,11 @@ threshold reduces to V/(b-a), and for n = 2 in constant curvature lam it has
 the closed form (2 pi / -lam) (-1 + sqrt(1 - lam V / (pi (b-a)))).  The
 integrands take f and h from ``AmbientSpace.eval_fh``; ``_volume_density``
 also serves the flow's volume increments and projection.
+
+The radii invert beta and delta by ``invert_increasing``, a Newton iteration
+kept inside a bisection bracket; the derivatives it needs are the integrands
+themselves, ``_volume_density`` (beta' = f h^(n-1)) and ``_area_density``
+(delta' = h^(n-1)).
 """
 
 from __future__ import annotations
@@ -108,6 +113,11 @@ def _volume_density(space, x):
     return f * _h_pow(h, space.n)
 
 
+def _area_density(space, x):
+    """h^(n-1) at the radii ``x``: the integrand of delta, the radial area density."""
+    return _h_pow(space.eval_fh(x)[1], space.n)
+
+
 def beta(space, r, rel_tol: float = 1e-12):
     """beta(r) = int_0^r f h^(n-1), panel Gauss-Legendre to ``rel_tol``."""
     return _radial_integral(space, lambda x: _volume_density(space, x), r, rel_tol)
@@ -115,15 +125,25 @@ def beta(space, r, rel_tol: float = 1e-12):
 
 def delta(space, r, rel_tol: float = 1e-12):
     """delta(r) = int_0^r h^(n-1), panel Gauss-Legendre to ``rel_tol``."""
-    return _radial_integral(space, lambda x: _h_pow(space.eval_fh(x)[1], space.n), r, rel_tol)
+    return _radial_integral(space, lambda x: _area_density(space, x), r, rel_tol)
 
 
-def invert_increasing(g, y: float, r_max: float = math.inf) -> float:
+_MAX_STEPS = 200  # bisection alone needs about 50; a slope 100x too steep, about 110
+
+
+def invert_increasing(g, y: float, r_max: float = math.inf, dg=None) -> float:
     """Solve g(x) = y for a strictly increasing g on [0, r_max).
 
-    Bracket expansion by doubling followed by bisection to 1e-14 relative
-    width; the result satisfies |g(x) - y| <= 1e-12 * max(1, |y|).  Raises
-    ``ValueError`` when y is not finite or is unreachable within the domain.
+    The bracket [lo, hi] is found by doubling hi from 1.  With the derivative
+    ``dg`` each step is then a Newton step from the last iterate, kept only
+    when it lands inside (lo, hi) and is at most half the step before last;
+    otherwise, and always when ``dg`` is None, the step bisects the bracket
+    (``rtsafe``, Numerical Recipes section 9.4).  The loop stops on g(x) = y,
+    or once |g(x) - y| <= 1e-12 max(1, |y|) after a step that moved x by at
+    most 1e-14 max(1, x).  The result satisfies the residual bound, or
+    ``RuntimeError`` is raised (at the latest after ``_MAX_STEPS`` steps).
+    Raises ``ValueError`` when y is not finite, below g(0) or unreachable
+    within the domain.
     """
     if not math.isfinite(y):
         raise ValueError(f"target {y!r} is not finite")
@@ -135,22 +155,37 @@ def invert_increasing(g, y: float, r_max: float = math.inf) -> float:
         return 0.0
 
     cap = math.inf if r_max == math.inf else r_max * (1.0 - 1e-12)
-    hi = min(1.0, cap)
-    while g(hi) < y:
-        if hi >= cap:
+    lo, x = 0.0, min(1.0, cap)
+    gx = g(x)
+    while gx < y:
+        if x >= cap:
             raise ValueError(f"target {y!r} unreachable within the domain (r_max={r_max:g})")
-        hi = min(2.0 * hi, cap)
+        lo, x = x, min(2.0 * x, cap)
+        gx = g(x)
 
-    lo = 0.0
-    while hi - lo > 1e-14 * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        if g(mid) < y:
-            lo = mid
+    hi = x
+    step = prev = x - lo
+    for _ in range(_MAX_STEPS):
+        resid = gx - y
+        if resid == 0.0:
+            break
+        if resid < 0.0:
+            lo = x
         else:
-            hi = mid
-    x = 0.5 * (lo + hi)
+            hi = x
+        slope = 0.0 if dg is None else float(dg(x))
+        # Newton when x - resid/slope lies in (lo, hi) and is at most half the
+        # step before last; otherwise bisect
+        if (x - lo) * slope > resid > (x - hi) * slope and 2.0 * abs(resid) <= abs(prev * slope):
+            prev, step = step, resid / slope
+        else:
+            prev, step = step, x - 0.5 * (lo + hi)
+        x -= step
+        gx = g(x)
+        if abs(step) <= 1e-14 * max(1.0, x) and abs(gx - y) <= resid_tol:
+            break
 
-    resid = abs(g(x) - y)
+    resid = abs(gx - y)
     if resid > resid_tol:
         raise RuntimeError(f"inversion residual {resid:.3e} exceeds {resid_tol:.3e}")
     return x
@@ -159,7 +194,7 @@ def invert_increasing(g, y: float, r_max: float = math.inf) -> float:
 def _cylinder_radius(space, length, V):
     """beta^-1(V / (length sigma)): radius of the cylinder of axial length ``length`` holding V."""
     return invert_increasing(lambda x: beta(space, x), V / (length * unit_sphere_area(space.n)),
-                             r_max=space.r_max_domain)
+                             r_max=space.r_max_domain, dg=lambda x: _volume_density(space, x))
 
 
 @dataclass
@@ -196,7 +231,7 @@ def compute_bounds(space, a: float, b: float, V: float, area_M: float) -> Bounds
     r3 = _cylinder_radius(space, 2.0 * (b - a), V)
     delta_r1 = delta(space, r1)
     r2 = invert_increasing(lambda x: delta(space, x), area_M / sigma + delta_r1,
-                           r_max=space.r_max_domain)
+                           r_max=space.r_max_domain, dg=lambda x: _area_density(space, x))
 
     threshold = (V / (b - a)) * delta_r1 / beta(space, r1)
     return BoundsReport(r1=r1, r2=r2, r3=r3,

@@ -66,6 +66,9 @@ def cylinder_for_volume(space, a: float, b: float, V: float, m: int = 401) -> CM
     return _package(space, None, a, b, np.full(m, _cylinder_radius(space, b - a, V)))
 
 
+# with r_max = inf every finite r passes the range test, so a diverging
+# trajectory is stopped by the warp's overflow, raised here instead of warned
+@np.errstate(over="raise", divide="raise", invalid="raise")
 def _shoot_once(space, a, b, H, r_start, m, substeps=4):
     """Integrate the CMC ODE across [a, b]; returns (nodal radii, rdot(b))."""
     n = space.n
@@ -76,7 +79,10 @@ def _shoot_once(space, a, b, H, r_start, m, substeps=4):
     def deriv(rr, p):
         if not 0.0 < rr < r_max:
             raise ShootingError(f"trajectory left (0, {r_max:g}) at r={rr:.6g}")
-        f, fp, _, h, hp, _ = (float(x) for x in space.warp(rr))
+        try:
+            f, fp, _, h, hp, _ = (float(x) for x in space.warp(rr))
+        except (FloatingPointError, OverflowError) as exc:
+            raise ShootingError(f"warp evaluation failed at r={rr:.6g}: {exc}") from exc
         _, q, _, sq, _, _, H0 = _curvatures(p, 0.0, f, fp, h, hp, n, math.sqrt)
         return (H0 - H) * q * sq / f
 

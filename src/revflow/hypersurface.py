@@ -296,10 +296,10 @@ def critical_points(p: ProfileGrid, slope_tol: Optional[float] = None) -> np.nda
 
 def save_profile_csv(p: ProfileGrid, path) -> None:
     """Write the profile as a two-column CSV with header ``z,r``."""
+    # floats as repr, the bytes csv.writer would write; one string, one write
+    text = "z,r\n" + "".join(f"{z!r},{r!r}\n" for z, r in zip(p.z.tolist(), p.r.tolist()))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")  # writes floats as repr
-        writer.writerow(["z", "r"])
-        writer.writerows(zip(p.z.tolist(), p.r.tolist()))
+        fh.write(text)
 
 
 def load_profile_csv(path) -> ProfileGrid:

@@ -25,6 +25,11 @@ def sphere2():
 
 
 @pytest.fixture(scope="session")
+def sphere3():
+    return make_preset("spherical", 1.0, n=3)
+
+
+@pytest.fixture(scope="session")
 def custom_rss2():
     # f = cosh(r)^2, h = sinh(r): S_zi = -2, S_ri = -1 everywhere
     return space_from_expressions(

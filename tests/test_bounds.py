@@ -14,6 +14,7 @@ from revflow import (
     make_preset,
     unit_sphere_area,
 )
+from revflow import bounds
 
 
 def test_unit_sphere_area():
@@ -203,3 +204,69 @@ class TestNonFiniteInputs:
         assert delta(sphere2, sphere2.r_max_domain) == pytest.approx(1.0)
         with pytest.raises(ValueError, match="ambient domain"):
             delta(sphere2, np.nextafter(sphere2.r_max_domain, 2.0))
+
+
+# (a, b, V, area) whose radii all lie inside the spherical n = 3 cap
+_BOUNDS_CASES = [(0.0, 1.0, 1.0, 2.0), (0.0, 2.0, 0.3, 1.0), (-1.0, 1.0, 2.0, 3.0),
+                 (0.0, 1.0, 4.0, 1.0)]
+
+
+# the presets of the acceptance runs, a 3-dimensional cap and the sweep's custom space
+@pytest.fixture(params=["euclid2", "hyper2", "sphere3", "custom_rss2"])
+def newton_space(request):
+    return request.getfixturevalue(request.param)
+
+
+class TestNewtonInversion:
+    """invert_increasing with the radial density as derivative (rtsafe)."""
+
+    def test_few_radial_integrals_per_compute_bounds(self, newton_space, monkeypatch):
+        # without the derivatives, bisection makes about 150
+        calls = []
+        integrate = bounds._radial_integral
+
+        def counting(*args):
+            calls.append(args[2])
+            return integrate(*args)
+
+        monkeypatch.setattr(bounds, "_radial_integral", counting)
+        for case in _BOUNDS_CASES:
+            calls.clear()
+            compute_bounds(newton_space, *case)
+            assert len(calls) <= 40, case
+
+    def test_matches_derivative_free_inversion(self, newton_space):
+        g_beta = lambda x: beta(newton_space, x)
+        g_delta = lambda x: delta(newton_space, x)
+        r_max = newton_space.r_max_domain
+        sigma = unit_sphere_area(newton_space.n)
+        for a, b, V, area in _BOUNDS_CASES:
+            rep = compute_bounds(newton_space, a, b, V, area)
+            r1 = invert_increasing(g_beta, V / ((b - a) * sigma), r_max)
+            r3 = invert_increasing(g_beta, V / (2.0 * (b - a) * sigma), r_max)
+            r2 = invert_increasing(g_delta, area / sigma + delta(newton_space, rep.r1), r_max)
+            assert abs(rep.r1 - r1) <= 1e-13
+            assert abs(rep.r2 - r2) <= 1e-13
+            assert abs(rep.r3 - r3) <= 1e-13
+
+    # beta' = cos r sin^2 r falls to 0 at r_max, so its target stays further in
+    @pytest.mark.parametrize("name,share", [("beta", 0.99), ("delta", 1.0 - 1e-9)])
+    def test_spherical_target_near_r_max(self, sphere3, name, share):
+        g, dg = {"beta": (beta, bounds._volume_density),
+                 "delta": (delta, bounds._area_density)}[name]
+        r_max = sphere3.r_max_domain
+        y = g(sphere3, share * r_max)
+        x = invert_increasing(lambda x: g(sphere3, x), y, r_max, dg=lambda x: dg(sphere3, x))
+        assert abs(g(sphere3, x) - y) <= 1e-12 * max(1.0, y)
+        assert abs(x - invert_increasing(lambda x: g(sphere3, x), y, r_max)) <= 1e-13
+
+    @pytest.mark.parametrize("scale", [10.0, 1e-3])
+    def test_wrong_derivative_caught_by_the_bracket(self, newton_space, scale):
+        g = lambda x: beta(newton_space, x)
+        dg = lambda x: scale * bounds._volume_density(newton_space, x)
+        r_max = newton_space.r_max_domain
+        for y in (1e-3, 0.1, 0.3):
+            x = invert_increasing(g, y, r_max, dg=dg)
+            assert abs(g(x) - y) <= 1e-12
+            # a 10x slope makes the last step 10x shorter than the error it leaves
+            assert abs(x - invert_increasing(g, y, r_max)) <= 1e-12

@@ -245,6 +245,15 @@ class TestCmcCommand:
         out = json.loads(capsys.readouterr().out)
         assert out["residual"] <= 1e-6
 
+    def test_shooter_overflow_exit_2(self, tmp_path, capsys):
+        text = (BASE.replace("preset = euclidean", "preset = hyperbolic\nlambda = -1.0")
+                .replace("m = 21", "m = 201")
+                + "\n[cmc]\nmode = shoot\nh_target = 1.8\nguess = 0.9\n")
+        code = main(["cmc", "--config", write_ini(tmp_path / "c.ini", text),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "overflow" in capsys.readouterr().err
+
     @pytest.mark.parametrize("section,key", [
         ("mode = cylinder\nvolume = abc", "volume"),
         ("mode = shoot\nh_target = abc\nguess = 1.1", "h_target"),

@@ -113,6 +113,12 @@ class TestShootCmc:
         with pytest.raises(ShootingError):
             shoot_cmc(euclid2, 0.0, 1.0, -80.0, 0.05, max_iter=3)
 
+    def test_warp_overflow_is_a_shooting_error(self, hyper2):
+        # r_max = inf, so a diverging secant iterate reaches cosh/sinh overflow
+        # (r > 710) before any range test; the suite runs with warnings as errors
+        with pytest.raises(ShootingError, match="overflow"):
+            shoot_cmc(hyper2, 0.0, 1.0, 1.8, 0.9, m=201)
+
 
 class TestDistanceToCmc:
     def test_cylinder_zero_deviation(self, euclid2):

@@ -285,6 +285,13 @@ class TestProfileCsv:
         assert q.a == p.a and q.b == p.b
         np.testing.assert_array_equal(q.r, p.r)
 
+    def test_exact_bytes(self, tmp_path):
+        # floats as repr, "\n" line ends: the bytes csv.writer wrote
+        path = tmp_path / "prof.csv"
+        save_profile_csv(ProfileGrid(0.1, 0.7, [1.0, 0.1 + 0.2, 2.5, 1e-3, 7.0]), path)
+        assert path.read_bytes() == (b"z,r\n0.1,1.0\n0.25,0.30000000000000004\n0.4,2.5\n"
+                                     b"0.5499999999999999,0.001\n0.7,7.0\n")
+
     def test_reader_validation(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("z,r\n0.0,1.0\n0.1,1.0\n0.3,1.0\n")
