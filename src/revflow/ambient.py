@@ -123,13 +123,13 @@ def make_preset(tag: str, lam: Optional[float] = None, n: int = 2) -> AmbientSpa
 
         def warp(r):
             r = np.asarray(r, dtype=float)
-            one = np.ones_like(r)
-            zero = np.zeros_like(r)
+            one = np.ones(r.shape)  # faster than ones_like, same values
+            zero = np.zeros(r.shape)
             return one, zero, zero, r, one, zero
 
         def fh(r):
             r = np.asarray(r, dtype=float)
-            return np.ones_like(r), r
+            return np.ones(r.shape), r
 
         return AmbientSpace(n=n, warp=warp, r_max_domain=math.inf,
                             preset="euclidean", fh=fh)

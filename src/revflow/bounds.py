@@ -180,8 +180,9 @@ def invert_increasing(g, y: float, r_max: float = math.inf, dg=None) -> float:
             prev, step = step, resid / slope
         else:
             prev, step = step, x - 0.5 * (lo + hi)
-        x -= step
-        gx = g(x)
+        if x - step != x:  # else g(x) is known: the step was under half an ulp of x
+            x -= step
+            gx = g(x)
         if abs(step) <= 1e-14 * max(1.0, x) and abs(gx - y) <= resid_tol:
             break
 
@@ -192,9 +193,17 @@ def invert_increasing(g, y: float, r_max: float = math.inf, dg=None) -> float:
 
 
 def _cylinder_radius(space, length, V):
-    """beta^-1(V / (length sigma)): radius of the cylinder of axial length ``length`` holding V."""
-    return invert_increasing(lambda x: beta(space, x), V / (length * unit_sphere_area(space.n)),
-                             r_max=space.r_max_domain, dg=lambda x: _volume_density(space, x))
+    """(x, beta(x)) for x = beta^-1(V / (length sigma)), the radius of the
+    cylinder of axial length ``length`` holding V."""
+    betas = {}  # beta at every x the inversion tries, its result among them
+
+    def g(x):
+        betas[x] = beta(space, x)
+        return betas[x]
+
+    x = invert_increasing(g, V / (length * unit_sphere_area(space.n)),
+                          r_max=space.r_max_domain, dg=lambda x: _volume_density(space, x))
+    return x, betas[x]
 
 
 @dataclass
@@ -227,13 +236,13 @@ def compute_bounds(space, a: float, b: float, V: float, area_M: float) -> Bounds
         raise ValueError("need area_M > 0")
 
     sigma = unit_sphere_area(space.n)
-    r1 = _cylinder_radius(space, b - a, V)
-    r3 = _cylinder_radius(space, 2.0 * (b - a), V)
+    r1, beta_r1 = _cylinder_radius(space, b - a, V)
+    r3 = _cylinder_radius(space, 2.0 * (b - a), V)[0]
     delta_r1 = delta(space, r1)
     r2 = invert_increasing(lambda x: delta(space, x), area_M / sigma + delta_r1,
                            r_max=space.r_max_domain, dg=lambda x: _area_density(space, x))
 
-    threshold = (V / (b - a)) * delta_r1 / beta(space, r1)
+    threshold = (V / (b - a)) * delta_r1 / beta_r1
     return BoundsReport(r1=r1, r2=r2, r3=r3,
                         small_volume_threshold=threshold,
                         criterion_met=bool(area_M <= threshold),

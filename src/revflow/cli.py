@@ -12,7 +12,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import flow as flow_mod
 from .ambient import validate_space
@@ -173,6 +172,9 @@ def cmd_sweep(cfg, args):
     jobs = args.jobs or os.cpu_count() or 1
     if payloads:
         if jobs > 1:
+            # imported here: concurrent.futures adds 10–20 ms to every command's start-up
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 rows = list(pool.map(_sweep_worker, payloads))
         else:

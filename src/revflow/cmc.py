@@ -63,7 +63,7 @@ def cylinder_for_volume(space, a: float, b: float, V: float, m: int = 401) -> CM
     """The cylinder r = r1 enclosing volume V inside the slab [a, b]."""
     if not V > 0.0:
         raise ValueError("need V > 0")
-    return _package(space, None, a, b, np.full(m, _cylinder_radius(space, b - a, V)))
+    return _package(space, None, a, b, np.full(m, _cylinder_radius(space, b - a, V)[0]))
 
 
 # with r_max = inf every finite r passes the range test, so a diverging

@@ -181,9 +181,19 @@ def _hbar(g: _Geometry, wz: np.ndarray) -> float:
     return float(wz @ (g.H * g.w)) / float(wz @ g.w)
 
 
-def _graph_slope(g: _Geometry) -> np.ndarray:
+def _slope_squared(g: _Geometry) -> np.ndarray:
     slope = g.rdot / g.f
-    return np.sqrt(1.0 + slope * slope)  # = sqrt(q)/f, but exactly 1 where rdot = 0
+    return slope * slope
+
+
+def _graph_slope(g: _Geometry) -> np.ndarray:
+    return np.sqrt(1.0 + _slope_squared(g))  # = sqrt(q)/f, but exactly 1 where rdot = 0
+
+
+def _max_graph_slope(g: _Geometry) -> float:
+    """The max of ``_graph_slope``, bit for bit: 1 + x and sqrt are monotone
+    and correctly rounded, so they commute with the max (NaN included)."""
+    return math.sqrt(1.0 + float(_slope_squared(g).max()))
 
 
 def spatial_derivatives(p: ProfileGrid):

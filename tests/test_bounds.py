@@ -235,6 +235,21 @@ class TestNewtonInversion:
             compute_bounds(newton_space, *case)
             assert len(calls) <= 40, case
 
+    def test_beta_integrated_once_at_r1(self, newton_space, monkeypatch):
+        # the small-volume threshold reuses the beta(r1) of the r1 inversion
+        at = []
+        integrate = bounds.beta
+
+        def counting(space, r, *args):
+            at.append(r)
+            return integrate(space, r, *args)
+
+        monkeypatch.setattr(bounds, "beta", counting)
+        for case in _BOUNDS_CASES:
+            at.clear()
+            rep = compute_bounds(newton_space, *case)
+            assert at.count(rep.r1) == 1, case
+
     def test_matches_derivative_free_inversion(self, newton_space):
         g_beta = lambda x: beta(newton_space, x)
         g_delta = lambda x: delta(newton_space, x)

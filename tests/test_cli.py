@@ -217,6 +217,13 @@ class TestRunCommand:
         env = dict(os.environ, PYTHONPATH=src)
         assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
+    def test_import_leaves_the_process_pool_out(self):
+        # only a sweep with --jobs > 1 needs it; the import costs every command
+        code = "import sys, revflow.cli; sys.exit('concurrent.futures.process' in sys.modules)"
+        src = os.path.dirname(os.path.dirname(os.path.abspath(flow.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
     def test_import_leaves_numpy_polynomial_out(self):
         # the quadrature rules are literals; building them with leggauss at
         # import would add to every command's start-up time and memory

@@ -327,6 +327,23 @@ class TestStepSizeControl:
         assert s.t == 0.05 and s.dt_rung > 0
         assert dts[1] > dts[0]  # the proposal grows dt from the floor
 
+    def test_step_chain_takes_the_steps_of_run(self, euclid2):
+        # in euclidean space min q = f^2 = 1 at the Neumann ends, so dt_cfl and
+        # the ladder ignore the last bits by which the two paths' radii differ
+        p0 = cos_profile(51)
+        cfg = FlowConfig(max_t=0.3, record_every=1)
+        s = FlowState(p0, 0.0, _diagnose(p0, euclid2, 0.0))
+        states = [s]
+        while s.t < cfg.max_t:
+            s = step(s, euclid2, cfg)
+            states.append(s)
+        res = run(p0, euclid2, cfg)
+        assert res.reason.tag is StopTag.MAX_TIME
+        assert len(states) == len(res.history) == res.steps + 1 > 10
+        for state, snap, rec in zip(states, res.snapshots, res.history):
+            assert state.t == rec.t
+            assert float(np.max(np.abs(state.profile.r - snap.r))) <= 1e-13
+
     @pytest.mark.parametrize("space_name", ["euclid2", "hyper2"])
     def test_cylinder_step_chain_without_max_t_stays_fixed(self, request, space_name):
         # est = 0 on a cylinder, so only the ceiling bounds dt: it must keep
