@@ -83,7 +83,7 @@ def _shoot_once(space, a, b, H, r_start, m, substeps=4):
             f, fp, _, h, hp, _ = (float(x) for x in space.warp(rr))
         except (FloatingPointError, OverflowError) as exc:
             raise ShootingError(f"warp evaluation failed at r={rr:.6g}: {exc}") from exc
-        _, q, _, sq, _, _, H0 = _curvatures(p, 0.0, f, fp, h, hp, n, math.sqrt)
+        q, _, sq, _, _, H0 = _curvatures(p, 0.0, f, fp, h, hp, n, math.sqrt)
         return (H0 - H) * q * sq / f
 
     r_nodes = np.empty(m)

@@ -1,13 +1,15 @@
 r"""Semi-implicit time stepping for the nonlocal volume-preserving flow.
 
-The graph formulation evolves the profile by
+Each point moves with normal speed Hbar - H, so the profile moves with that
+speed times the graph slope v = sqrt(q)/f, q = rdot^2 + f^2:
 
-    dr/dt = rddot/q - (f'/f) (1 + rdot^2/q) - (n-1) h'/h + Hbar sqrt(1 + rdot^2/f^2)
+    dr/dt = (Hbar - H) sqrt(q)/f = rddot/q + (terms without rddot),
 
-with q = rdot^2 + f^2, Neumann ends rdot(a) = rdot(b) = 0, and the averaged
-mean curvature Hbar recomputed from the pre-step profile (lagged).  The
-right-hand side equals (Hbar - H) sqrt(q)/f with the same discrete
-derivatives, so cylinders with H = Hbar are exact fixed points.
+with H from the geometry kernel (``hypersurface._curvatures``), Neumann ends
+rdot(a) = rdot(b) = 0, and the averaged mean curvature Hbar recomputed from
+the pre-step profile (lagged).  All nodes of a cylinder share one H, so the
+speed is exactly 0 at Hbar = H; the lagged Hbar can differ in the last bit,
+and the volume projection then holds the cylinder to within rounding.
 
 Scheme choices:
 
@@ -15,8 +17,8 @@ Scheme choices:
   the new time level with q lagged, everything else explicitly, so each step
   solves the tridiagonal system (I - dt diag(1/q) D2) dr = dt v, where v is
   the explicit velocity above and D2 the ghost-node Neumann second
-  difference.  dr = 0 exactly where v = 0, so cylinders stay exact fixed
-  points and the discrete steady state is the explicit scheme's;
+  difference.  dr = 0 exactly when v = 0 at every node, so the discrete
+  steady state is the explicit scheme's;
 * dt is set by a local error estimate (standard step-size control, Hairer
   & Wanner, Solving ODEs II, IV.2).  est = max|dr - dt v|, the gap between
   the semi-implicit and the explicit update, is O(dt^2) and costs no extra
@@ -29,10 +31,13 @@ Scheme choices:
   dt_cfl = dt_safety * dz^2 * min(q) / 2 as its floor, and grows at most 4x
   per step.  The floor keeps dt from collapsing and never takes more steps
   than explicit Euler; the ladder keeps last-bit differences of the state
-  from moving dt, so ``step`` and ``run`` take the same steps.  The ceiling
-  dt <= 2^20 dz^2 min(q) (``_DIAG_MARGIN``) keeps the tridiagonal system
-  well conditioned where est says nothing, as on a cylinder, where v = 0
-  and est = 0 at every dt.  The last step is clipped so that t lands on
+  from changing the rung, so ``step`` and ``run`` take the same steps.  Their
+  t agree only in euclidean space (elsewhere to ~1e-14 relative): ``step``
+  projects onto each state's quadrature volume, ``run`` onto the tracked
+  one, and dt_cfl follows the radii's last bits through f(r_end)^2.  The
+  ceiling dt <= 2^20 dz^2 min(q) (``_DIAG_MARGIN``) keeps the tridiagonal
+  system well conditioned where est says nothing, as on a cylinder, where
+  v = 0 and est = 0 at every dt.  The last step is clipped so that t lands on
   max_t.  Without volume projection dt is also capped at 300 dt_cfl
   (``_DT_CAP``), which bounds the O(dt) volume drift;
 * optional exact discrete volume conservation: after each update a uniform
@@ -58,10 +63,10 @@ state.  That re-diagnosis, with its quadrature volume, is why ``step`` costs
 more per call than a step of ``run``.
 
 Where a step of ``run`` spends its time (2 vCPUs, Python 3.11, numpy 2.4):
-at m = 61, about 190 us, the geometry kernel 21%, the velocity and dt ladder
-19%, the volume increments 19%, the Thomas sweep 16%, the rest of the
+at m = 61, about 180 us, the geometry kernel 23%, the volume increments 20%,
+the Thomas sweep 17%, the velocity and dt ladder 16%, the rest of the
 projection 8% and the stop checks 8%; at m = 201 the pure-Python Thomas sweep
-takes a third, and the kernel, increments and velocity 15% each.  Short
+takes a third, the kernel and increments 17% each and the velocity 12%.  Short
 arrays make numpy's per-call overhead most of this, so the loop reduces with
 ndarray methods and carries each state's min and max r.
 """
@@ -233,18 +238,15 @@ def _diagnose(profile: ProfileGrid, space, t: float) -> DiagnosticsRecord:
     return _record(profile, space, g, _hbar(g, wz), wz, t)
 
 
-def _velocity(g, hbar: float, nm1: int) -> np.ndarray:
-    # (Hbar - H) sqrt(q)/f expanded, so cylinders with H = Hbar are exact fixed points
-    invf = 1.0 / g.f
-    return (g.rddot * g.invq - (g.fp * invf) * (1.0 + g.rd2 * g.invq)
-            - nm1 * (g.hp / g.h) + hbar * (g.sq * invf))
+def _velocity(g, hbar: float) -> np.ndarray:
+    return (hbar - g.H) * (g.sq / g.f)
 
 
 def rhs(p: ProfileGrid, space, Hbar: float) -> np.ndarray:
     """Nodal dr/dt of the graph flow for a given averaged mean curvature."""
     if not math.isfinite(Hbar):
         raise ValueError("Hbar must be finite")
-    return _velocity(_checked_geometry(p, space)[0], Hbar, space.n - 1)
+    return _velocity(_checked_geometry(p, space)[0], Hbar)
 
 
 # 3-point Gauss-Legendre rule on [0, 1], abscissae as a column
@@ -308,7 +310,7 @@ def _resolve(cfg: FlowConfig, r0_min: float, hbar0: float) -> FlowConfig:
     out = cfg
     if out.r_min_stop is None:
         out = replace(out, r_min_stop=1e-3 * r0_min)
-    if out.conv_tol is None:
+    if out.conv_tol is None and math.isfinite(hbar0):  # else run stops as instability
         out = replace(out, conv_tol=1e-6 * abs(hbar0))
     return out
 
@@ -371,7 +373,6 @@ class _Euler:
         self.space = space
         self.dz = grid.dz
         self.z = grid.z
-        self.nm1 = space.n - 1
         self.wz = trapezoid_weights(grid.m, grid.dz)
         self.wz_sigma = unit_sphere_area(space.n) * self.wz
         self.half_safety_dz2 = 0.5 * cfg.dt_safety * grid.dz * grid.dz
@@ -397,7 +398,7 @@ class _Euler:
         ceiling = min(dt_left, (self.dz * self.dz) * min_q / _DIAG_MARGIN)
         if not self.project:
             ceiling = min(ceiling, _DT_CAP * dt_cfl)
-        v = _velocity(g, hbar, self.nm1)
+        v = _velocity(g, hbar)
         if not self.implicit:
             dt = min(dt_cfl, ceiling)
             return dt * v, dt

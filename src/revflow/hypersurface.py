@@ -32,13 +32,13 @@ the radial integral inside the volume is panel Gauss-Legendre (``bounds.beta``).
 
 ``_geometry`` is the single discrete-geometry kernel: it (with its helpers
 ``_derivatives`` and ``_curvatures``, which ``cmc`` shooting also calls)
-alone holds the ghost-node stencil and the k1/k2/H formula.  Each reduction
-of its output (``_L2``, ``_area``, ``_split``, ``_curve_length``) is written
-once; the public functions apply them to a checked profile, and the flow to
-the kernel output of its own step.  The critical-point census
-(``_interior_critical_z``) reads the kernel's slope ``rdot``;
-``critical_point_count`` and ``critical_points`` pass it the slope of
-``spatial_derivatives``, the same stencil.
+alone holds the ghost-node stencil and the k1/k2/H formula, whose H the
+flow's velocity reads.  Each reduction of its output (``_L2``, ``_area``,
+``_split``, ``_curve_length``) is written once; the public functions apply
+them to a checked profile, and the flow to the kernel output of its step.
+The critical-point census (``_interior_critical_z``) reads the kernel's
+slope ``rdot``; ``critical_point_count`` and ``critical_points`` pass it the
+slope of ``spatial_derivatives``, the same stencil.
 """
 
 from __future__ import annotations
@@ -127,12 +127,10 @@ class _Geometry(NamedTuple):
     """Nodal output of ``_geometry``; ``w`` is the area density sqrt(q) h^(n-1)."""
 
     rdot: np.ndarray
-    rddot: np.ndarray
     f: np.ndarray
     fp: np.ndarray
     h: np.ndarray
     hp: np.ndarray
-    rd2: np.ndarray
     q: np.ndarray
     invq: np.ndarray
     sq: np.ndarray
@@ -156,7 +154,7 @@ def _derivatives(r: np.ndarray, dz: float):
 
 
 def _curvatures(rdot, rddot, f, fp, h, hp, n, sqrt=np.sqrt):
-    """Pointwise (rd2, q, 1/q, sqrt q, k1, k2, H), in the fixed operation order
+    """Pointwise (q, 1/q, sqrt q, k1, k2, H), in the fixed operation order
     that keeps flow runs bit for bit; floats take ``sqrt=math.sqrt``."""
     rd2 = rdot * rdot
     q = rd2 + f * f
@@ -164,16 +162,16 @@ def _curvatures(rdot, rddot, f, fp, h, hp, n, sqrt=np.sqrt):
     invq = 1.0 / q
     k1 = ((fp * rd2 - rddot * f) * invq + fp) / sq
     k2 = f * hp / (h * sq)
-    return rd2, q, invq, sq, k1, k2, k1 + (n - 1) * k2
+    return q, invq, sq, k1, k2, k1 + (n - 1) * k2
 
 
 def _geometry(r: np.ndarray, space, dz: float) -> _Geometry:
     """Derivatives, warps and curvatures of bare radii ``r``; callers check the domain."""
     f, fp, _, h, hp, _ = space.warp(r)
     rdot, rddot = _derivatives(r, dz)
-    rd2, q, invq, sq, k1, k2, H = _curvatures(rdot, rddot, f, fp, h, hp, space.n)
+    q, invq, sq, k1, k2, H = _curvatures(rdot, rddot, f, fp, h, hp, space.n)
     w = sq * _h_pow(h, space.n)
-    return _Geometry(rdot, rddot, f, fp, h, hp, rd2, q, invq, sq, k1, k2, H, w)
+    return _Geometry(rdot, f, fp, h, hp, q, invq, sq, k1, k2, H, w)
 
 
 def _hbar(g: _Geometry, wz: np.ndarray) -> float:

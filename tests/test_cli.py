@@ -139,6 +139,17 @@ class TestValidateCommand:
         assert code == 1
         assert "[domain] b" in capsys.readouterr().err
 
+    def test_module_entry_point_exit_codes(self, tmp_path):
+        # ``python -m revflow.cli`` goes through ``sys.exit(main())``
+        src = os.path.dirname(os.path.dirname(os.path.abspath(flow.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        for text, expected in ((BASE, 0), (BASE.replace("[grid]\nm = 21\n", ""), 1)):
+            path = write_ini(tmp_path / "c.ini", text)
+            proc = subprocess.run([sys.executable, "-m", "revflow.cli", "validate",
+                                   "--config", path], env=env, capture_output=True, text=True)
+            assert proc.returncode == expected, proc.stderr
+        assert "[grid]" in proc.stderr
+
     @pytest.mark.parametrize("command", ["validate", "run", "sweep"])
     @pytest.mark.parametrize("option,value", [("samples", "1"), ("r_probe_max", "-1")])
     def test_out_of_range_validate_option_exit_1(self, tmp_path, capsys, command, option, value):

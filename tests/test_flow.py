@@ -17,6 +17,7 @@ from revflow import (
     make_preset,
     rhs,
     run,
+    space_from_expressions,
     step,
 )
 from revflow import flow, hypersurface
@@ -175,6 +176,26 @@ class TestRun:
         res = run(cos_profile(51), euclid2, FlowConfig(max_t=1e-4))
         assert res.reason.tag is StopTag.MAX_TIME
         assert res.final.t >= 1e-4
+
+    def test_initial_singularity_stop(self, euclid2):
+        # min r = 0.9 at the node z = 1 is already below r_min_stop
+        res = run(cos_profile(51), euclid2, FlowConfig(r_min_stop=0.95))
+        assert res.reason == StopReason(StopTag.SINGULARITY, location=1.0)
+        assert res.steps == 0 and len(res.history) == 1
+
+    @pytest.mark.parametrize("conv_tol", [None, 1e-6], ids=["default", "given"])
+    def test_non_finite_initial_hbar_is_an_instability(self, conv_tol):
+        # h = r - r^2 vanishes at r = 1, the radius of both end nodes: k2
+        # divides by h = 0 there, and Hbar reads H w = -inf * 0
+        space = space_from_expressions(2, f="1", df="0", d2f="0",
+                                       h="r - r^2", dh="1 - 2*r", d2h="-2")
+        z = np.linspace(0.0, 1.0, 41)
+        p = ProfileGrid(0.0, 1.0, 0.9 + 0.1 * np.cos(np.pi * z) ** 2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            res = run(p, space, FlowConfig(conv_tol=conv_tol))
+        assert res.reason == StopReason(StopTag.INSTABILITY)
+        assert res.steps == 0 and len(res.history) == 1
+        assert math.isnan(res.history[0].Hbar) and res.config.conv_tol == conv_tol
 
     def test_domain_edge_instability(self, sphere2):
         rc = 0.995 * sphere2.r_max_domain
@@ -342,6 +363,27 @@ class TestStepSizeControl:
         assert len(states) == len(res.history) == res.steps + 1 > 10
         for state, snap, rec in zip(states, res.snapshots, res.history):
             assert state.t == rec.t
+            assert float(np.max(np.abs(state.profile.r - snap.r))) <= 1e-13
+
+    @pytest.mark.parametrize("space_name,scale", [("hyper2", 1.0), ("sphere3", 0.5),
+                                                  ("custom_rss2", 1.0)])
+    def test_step_chain_and_run_agree_to_rounding(self, request, space_name, scale):
+        # step projects onto each state's quadrature volume, run onto the
+        # tracked one; the radii differ in their last bits, and outside
+        # euclidean space dt_cfl = dt_safety dz^2 f(r_end)^2 / 2 follows them
+        space = request.getfixturevalue(space_name)
+        p0 = ProfileGrid(0.0, 1.0, scale * cos_profile(51).r)
+        cfg = FlowConfig(max_t=0.3, record_every=1)
+        s = FlowState(p0, 0.0, _diagnose(p0, space, 0.0))
+        states = [s]
+        while s.t < cfg.max_t:
+            s = step(s, space, cfg)
+            states.append(s)
+        res = run(p0, space, cfg)
+        assert res.reason.tag is StopTag.MAX_TIME
+        assert len(states) == len(res.history) == res.steps + 1 > 5
+        for state, snap, rec in zip(states, res.snapshots, res.history):
+            assert abs(state.t - rec.t) <= 1e-13 * rec.t
             assert float(np.max(np.abs(state.profile.r - snap.r))) <= 1e-13
 
     @pytest.mark.parametrize("space_name", ["euclid2", "hyper2"])

@@ -24,6 +24,7 @@ from revflow import (
     make_preset,
     rhs,
     run,
+    space_from_expressions,
     spatial_derivatives,
     step,
     unit_sphere_area,
@@ -88,6 +89,25 @@ def test_cylinders_are_fixed_points(data):
     assert float(np.max(np.abs(out))) <= 1e-13
 
 
+_CYLINDER_SPACES = (
+    make_preset("euclidean", n=2),
+    make_preset("hyperbolic", -1.0, n=2),
+    make_preset("spherical", 1.0, n=2),
+    make_preset("spherical", 1.0, n=3),
+    space_from_expressions(2, f="cosh(r)^2", df="sinh(2*r)", d2f="2*cosh(2*r)",
+                           h="sinh(r)", dh="cosh(r)", d2h="sinh(r)"),
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(space=st.sampled_from(_CYLINDER_SPACES), rc=st.floats(0.1, 1.4), m=st.integers(3, 81))
+def test_cylinders_at_the_kernels_mean_curvature_do_not_move(space, rc, m):
+    # every node of a cylinder has the same H, so Hbar - H is exactly 0
+    p = ProfileGrid(0.0, 1.0, np.full(m, rc))
+    out = rhs(p, space, float(curvature_field(p, space).H[0]))
+    assert np.all(out == 0.0)
+
+
 @pytest.mark.parametrize("tag,lam", [("euclidean", None), ("hyperbolic", -1.0)])
 def test_step_is_one_run_iteration(tag, lam):
     space = make_preset(tag, lam, n=2)
@@ -117,7 +137,7 @@ def test_semi_implicit_update_solves_the_diffusion_system(case):
     d2 = (np.diag(np.full(m - 1, 1.0), -1) - 2.0 * np.eye(m)
           + np.diag(np.full(m - 1, 1.0), 1)) / (dz * dz)
     d2[0, 1] = d2[-1, -2] = 2.0 / (dz * dz)
-    dtv = dt * _velocity(g, hbar, space.n - 1)
+    dtv = dt * _velocity(g, hbar)
     residual = dr - dt * g.invq * (d2 @ dr) - dtv
     scale = max(float(np.max(np.abs(dtv))),
                 float(np.max(np.abs(dr))) * (1.0 + 4.0 * dt * float(np.max(g.invq)) / (dz * dz)))
@@ -138,7 +158,7 @@ def test_semi_implicit_update_solves_the_diffusion_system_up_the_ladder(case, ru
     d2 = (np.diag(np.full(m - 1, 1.0), -1) - 2.0 * np.eye(m)
           + np.diag(np.full(m - 1, 1.0), 1)) / (dz * dz)
     d2[0, 1] = d2[-1, -2] = 2.0 / (dz * dz)
-    dtv = dt * _velocity(g, hbar, space.n - 1)
+    dtv = dt * _velocity(g, hbar)
     residual = dr - dt * g.invq * (d2 @ dr) - dtv
     scale = max(float(np.max(np.abs(dtv))),
                 float(np.max(np.abs(dr))) * (1.0 + 4.0 * dt * float(np.max(g.invq)) / (dz * dz)))
