@@ -69,9 +69,6 @@ def run_to_directory(cfg, outdir, seed=None):
 
     os.makedirs(outdir, exist_ok=True)
     result = flow_mod.run(cfg.initial, cfg.space, cfg.flow)
-    first = result.history[0]  # the initial profile
-    bounds_report = compute_bounds(cfg.space, cfg.a, cfg.b, first.V, first.area)
-
     write_history_csv(result.history, os.path.join(outdir, "history.csv"))
     for k in _snapshot_indices(len(result.snapshots)):
         save_profile_csv(result.snapshots[k], os.path.join(outdir, f"profile_{k}.csv"))
@@ -82,6 +79,13 @@ def run_to_directory(cfg, outdir, seed=None):
                     title="flow diagnostics")
 
     extras = {} if seed is None else {"seed": seed}
+    first = result.history[0]  # the initial profile
+    try:  # last, so that a failure leaves the run's artifacts in place
+        bounds_report = compute_bounds(cfg.space, cfg.a, cfg.b, first.V, first.area)
+    except (RuntimeError, ValueError, ArithmeticError) as exc:
+        bounds_report = None
+        extras.update(bounds=None, bounds_error=f"{type(exc).__name__}: {exc}")
+        _warn(f"bounds not computed: {extras['bounds_error']}")
     summary = build_summary(result, bounds_report, cfg.echo, extras)
     write_summary_json(summary, os.path.join(outdir, "summary.json"))
     return result, summary
@@ -144,7 +148,7 @@ def _sweep_worker(payload):
             "t_final": repr(final["t"]),
             "steps": summary["steps"],
             **{col: repr(final[col]) for col in _SWEEP_FINALS},
-            "error": "",
+            "error": summary.get("bounds_error", ""),
         })
     except Exception as exc:  # a failed run must not sink the sweep
         row.setdefault("reason", "error")

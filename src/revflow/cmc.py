@@ -9,7 +9,7 @@ oracles in tests and experiments.  Two constructions:
   the second-order ODE obtained from k1 + (n-1) k2 = H.  The kernel's H is
   affine in rddot with slope -f / (q sqrt(q)), q = rdot^2 + f^2, so
 
-      rddot = (H0 - H) q sqrt(q) / f,   H0 = the kernel's H at rddot = 0,
+      rddot = (H0 - H) q v,   v = sqrt(q)/f,   H0 = the kernel's H at rddot = 0,
 
   integrated from z = a with rdot(a) = 0 (classic RK4 at step dz/4) while
   r(a) is adjusted by secant iteration until |rdot(b)| <= 1e-10.
@@ -83,8 +83,8 @@ def _shoot_once(space, a, b, H, r_start, m, substeps=4):
             f, fp, _, h, hp, _ = (float(x) for x in space.warp(rr))
         except (FloatingPointError, OverflowError) as exc:
             raise ShootingError(f"warp evaluation failed at r={rr:.6g}: {exc}") from exc
-        q, _, sq, _, _, H0 = _curvatures(p, 0.0, f, fp, h, hp, n, math.sqrt)
-        return (H0 - H) * q * sq / f
+        q, _, _, v, _, _, H0 = _curvatures(p, 0.0, f, fp, h, hp, n, math.sqrt)
+        return (H0 - H) * q * v
 
     r_nodes = np.empty(m)
     r_nodes[0] = r_start

@@ -31,15 +31,12 @@ Scheme choices:
   dt_cfl = dt_safety * dz^2 * min(q) / 2 as its floor, and grows at most 4x
   per step.  The floor keeps dt from collapsing and never takes more steps
   than explicit Euler; the ladder keeps last-bit differences of the state
-  from changing the rung, so ``step`` and ``run`` take the same steps.  Their
-  t agree only in euclidean space (elsewhere to ~1e-14 relative): ``step``
-  projects onto each state's quadrature volume, ``run`` onto the tracked
-  one, and dt_cfl follows the radii's last bits through f(r_end)^2.  The
-  ceiling dt <= 2^20 dz^2 min(q) (``_DIAG_MARGIN``) keeps the tridiagonal
-  system well conditioned where est says nothing, as on a cylinder, where
-  v = 0 and est = 0 at every dt.  The last step is clipped so that t lands on
-  max_t.  Without volume projection dt is also capped at 300 dt_cfl
-  (``_DT_CAP``), which bounds the O(dt) volume drift;
+  from changing the rung.  The ceiling dt <= 2^20 dz^2 min(q)
+  (``_DIAG_MARGIN``) keeps the tridiagonal system well conditioned where
+  est says nothing, as on a cylinder, where v = 0 and est = 0 at every dt.
+  The last step is clipped so that t lands on max_t.  Without volume
+  projection dt is also capped at 300 dt_cfl (``_DT_CAP``), which bounds
+  the O(dt) volume drift;
 * optional exact discrete volume conservation: after each update a uniform
   additive shift c is applied to the radii, with enclosed_volume(r+c)
   driven back to the initial volume by a safeguarded Newton iteration
@@ -56,11 +53,10 @@ volume projection that misses its tolerance (projection failed).  Each
 state, the initial one included, goes through the geometry kernel once: its
 stop checks, its step and its record (``_record``) all reduce that output.
 
-``step`` is one iteration of the ``run`` loop (the same ``_Euler`` update,
-projecting onto the cached volume, with the controller's proposal carried
-in ``FlowState.dt_rung``) plus a full re-diagnosis of the new
-state.  That re-diagnosis, with its quadrature volume, is why ``step`` costs
-more per call than a step of ``run``.
+``step`` is one iteration of the ``run`` loop: ``FlowState`` carries the
+controller's proposal and the projection's volumes, so a chain of ``step``
+calls lands on the states of ``run`` bit for bit.  Its full re-diagnosis of
+each new state, with a quadrature volume, is why it costs more per call.
 
 Where a step of ``run`` spends its time (2 vCPUs, Python 3.11, numpy 2.4):
 at m = 61, about 180 us, the geometry kernel 23%, the volume increments 20%,
@@ -91,7 +87,6 @@ from .hypersurface import (
     _curve_length,
     _geometry,
     _hbar,
-    _max_graph_slope,
     _checked_geometry,
     _interior_critical_z,
     _split,
@@ -194,6 +189,9 @@ class FlowState:
     t: float
     cached: DiagnosticsRecord
     dt_rung: int = 0  # the step-size controller's proposal, see ``_Euler``
+    # the projection's tracked and target volumes, as in ``run``; None is cached.V
+    v_tracked: Optional[float] = None
+    v_target: Optional[float] = None
 
 
 @dataclass
@@ -226,7 +224,7 @@ def _record(profile: ProfileGrid, space, g, hbar: float, wz, t: float) -> Diagno
         I2=i2,
         min_r=float(profile.r.min()),
         max_r=float(profile.r.max()),
-        max_v=_max_graph_slope(g),
+        max_v=float(g.v.max()),
         N=2 + _interior_critical_z(g.rdot, profile.z, None).size,  # with both endpoints
         curve_len=_curve_length(g, wz),
         max_L2=float(_L2(g, space.n).max()),
@@ -239,7 +237,7 @@ def _diagnose(profile: ProfileGrid, space, t: float) -> DiagnosticsRecord:
 
 
 def _velocity(g, hbar: float) -> np.ndarray:
-    return (hbar - g.H) * (g.sq / g.f)
+    return (hbar - g.H) * g.v
 
 
 def rhs(p: ProfileGrid, space, Hbar: float) -> np.ndarray:
@@ -462,9 +460,10 @@ class _Euler:
 def step(s: FlowState, space, cfg: FlowConfig) -> FlowState:
     """Advance one semi-implicit Euler step (plus volume projection if enabled).
 
-    This is one iteration of the ``run`` loop, projecting onto ``s.cached.V``
-    and followed by a full re-diagnosis of the new state.  dt starts from
-    the proposal ``s.dt_rung`` and is clipped to land on ``cfg.max_t``.
+    This is one iteration of the ``run`` loop, followed by a full
+    re-diagnosis of the new state.  dt starts from the proposal
+    ``s.dt_rung`` and is clipped to land on ``cfg.max_t``; the projection
+    carries ``s.v_tracked`` to ``s.v_target``.
     Raises ``FlowStopped`` if the update produces non-finite values, drives
     a node out of (0, r_max), or the volume projection misses its
     tolerance; the caller's state is never mutated.
@@ -473,10 +472,13 @@ def step(s: FlowState, space, cfg: FlowConfig) -> FlowState:
     _check_domain(p, space)
     euler = _Euler(p, space, cfg, rung=s.dt_rung)
     g, hbar = euler.geometry(p.r)
-    r_new, t_new = euler.advance(p.r, g, hbar, 0.0, s.cached.V, s.cached.V, s.t, cfg.max_t)[:2]
+    v_target = s.cached.V if s.v_target is None else s.v_target
+    v_tracked = s.cached.V if s.v_tracked is None else s.v_tracked
+    r_new, t_new, v_tracked = euler.advance(p.r, g, hbar, 0.0, v_tracked, v_target,
+                                            s.t, cfg.max_t)[:3]
     profile = ProfileGrid(p.a, p.b, r_new)
     return FlowState(profile=profile, t=t_new, cached=_diagnose(profile, space, t_new),
-                     dt_rung=euler.rung)
+                     dt_rung=euler.rung, v_tracked=v_tracked, v_target=v_target)
 
 
 def run(initial: ProfileGrid, space, cfg: FlowConfig) -> RunResult:
@@ -521,7 +523,7 @@ def run(initial: ProfileGrid, space, cfg: FlowConfig) -> RunResult:
             # outside the regime the theory covers; treated as a failure
             reason = StopReason(StopTag.INSTABILITY)
             break
-        if _max_graph_slope(g) > rcfg.v_max_stop:
+        if g.v.max() > rcfg.v_max_stop:
             reason = StopReason(StopTag.GRAPH_FAILURE)
             break
         if abs(g.H - hbar).max() < conv_tol:
@@ -545,7 +547,8 @@ def run(initial: ProfileGrid, space, cfg: FlowConfig) -> RunResult:
     # a failed advance leaves r, g and hbar at the last state
     if step_idx % rcfg.record_every:
         record()
-    final = FlowState(profile=snapshots[-1], t=t, cached=history[-1], dt_rung=euler.rung)
+    final = FlowState(profile=snapshots[-1], t=t, cached=history[-1], dt_rung=euler.rung,
+                      v_tracked=v_tracked, v_target=v_target)
     return RunResult(final=final, reason=reason, history=history,
                      snapshots=snapshots, config=rcfg, steps=step_idx)
 

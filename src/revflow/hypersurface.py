@@ -12,8 +12,9 @@ Principal curvatures of the generated hypersurface, with q = rdot^2 + f^2:
     k2 = f h' / (h sqrt(q))                              (rotation directions)
     H  = k1 + (n-1) k2
 
-The graph-slope quantity v = sqrt(q)/f >= 1 is the reciprocal of the radial
-normal component; v stays finite exactly while the curve remains a graph.
+The graph slope v = sqrt(q)/f >= 1 is the reciprocal of the radial normal
+component; v stays finite exactly while the curve remains a graph, and is
+exactly 1 where rdot = 0 (sqrt(f*f) = |f| in IEEE arithmetic).
 
 Integral quantities (sigma = volume of the unit (n-1)-sphere):
 
@@ -32,10 +33,11 @@ the radial integral inside the volume is panel Gauss-Legendre (``bounds.beta``).
 
 ``_geometry`` is the single discrete-geometry kernel: it (with its helpers
 ``_derivatives`` and ``_curvatures``, which ``cmc`` shooting also calls)
-alone holds the ghost-node stencil and the k1/k2/H formula, whose H the
-flow's velocity reads.  Each reduction of its output (``_L2``, ``_area``,
-``_split``, ``_curve_length``) is written once; the public functions apply
-them to a checked profile, and the flow to the kernel output of its step.
+alone holds the ghost-node stencil, the k1/k2/H formula and v, which the
+flow's velocity, stop checks and records read.  Each reduction of its
+output (``_L2``, ``_area``, ``_split``, ``_curve_length``) is written once;
+the public functions apply them to a checked profile, and the flow to the
+kernel output of its step.
 The critical-point census (``_interior_critical_z``) reads the kernel's
 slope ``rdot``; ``critical_point_count`` and ``critical_points`` pass it the
 slope of ``spatial_derivatives``, the same stencil.
@@ -134,6 +136,7 @@ class _Geometry(NamedTuple):
     q: np.ndarray
     invq: np.ndarray
     sq: np.ndarray
+    v: np.ndarray
     k1: np.ndarray
     k2: np.ndarray
     H: np.ndarray
@@ -154,7 +157,7 @@ def _derivatives(r: np.ndarray, dz: float):
 
 
 def _curvatures(rdot, rddot, f, fp, h, hp, n, sqrt=np.sqrt):
-    """Pointwise (q, 1/q, sqrt q, k1, k2, H), in the fixed operation order
+    """Pointwise (q, 1/q, sqrt q, v, k1, k2, H), in the fixed operation order
     that keeps flow runs bit for bit; floats take ``sqrt=math.sqrt``."""
     rd2 = rdot * rdot
     q = rd2 + f * f
@@ -162,36 +165,21 @@ def _curvatures(rdot, rddot, f, fp, h, hp, n, sqrt=np.sqrt):
     invq = 1.0 / q
     k1 = ((fp * rd2 - rddot * f) * invq + fp) / sq
     k2 = f * hp / (h * sq)
-    return q, invq, sq, k1, k2, k1 + (n - 1) * k2
+    return q, invq, sq, sq / f, k1, k2, k1 + (n - 1) * k2
 
 
 def _geometry(r: np.ndarray, space, dz: float) -> _Geometry:
     """Derivatives, warps and curvatures of bare radii ``r``; callers check the domain."""
     f, fp, _, h, hp, _ = space.warp(r)
     rdot, rddot = _derivatives(r, dz)
-    q, invq, sq, k1, k2, H = _curvatures(rdot, rddot, f, fp, h, hp, space.n)
+    q, invq, sq, v, k1, k2, H = _curvatures(rdot, rddot, f, fp, h, hp, space.n)
     w = sq * _h_pow(h, space.n)
-    return _Geometry(rdot, f, fp, h, hp, q, invq, sq, k1, k2, H, w)
+    return _Geometry(rdot, f, fp, h, hp, q, invq, sq, v, k1, k2, H, w)
 
 
 def _hbar(g: _Geometry, wz: np.ndarray) -> float:
     """Area-weighted mean of H under the trapezoid weights ``wz``."""
     return float(wz @ (g.H * g.w)) / float(wz @ g.w)
-
-
-def _slope_squared(g: _Geometry) -> np.ndarray:
-    slope = g.rdot / g.f
-    return slope * slope
-
-
-def _graph_slope(g: _Geometry) -> np.ndarray:
-    return np.sqrt(1.0 + _slope_squared(g))  # = sqrt(q)/f, but exactly 1 where rdot = 0
-
-
-def _max_graph_slope(g: _Geometry) -> float:
-    """The max of ``_graph_slope``, bit for bit: 1 + x and sqrt are monotone
-    and correctly rounded, so they commute with the max (NaN included)."""
-    return math.sqrt(1.0 + float(_slope_squared(g).max()))
 
 
 def spatial_derivatives(p: ProfileGrid):
@@ -235,7 +223,7 @@ def _curve_length(g: _Geometry, wz: np.ndarray) -> float:
 def curvature_field(p: ProfileGrid, space) -> CurvatureField:
     """Principal curvatures, mean curvature, graph slope v, and |L|^2."""
     g, _ = _checked_geometry(p, space)
-    return CurvatureField(k1=g.k1, k2=g.k2, H=g.H, v=_graph_slope(g), L2=_L2(g, space.n))
+    return CurvatureField(k1=g.k1, k2=g.k2, H=g.H, v=g.v, L2=_L2(g, space.n))
 
 
 def enclosed_volume(p: ProfileGrid, space) -> float:

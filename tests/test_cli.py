@@ -170,6 +170,18 @@ class TestBoundsCommand:
         assert 0.0 < out["r3"] < out["r1"] < out["r2"]
 
 
+# h = r - r^2 vanishes at r = 1: run stops as an instability at step 0, and
+# the bracket of the bounds' r2 inversion grows past r = 1, where delta
+# falls, until its quadrature overflows and fails
+BOUNDS_FAIL = (BASE.replace("preset = euclidean\nn = 2",
+                            "preset = custom\nn = 2\nf = 1\ndf = 0\nd2f = 0\n"
+                            "h = r - r^2\ndh = 1 - 2*r\nd2h = -2\n\n"
+                            "[validate]\nr_probe_max = 0.5")
+               .replace("m = 21", "m = 51")
+               .replace("cylinder = 1.0\nperturb = 0.05*cos(pi*z)",
+                        "expr = 0.9 + 0.1*cos(pi*z)^2"))
+
+
 class TestRunCommand:
     def test_artifacts_and_schema(self, tmp_path, capsys):
         outdir = tmp_path / "out"
@@ -220,6 +232,20 @@ class TestRunCommand:
         assert code == 2
         summary = json.loads((outdir / "summary.json").read_text())
         assert summary["reason"] == "projection_failed" and summary["steps"] == 0
+
+    def test_bounds_failure_keeps_the_run_artifacts(self, tmp_path, capsys):
+        outdir = tmp_path / "out"
+        # h = 0 at r = 1, and the r2 bracket overflows the quadrature
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            code = main(["run", "--config", write_ini(tmp_path / "c.ini", BOUNDS_FAIL),
+                         "--out", str(outdir)])
+        assert code == 2  # from the stop reason
+        summary = json.loads((outdir / "summary.json").read_text())
+        assert summary["reason"] == "instability" and summary["bounds"] is None
+        assert "Gauss-Legendre" in summary["bounds_error"]
+        assert "Gauss-Legendre" in capsys.readouterr().err
+        assert (outdir / "history.csv").exists() and (outdir / "profile_0.csv").exists()
+        assert (outdir / "diagnostics.svg").exists()
 
     def test_import_leaves_scipy_out(self):
         # scipy would add to every command's start-up time and memory
@@ -335,6 +361,19 @@ class TestSweepCommand:
         assert len(rows) == 2
         assert rows[0]["reason"] == "converged" and rows[0]["error"] == ""
         assert rows[1]["reason"] == "error" and rows[1]["error"]
+
+    def test_bounds_failure_keeps_the_run_reason(self, tmp_path, capsys):
+        text = BOUNDS_FAIL + "\n[sweep]\ngrid.m = 51\n"
+        outdir = tmp_path / "sweep"
+        # h = 0 at r = 1, and the r2 bracket overflows the quadrature
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            code = main(["sweep", "--config", write_ini(tmp_path / "c.ini", text),
+                         "--out", str(outdir), "--jobs", "1"])
+        assert code == 0
+        with open(outdir / "sweep.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 1 and rows[0]["reason"] == "instability"
+        assert rows[0]["steps"] == "0" and "Gauss-Legendre" in rows[0]["error"]
 
     def test_empty_sweep(self, tmp_path, capsys):
         outdir = tmp_path / "sweep"

@@ -386,6 +386,28 @@ class TestStepSizeControl:
             assert abs(state.t - rec.t) <= 1e-13 * rec.t
             assert float(np.max(np.abs(state.profile.r - snap.r))) <= 1e-13
 
+    @pytest.mark.parametrize("space_name,scale", [("euclid2", 1.0), ("hyper2", 1.0),
+                                                  ("sphere3", 0.5), ("custom_rss2", 1.0)])
+    def test_step_chain_is_run_bit_for_bit(self, request, space_name, scale):
+        # FlowState carries run's tracked and target volumes, so every step
+        # projects as run's does and lands on the same bits
+        space = request.getfixturevalue(space_name)
+        p0 = ProfileGrid(0.0, 1.0, scale * cos_profile(51).r)
+        cfg = FlowConfig(max_t=0.3, record_every=1)
+        s = FlowState(p0, 0.0, _diagnose(p0, space, 0.0))
+        states = [s]
+        while s.t < cfg.max_t:
+            s = step(s, space, cfg)
+            states.append(s)
+        res = run(p0, space, cfg)
+        assert len(states) == len(res.history) == res.steps + 1 > 5
+        for state, snap, rec in zip(states, res.snapshots, res.history):
+            assert state.t == rec.t
+            assert np.array_equal(state.profile.r, snap.r)
+        # run's final state hands the same volumes on to a next step
+        assert res.final.v_target == s.v_target == res.history[0].V
+        assert res.final.v_tracked == s.v_tracked
+
     @pytest.mark.parametrize("space_name", ["euclid2", "hyper2"])
     def test_cylinder_step_chain_without_max_t_stays_fixed(self, request, space_name):
         # est = 0 on a cylinder, so only the ceiling bounds dt: it must keep

@@ -14,6 +14,7 @@ from revflow import (
     enclosed_volume,
     lateral_area,
     load_profile_csv,
+    make_preset,
     save_profile_csv,
     spatial_derivatives,
 )
@@ -133,6 +134,36 @@ class TestCurvatureField:
         p = ProfileGrid(0.0, 1.0, np.full(11, 1.6))  # beyond pi/2
         with pytest.raises(ValueError):
             curvature_field(p, sphere2)
+
+
+@st.composite
+def _profiles_in_spaces(draw):
+    """(space, profile): up to three cosine modes, with a flat top where capped."""
+    n = draw(st.sampled_from([2, 3]))
+    tag = draw(st.sampled_from(["euclidean", "hyperbolic", "spherical"]))
+    space = make_preset(tag, {"euclidean": None, "hyperbolic": -1.0, "spherical": 1.0}[tag], n=n)
+    r_hi = 0.6 * space.r_max_domain if tag == "spherical" else 2.5
+    m = draw(st.integers(11, 81))
+    base = draw(st.floats(0.3, 0.8)) * r_hi
+    amps = draw(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=3))
+    z = np.linspace(0.0, 1.0, m)
+    shape = sum(a * np.cos((k + 1) * np.pi * z) for k, a in enumerate(amps))
+    r = base + 0.25 * min(base, r_hi - base) * shape / max(1.0, float(np.max(np.abs(shape))))
+    cap = draw(st.floats(0.5, 1.0))
+    return space, ProfileGrid(0.0, 1.0, np.minimum(r, cap * float(r.max())))
+
+
+@settings(deadline=None, max_examples=100)
+@given(case=_profiles_in_spaces())
+def test_graph_slope_is_the_textbook_form(case):
+    # the kernel's v = sqrt(q)/f against sqrt(1 + (rdot/f)^2), within 4 ULP
+    space, p = case
+    v = curvature_field(p, space).v
+    rdot, _ = spatial_derivatives(p)
+    f = space.warp(p.r)[0]
+    textbook = np.sqrt(1.0 + (rdot / f) ** 2)
+    assert np.all(np.abs(v - textbook) <= 4.0 * np.spacing(textbook))
+    assert np.all(v[rdot == 0.0] == 1.0)
 
 
 class TestIntegralQuantities:

@@ -69,7 +69,9 @@ def test_rhs_is_the_mean_curvature_gap(case):
     f, fp, _, h, hp, _ = space.warp(p.r)
     rdot, rddot = spatial_derivatives(p)
     q = rdot * rdot + f * f
-    expected = (hbar - curvature_field(p, space).H) * np.sqrt(q) / f
+    # (Hbar - H) sqrt(q)/f expanded term by term, independent of the kernel's H
+    expected = (rddot / q - (fp / f) * (1.0 + rdot * rdot / q) - (space.n - 1) * hp / h
+                + hbar * np.sqrt(q) / f)
     # rounding is relative to the largest term of the expanded velocity
     scale = float(np.max(np.abs(rddot) / q + np.abs(fp / f) * (1.0 + rdot * rdot / q)
                          + (space.n - 1) * np.abs(hp / h) + abs(hbar) * np.sqrt(q) / f))
