@@ -131,14 +131,15 @@ def delta(space, r, rel_tol: float = 1e-12):
 _MAX_STEPS = 200  # bisection alone needs about 50; a slope 100x too steep, about 110
 
 
-def invert_increasing(g, y: float, r_max: float = math.inf, dg=None) -> float:
+def invert_increasing(g, y: float, r_max: float = math.inf, dg=None, name: str = "g") -> float:
     """Solve g(x) = y for a strictly increasing g on [0, r_max).
 
-    The bracket [lo, hi] is found by doubling hi from 1.  With the derivative
-    ``dg`` each step is then a Newton step from the last iterate, kept only
-    when it lands inside (lo, hi) and is at most half the step before last;
-    otherwise, and always when ``dg`` is None, the step bisects the bracket
-    (``rtsafe``, Numerical Recipes section 9.4).  The loop stops on g(x) = y,
+    The bracket [lo, hi] is found by doubling hi from 1; a g(hi) that is not
+    finite or not above g(lo) raises ``ValueError``, naming g as ``name``.
+    With the derivative ``dg`` each step is then a Newton step from the last
+    iterate, kept only when it lands inside (lo, hi) and is at most half the
+    step before last; otherwise, and always when ``dg`` is None, the step
+    bisects the bracket (``rtsafe``, Numerical Recipes section 9.4).  The loop stops on g(x) = y,
     or once |g(x) - y| <= 1e-12 max(1, |y|) after a step that moved x by at
     most 1e-14 max(1, x).  The result satisfies the residual bound, or
     ``RuntimeError`` is raised (at the latest after ``_MAX_STEPS`` steps).
@@ -155,13 +156,17 @@ def invert_increasing(g, y: float, r_max: float = math.inf, dg=None) -> float:
         return 0.0
 
     cap = math.inf if r_max == math.inf else r_max * (1.0 - 1e-12)
-    lo, x = 0.0, min(1.0, cap)
-    gx = g(x)
-    while gx < y:
+    lo, g_lo, x = 0.0, g0, min(1.0, cap)
+    while True:
+        gx = g(x)
+        if not (math.isfinite(gx) and gx > g_lo):  # NaN fails too
+            raise ValueError(f"{name} is not finite and increasing: {gx!r} at r={x!r} "
+                             f"after {g_lo!r} at r={lo!r}")
+        if gx >= y:
+            break
         if x >= cap:
             raise ValueError(f"target {y!r} unreachable within the domain (r_max={r_max:g})")
-        lo, x = x, min(2.0 * x, cap)
-        gx = g(x)
+        lo, g_lo, x = x, gx, min(2.0 * x, cap)
 
     hi = x
     step = prev = x - lo
@@ -192,6 +197,11 @@ def invert_increasing(g, y: float, r_max: float = math.inf, dg=None) -> float:
     return x
 
 
+# the integrals as invert_increasing names them in its errors
+_BETA = "beta = int_0^r f h^(n-1) (panel Gauss-Legendre)"
+_DELTA = "delta = int_0^r h^(n-1) (panel Gauss-Legendre)"
+
+
 def _cylinder_radius(space, length, V):
     """(x, beta(x)) for x = beta^-1(V / (length sigma)), the radius of the
     cylinder of axial length ``length`` holding V."""
@@ -202,7 +212,8 @@ def _cylinder_radius(space, length, V):
         return betas[x]
 
     x = invert_increasing(g, V / (length * unit_sphere_area(space.n)),
-                          r_max=space.r_max_domain, dg=lambda x: _volume_density(space, x))
+                          r_max=space.r_max_domain, dg=lambda x: _volume_density(space, x),
+                          name=_BETA)
     return x, betas[x]
 
 
@@ -240,7 +251,8 @@ def compute_bounds(space, a: float, b: float, V: float, area_M: float) -> Bounds
     r3 = _cylinder_radius(space, 2.0 * (b - a), V)[0]
     delta_r1 = delta(space, r1)
     r2 = invert_increasing(lambda x: delta(space, x), area_M / sigma + delta_r1,
-                           r_max=space.r_max_domain, dg=lambda x: _area_density(space, x))
+                           r_max=space.r_max_domain, dg=lambda x: _area_density(space, x),
+                           name=_DELTA)
 
     threshold = (V / (b - a)) * delta_r1 / beta_r1
     return BoundsReport(r1=r1, r2=r2, r3=r3,

@@ -13,30 +13,51 @@ and the volume projection then holds the cylinder to within rounding.
 
 Scheme choices:
 
-* semi-implicit (IMEX) Euler: the quasilinear diffusion rddot/q is taken at
-  the new time level with q lagged, everything else explicitly, so each step
-  solves the tridiagonal system (I - dt diag(1/q) D2) dr = dt v, where v is
-  the explicit velocity above and D2 the ghost-node Neumann second
-  difference.  dr = 0 exactly when v = 0 at every node, so the discrete
-  steady state is the explicit scheme's;
+* variable-step semi-implicit BDF2 (SBDF2; Ascher, Ruuth & Wetton, SIAM J.
+  Numer. Anal. 32, 1995; variable steps after Wang & Ruuth, J. Comput.
+  Math. 26, 2008): the quasilinear diffusion rddot/q is taken at the new
+  time level through L = diag(1/q) D2 with q lagged, D2 the ghost-node
+  Neumann second difference, and the rest of the velocity is extrapolated
+  from the last two levels.  With v the velocity dr/dt at the current
+  state and v_prev at the last one, omega = dt/dt_prev, and d_prev the
+  last update before its volume projection, each step solves
+
+      (a0 I - dt L) dr = dt [(1 + omega) v - omega v_prev] + a2 d_prev
+                         - omega dt L d_prev,
+      a0 = (1 + 2 omega)/(1 + omega),  a2 = omega^2/(1 + omega).
+
+  Scaled by q dz^2 / dt this is a tridiagonal system with diagonal
+  2 + a0 dz^2 q / dt, solved by one Thomas sweep.  The first step, and any
+  try with omega above 1 + sqrt(2) (the zero-stability limit of
+  variable-step BDF2) or whose slope changes sign more often than the
+  state's (``_turns``), is semi-implicit Euler, (I - dt L) dr = dt v.
+  dr = 0 exactly when v = 0 and d_prev = 0, so the discrete steady state is
+  the explicit scheme's;
 * dt is set by a local error estimate (standard step-size control, Hairer
-  & Wanner, Solving ODEs II, IV.2).  est = max|dr - dt v|, the gap between
-  the semi-implicit and the explicit update, is O(dt^2) and costs no extra
-  solve.  A step is accepted when est <= min(1e-3 min r, 0.4 max|dr|)
-  (``_ATOL``, ``_RTOL``); a rejected one re-solves the tridiagonal system
-  with a smaller dt.  The min r term resolves pinches; the max|dr| term
-  bounds the error per unit of motion, so t stays physical in the
-  exponential approach to the limit.  dt sits on the ladder
-  dt_cfl 2^(k/4), k >= 0, with the explicit parabolic step
-  dt_cfl = dt_safety * dz^2 * min(q) / 2 as its floor, and grows at most 4x
-  per step.  The floor keeps dt from collapsing and never takes more steps
-  than explicit Euler; the ladder keeps last-bit differences of the state
-  from changing the rung.  The ceiling dt <= 2^20 dz^2 min(q)
-  (``_DIAG_MARGIN``) keeps the tridiagonal system well conditioned where
-  est says nothing, as on a cylinder, where v = 0 and est = 0 at every dt.
-  The last step is clipped so that t lands on max_t.  Without volume
-  projection dt is also capped at 300 dt_cfl (``_DT_CAP``), which bounds
-  the O(dt) volume drift;
+  & Wanner, Solving ODEs II, IV.2).  For SBDF2, est = max|dr - dr_AB2| is
+  the gap to the variable-step AB2 predictor dr_AB2 = dt [(1 + omega/2) v
+  - (omega/2) v_prev] (Milne's device), O(dt^3); for an Euler step,
+  est = max|dr - dt v|, O(dt^2).  Neither costs an extra solve.  A step is
+  accepted when est <= min(1e-3 min r, 0.25 max|dr|) (``_ATOL``,
+  ``_RTOL``); a rejected one re-solves the tridiagonal system with a
+  smaller dt.  The min r term resolves pinches; the max|dr| term bounds the
+  error per unit of motion, so t stays physical in the exponential approach
+  to the limit.  An est below the rounding noise of the speed,
+  dt 2^-48 |Hbar|, is accepted, or a cylinder's last-bit speed would drive
+  dt to the floor.  dt sits on the ladder dt_cfl 2^(k/4), k >= 0, with the
+  explicit parabolic step dt_cfl = dt_safety * dz^2 * min(q) / 2 as its
+  floor; the proposal moves by (4/3) log2(tol/est) rungs after an SBDF2
+  step (2 log2(tol/est) after Euler), at most 5 up, so omega stays below
+  1 + sqrt(2) on the ladder.  The floor keeps dt from collapsing and never
+  takes more steps than explicit Euler; the ladder keeps last-bit
+  differences of the state from changing the rung.  The ceiling
+  dt <= 2^20 dz^2 min(q) (``_DIAG_MARGIN``) keeps the tridiagonal system
+  well conditioned where est says nothing, as on a cylinder, where v = 0
+  and est = 0 at every dt.  The last step is clipped so that t lands on
+  max_t.  A try that reaches r_max is not retried: near r_max the speed
+  grows like 1/f, and smaller tries only creep up to the wall.  Without
+  volume projection dt is also capped at 300 dt_cfl (``_DT_CAP``), which
+  bounds the volume drift;
 * optional exact discrete volume conservation: after each update a uniform
   additive shift c is applied to the radii, with enclosed_volume(r+c)
   driven back to the initial volume by a safeguarded Newton iteration
@@ -54,17 +75,22 @@ state, the initial one included, goes through the geometry kernel once: its
 stop checks, its step and its record (``_record``) all reduce that output.
 
 ``step`` is one iteration of the ``run`` loop: ``FlowState`` carries the
-controller's proposal and the projection's volumes, so a chain of ``step``
-calls lands on the states of ``run`` bit for bit.  Its full re-diagnosis of
-each new state, with a quadrature volume, is why it costs more per call.
+controller's proposal, the projection's volumes and the SBDF2 history
+(v_prev, d_prev, dt_prev), so a chain of ``step`` calls lands on the states
+of ``run`` bit for bit.  Its full re-diagnosis of each new state, with a
+quadrature volume, is why it costs more per call.
 
 Where a step of ``run`` spends its time (2 vCPUs, Python 3.11, numpy 2.4):
-at m = 61, about 180 us, the geometry kernel 23%, the volume increments 20%,
-the Thomas sweep 17%, the velocity and dt ladder 16%, the rest of the
-projection 8% and the stop checks 8%; at m = 201 the pure-Python Thomas sweep
-takes a third, the kernel and increments 17% each and the velocity 12%.  Short
-arrays make numpy's per-call overhead most of this, so the loop reduces with
-ndarray methods and carries each state's min and max r.
+an SBDF2 step costs about a fifth more than an Euler step did (its
+right-hand side, predictor and ``_turns`` check), and a converging run
+takes a third fewer steps.  At m = 61, about 210 us: the velocity, SBDF2
+right-hand side, estimate, ``_turns`` and dt ladder 25%, the geometry
+kernel 19%, the volume increments 17%, the Thomas sweep 14%, the rest of
+the projection 7% and the stop checks 8%; at m = 201 the pure-Python
+Thomas sweep takes 30%, the velocity and right-hand side 20%, the kernel
+16% and the increments 14%.
+Short arrays make numpy's per-call overhead most of this, so the loop
+reduces with ndarray methods and carries each state's min and max r.
 """
 
 from __future__ import annotations
@@ -192,6 +218,11 @@ class FlowState:
     # the projection's tracked and target volumes, as in ``run``; None is cached.V
     v_tracked: Optional[float] = None
     v_target: Optional[float] = None
+    # the last step's velocity, update and dt, which SBDF2 steps from; None
+    # (the initial state) makes the next step semi-implicit Euler
+    v_prev: Optional[np.ndarray] = None
+    d_prev: Optional[np.ndarray] = None
+    dt_prev: Optional[float] = None
 
 
 @dataclass
@@ -314,22 +345,60 @@ def _resolve(cfg: FlowConfig, r0_min: float, hbar0: float) -> FlowConfig:
 
 
 # Step-size control, see the module docstring: est <= min(_ATOL min r,
-# _RTOL max|dr|), dt = dt_cfl 2^(k / _RUNGS_PER_OCTAVE) with k >= 0, and at
-# most _MAX_GROWTH rungs (4x) up per step.
+# max(_RTOL max|dr|, dt _SPEED_NOISE |Hbar|)), dt = dt_cfl 2^(k /
+# _RUNGS_PER_OCTAVE) with k >= 0, and at most _MAX_GROWTH rungs up per step:
+# 2^(5/4) = 2.38 stays under _OMEGA_MAX = 1 + sqrt(2), the zero-stability
+# limit of variable-step BDF2, so a step from a ladder step stays SBDF2.
+# _RTOL = 0.25 keeps the linearised decay within 20% at t = 0.25 and 40% at
+# t = 0.5 (tests/test_kernel.py).
 _ATOL = 1e-3
-_RTOL = 0.4
+_RTOL = 0.25
 _RUNGS_PER_OCTAVE = 4
-_MAX_GROWTH = 8
+_MAX_GROWTH = 5
+_OMEGA_MAX = 1.0 + math.sqrt(2.0)
+# Hbar - H is a difference of nearly equal O(Hbar) numbers, so its last bits
+# are rounding noise.  On a cylinder the speed is that noise alone: it flips
+# between 0 and a few ulps of Hbar from step to step, the AB2 predictor
+# extrapolates the flip, and a relative tolerance on such a dr rejects every
+# dt down to the floor.  An est below dt 2^-48 |Hbar| is accepted.
+_SPEED_NOISE = 2.0 ** -48
 # dt <= dz^2 min(q) / _DIAG_MARGIN keeps the diagonal 2 + dz^2 q / dt of the
 # Neumann system at least 2 + 2^-20: its condition number stays below about
 # 4 2^20, far from the rounding to 2 where it turns singular.  This bounds dt
 # where est gives no information, as on a cylinder (v = 0, so est = 0).  The
 # acceptance runs reach a margin of 7e-4 at m = 201.
 _DIAG_MARGIN = 2.0 ** -20
-# Only without volume projection: dt <= _DT_CAP dt_cfl bounds the O(dt) volume
-# drift.  At m = 201 the drift is 1.1e-4 per 0.25 time units at 300 and
-# 3.5e-4 at 1000, against the documented 1e-3 per unit time.
+# Only without volume projection: dt <= _DT_CAP dt_cfl bounds the volume
+# drift.  At m = 201 the drift is 2.6e-6 per 0.25 time units at 300 and
+# 2.8e-5 at 1000 (semi-implicit Euler: 1.1e-4 and 3.4e-4), against the
+# documented 1e-3 per unit time.
 _DT_CAP = 300.0
+
+
+def _second_difference(d):
+    """dz^2 D2 d: the Neumann second difference with reflected ghost nodes."""
+    out = np.empty_like(d)
+    out[1:-1] = d[2:] - 2.0 * d[1:-1] + d[:-2]
+    out[0] = 2.0 * (d[1] - d[0])
+    out[-1] = 2.0 * (d[-2] - d[-1])
+    return out
+
+
+def _turns(slope):
+    """Sign changes along ``slope``, entries within 1e-9 max|slope| of 0 skipped.
+
+    BDF2 decays a stiff mode through complex roots, so a fading bump can
+    overshoot into a new critical point, which the flow never makes (the
+    zero count of rdot does not grow).  An SBDF2 update whose slope turns
+    more often than the state's is replaced by the Euler update, which does
+    not.  Slopes at rounding level, as at the neck of a symmetric profile,
+    count as 0, as in the critical-point census.
+    """
+    if (slope[1:] * slope[:-1] > 0.0).all():  # one sign throughout
+        return 0
+    a = abs(slope)
+    s = slope[a > 1e-9 * a.max()]
+    return np.count_nonzero(s[1:] * s[:-1] < 0.0)
 
 
 def _solve_diffusion(diag, rhs):
@@ -357,17 +426,19 @@ def _solve_diffusion(diag, rhs):
 
 
 class _Euler:
-    """One semi-implicit Euler step with volume projection, shared by step and run.
+    """One SBDF2 step with volume projection, shared by step and run.
 
     ``geometry`` evaluates the kernel and the lagged Hbar; ``advance`` picks
     dt, applies the update, checks it, and projects the volume.  ``rung`` is
-    the step-size controller's proposal k for the next dt = dt_cfl 2^(k/4).
-    With ``implicit=False`` the update is explicit Euler at dt_cfl, kept as
-    the reference that the differential tests compare against.
+    the step-size controller's proposal k for the next dt = dt_cfl 2^(k/4),
+    and ``prev`` the last step's (v, dr, dt), or None before a first step,
+    which is then semi-implicit Euler.  With ``implicit=False`` the update
+    is explicit Euler at dt_cfl, kept as the reference that the
+    differential tests compare against.
     """
 
     def __init__(self, grid: ProfileGrid, space, cfg: FlowConfig, implicit: bool = True,
-                 rung: int = 0):
+                 rung: int = 0, prev=None):
         self.space = space
         self.dz = grid.dz
         self.z = grid.z
@@ -376,7 +447,13 @@ class _Euler:
         self.half_safety_dz2 = 0.5 * cfg.dt_safety * grid.dz * grid.dz
         self.project = cfg.volume_projection
         self.implicit = implicit
+        self.r_max = space.r_max_domain
         self.rung = rung
+        self.prev = prev
+
+    def history(self):
+        """(v_prev, d_prev, dt_prev) for ``FlowState``; Nones before a first step."""
+        return self.prev or (None, None, None)
 
     def geometry(self, r):
         g = _geometry(r, self.space, self.dz)
@@ -389,7 +466,9 @@ class _Euler:
     def _increment(self, r, g, hbar, dt_left=math.inf):
         """Return (dr, dt): the update before the checks and the projection.
 
-        dt is at most ``dt_left``, the time left to max_t.
+        dt is at most ``dt_left``, the time left to max_t.  The returned
+        update and its velocity and dt become ``prev``, the history of the
+        next step; a try that reaches r_max is returned without a retry.
         """
         min_q = float(g.q.min())
         dt_cfl = self.half_safety_dz2 * min_q
@@ -400,10 +479,18 @@ class _Euler:
         if not self.implicit:
             dt = min(dt_cfl, ceiling)
             return dt * v, dt
-        # (I - dt diag(1/q) D2) dr = dt v, each row scaled by q dz^2 / dt
+        # every row of the system scaled by q dz^2 / dt; D2 d_prev scaled by dz^2
         dz2q = (self.dz * self.dz) * g.q
         dz2qv = dz2q * v
+        if self.prev is not None:
+            v_prev, d_prev, dt_prev = self.prev
+            dv = v - v_prev
+            dz2q_dv = dz2q * dv
+            dz2q_d = dz2q * d_prev
+            d2_d = _second_difference(d_prev)
+        euler = self.prev is None
         atol = _ATOL * float(r.min())
+        noise = _SPEED_NOISE * abs(hbar)
         k = self.rung
         while True:
             rung_dt = dt_cfl * 2.0 ** (k / _RUNGS_PER_OCTAVE)
@@ -412,16 +499,36 @@ class _Euler:
             else:  # pos: the ladder position of the clipped dt
                 dt = ceiling
                 pos = _RUNGS_PER_OCTAVE * math.log2(dt / dt_cfl)
-            dr = _solve_diffusion(2.0 + dz2q / dt, dz2qv)
-            est = float(abs(dr - dt * v).max())
-            tol = min(atol, _RTOL * float(abs(dr).max()))
-            # rungs that take the O(dt^2) est to tol; a NaN update steps down
-            # to the floor, where the finiteness check reports it
+            omega = math.inf if euler else dt / dt_prev
+            if omega <= _OMEGA_MAX:  # SBDF2, against the AB2 predictor: est O(dt^3)
+                a0 = (1.0 + 2.0 * omega) / (1.0 + omega)
+                a2 = omega * omega / (1.0 + omega)
+                dr = _solve_diffusion(2.0 + dz2q * (a0 / dt),
+                                      dz2qv + omega * dz2q_dv + (a2 / dt) * dz2q_d
+                                      - omega * d2_d)
+                est = float(abs(dr - dt * (v + (0.5 * omega) * dv)).max())
+                order = 3
+            else:  # semi-implicit Euler, against explicit Euler: est O(dt^2)
+                dr = _solve_diffusion(2.0 + dz2q / dt, dz2qv)
+                est = float(abs(dr - dt * v).max())
+                order = 2
+            tol = min(atol, max(_RTOL * float(abs(dr).max()), dt * noise))
+            # rungs that take est to tol; a NaN update steps down to the
+            # floor, where the finiteness check reports it
             ratio = tol / est if est > 0.0 else math.inf
-            change = (min(_MAX_GROWTH, 0.5 * _RUNGS_PER_OCTAVE * math.log2(ratio))
+            change = (min(_MAX_GROWTH, _RUNGS_PER_OCTAVE * math.log2(ratio) / order)
                       if ratio > 0.0 else -1)
-            if est <= tol or pos <= 0.0:  # accepted, or at the floor dt_cfl
+            r_new = r + dr
+            # accepted, at the floor dt_cfl, or out of the domain: near r_max
+            # the speed grows like 1/f, and smaller tries only creep up to it
+            if est <= tol or pos <= 0.0 or r_new.max() >= self.r_max:
+                if order == 3:
+                    turns = _turns(r_new[2:] - r_new[:-2])
+                    if turns and turns > _turns(g.rdot):
+                        euler = True  # the same dt again, as an Euler step
+                        continue
                 self.rung = max(0, math.floor(pos + change))
+                self.prev = (v, dr, dt)
                 return dr, dt
             k = max(0, min(k - 1, math.floor(pos + change)))
 
@@ -444,7 +551,7 @@ class _Euler:
             raise FlowStopped(StopReason(StopTag.INSTABILITY))
         if mn <= floor:
             raise self._singularity(r_new)
-        r_max = self.space.r_max_domain
+        r_max = self.r_max
         if mx >= r_max:
             raise FlowStopped(StopReason(StopTag.INSTABILITY))
         if self.project:
@@ -458,27 +565,30 @@ class _Euler:
 
 
 def step(s: FlowState, space, cfg: FlowConfig) -> FlowState:
-    """Advance one semi-implicit Euler step (plus volume projection if enabled).
+    """Advance one SBDF2 step (plus volume projection if enabled).
 
     This is one iteration of the ``run`` loop, followed by a full
     re-diagnosis of the new state.  dt starts from the proposal
-    ``s.dt_rung`` and is clipped to land on ``cfg.max_t``; the projection
-    carries ``s.v_tracked`` to ``s.v_target``.
+    ``s.dt_rung`` and is clipped to land on ``cfg.max_t``; the step extends
+    the history ``s.v_prev``, ``s.d_prev``, ``s.dt_prev`` (semi-implicit
+    Euler without one), and the projection carries ``s.v_tracked`` to
+    ``s.v_target``.
     Raises ``FlowStopped`` if the update produces non-finite values, drives
     a node out of (0, r_max), or the volume projection misses its
     tolerance; the caller's state is never mutated.
     """
     p = s.profile
     _check_domain(p, space)
-    euler = _Euler(p, space, cfg, rung=s.dt_rung)
+    prev = None if s.dt_prev is None else (s.v_prev, s.d_prev, s.dt_prev)
+    euler = _Euler(p, space, cfg, rung=s.dt_rung, prev=prev)
     g, hbar = euler.geometry(p.r)
     v_target = s.cached.V if s.v_target is None else s.v_target
     v_tracked = s.cached.V if s.v_tracked is None else s.v_tracked
     r_new, t_new, v_tracked = euler.advance(p.r, g, hbar, 0.0, v_tracked, v_target,
                                             s.t, cfg.max_t)[:3]
     profile = ProfileGrid(p.a, p.b, r_new)
-    return FlowState(profile=profile, t=t_new, cached=_diagnose(profile, space, t_new),
-                     dt_rung=euler.rung, v_tracked=v_tracked, v_target=v_target)
+    return FlowState(profile, t_new, _diagnose(profile, space, t_new), euler.rung,
+                     v_tracked, v_target, *euler.history())
 
 
 def run(initial: ProfileGrid, space, cfg: FlowConfig) -> RunResult:
@@ -547,8 +657,8 @@ def run(initial: ProfileGrid, space, cfg: FlowConfig) -> RunResult:
     # a failed advance leaves r, g and hbar at the last state
     if step_idx % rcfg.record_every:
         record()
-    final = FlowState(profile=snapshots[-1], t=t, cached=history[-1], dt_rung=euler.rung,
-                      v_tracked=v_tracked, v_target=v_target)
+    final = FlowState(snapshots[-1], t, history[-1], euler.rung, v_tracked, v_target,
+                      *euler.history())
     return RunResult(final=final, reason=reason, history=history,
                      snapshots=snapshots, config=rcfg, steps=step_idx)
 

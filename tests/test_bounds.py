@@ -121,6 +121,17 @@ class TestInvertIncreasing:
         with pytest.raises(ValueError):
             invert_increasing(lambda x: beta(euclid2, x), -1.0)
 
+    @pytest.mark.parametrize("g", [lambda x: x * (3.0 - x),
+                                   lambda x: x if x < 1.5 else math.nan,
+                                   lambda x: x if x < 1.5 else math.inf],
+                             ids=["falling", "nan", "inf"])
+    def test_bracket_stops_where_g_stops_increasing(self, g):
+        # g(2) is not above g(1), or not finite: no further doubling
+        calls = []
+        with pytest.raises(ValueError, match="^hump is not finite and increasing"):
+            invert_increasing(lambda x: calls.append(x) or g(x), 5.0, name="hump")
+        assert calls == [0.0, 1.0, 2.0]
+
 
 class TestComputeBounds:
     def test_euclid_unit_cylinder(self, euclid2):

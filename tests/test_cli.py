@@ -182,6 +182,32 @@ BOUNDS_FAIL = (BASE.replace("preset = euclidean\nn = 2",
                         "expr = 0.9 + 0.1*cos(pi*z)^2"))
 
 
+# the same space with a profile inside r < 1, where h > 0: every kernel pass
+# is finite, so these runs need no np.errstate
+FALLING_DELTA = BOUNDS_FAIL.replace("expr = 0.9 + 0.1*cos(pi*z)^2",
+                                    "expr = 0.8 + 0.1*cos(pi*z)^2")
+
+
+class TestNonIncreasingIntegral:
+    def test_bounds_exit_2_naming_delta(self, tmp_path, capsys):
+        # delta = r^2/2 - r^3/3 falls past r = 1: the r2 bracket stops at r = 2
+        code = main(["bounds", "--config", write_ini(tmp_path / "c.ini", FALLING_DELTA)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: delta = int_0^r h^(n-1)")
+        assert "not finite and increasing" in err and "at r=2.0" in err
+
+    def test_run_keeps_its_artifacts(self, tmp_path, capsys):
+        # outside the sign conditions the flow's own stop reason is not pinned
+        outdir = tmp_path / "out"
+        main(["run", "--config", write_ini(tmp_path / "c.ini", FALLING_DELTA),
+              "--out", str(outdir)])
+        summary = json.loads((outdir / "summary.json").read_text())
+        assert summary["bounds"] is None
+        assert summary["bounds_error"].startswith("ValueError: delta = int_0^r h^(n-1)")
+        assert (outdir / "history.csv").exists()
+
+
 class TestRunCommand:
     def test_artifacts_and_schema(self, tmp_path, capsys):
         outdir = tmp_path / "out"

@@ -128,7 +128,8 @@ class TestStep:
         assert info.value.reason == StopReason(StopTag.INSTABILITY)
         assert taken > 0
         # the refused update is finite and reaches r_max: the r_max stop fired
-        euler = _Euler(s.profile, sphere2, FlowConfig(), rung=s.dt_rung)
+        euler = _Euler(s.profile, sphere2, FlowConfig(), rung=s.dt_rung,
+                       prev=(s.v_prev, s.d_prev, s.dt_prev))
         g, hbar = euler.geometry(s.profile.r)
         dr, _ = euler._increment(s.profile.r, g, hbar, FlowConfig().max_t - s.t)
         r_new = s.profile.r + dr
@@ -349,8 +350,7 @@ class TestStepSizeControl:
         assert dts[1] > dts[0]  # the proposal grows dt from the floor
 
     def test_step_chain_takes_the_steps_of_run(self, euclid2):
-        # in euclidean space min q = f^2 = 1 at the Neumann ends, so dt_cfl and
-        # the ladder ignore the last bits by which the two paths' radii differ
+        # a step chain to max_t takes run's steps at run's times
         p0 = cos_profile(51)
         cfg = FlowConfig(max_t=0.3, record_every=1)
         s = FlowState(p0, 0.0, _diagnose(p0, euclid2, 0.0))
@@ -368,9 +368,8 @@ class TestStepSizeControl:
     @pytest.mark.parametrize("space_name,scale", [("hyper2", 1.0), ("sphere3", 0.5),
                                                   ("custom_rss2", 1.0)])
     def test_step_chain_and_run_agree_to_rounding(self, request, space_name, scale):
-        # step projects onto each state's quadrature volume, run onto the
-        # tracked one; the radii differ in their last bits, and outside
-        # euclidean space dt_cfl = dt_safety dz^2 f(r_end)^2 / 2 follows them
+        # outside euclidean space too a step chain to max_t stays with run;
+        # test_step_chain_is_run_bit_for_bit holds it to the bit
         space = request.getfixturevalue(space_name)
         p0 = ProfileGrid(0.0, 1.0, scale * cos_profile(51).r)
         cfg = FlowConfig(max_t=0.3, record_every=1)
@@ -386,27 +385,38 @@ class TestStepSizeControl:
             assert abs(state.t - rec.t) <= 1e-13 * rec.t
             assert float(np.max(np.abs(state.profile.r - snap.r))) <= 1e-13
 
-    @pytest.mark.parametrize("space_name,scale", [("euclid2", 1.0), ("hyper2", 1.0),
-                                                  ("sphere3", 0.5), ("custom_rss2", 1.0)])
-    def test_step_chain_is_run_bit_for_bit(self, request, space_name, scale):
-        # FlowState carries run's tracked and target volumes, so every step
-        # projects as run's does and lands on the same bits
+    @pytest.mark.parametrize("space_name,scale,max_t,stop", [
+        pytest.param("euclid2", 1.0, 0.3, StopTag.MAX_TIME, id="euclid2-1.0"),
+        pytest.param("hyper2", 1.0, 0.3, StopTag.MAX_TIME, id="hyper2-1.0"),
+        pytest.param("sphere3", 0.5, 0.3, StopTag.MAX_TIME, id="sphere3-0.5"),
+        pytest.param("custom_rss2", 1.0, 0.3, StopTag.MAX_TIME, id="custom_rss2-1.0"),
+        pytest.param("euclid2", 1.0, FlowConfig.max_t, StopTag.CONVERGED, id="euclid2-converge"),
+        pytest.param("hyper2", 1.0, FlowConfig.max_t, StopTag.CONVERGED, id="hyper2-converge"),
+    ])
+    def test_step_chain_is_run_bit_for_bit(self, request, space_name, scale, max_t, stop):
+        # FlowState carries run's proposal, tracked and target volumes and
+        # SBDF2 history, so every step lands on the same bits as run's; the
+        # chain takes run's steps, to max_t or to the converged limit
         space = request.getfixturevalue(space_name)
         p0 = ProfileGrid(0.0, 1.0, scale * cos_profile(51).r)
-        cfg = FlowConfig(max_t=0.3, record_every=1)
+        cfg = FlowConfig(max_t=max_t, record_every=1)
+        res = run(p0, space, cfg)
+        assert res.reason.tag is stop
         s = FlowState(p0, 0.0, _diagnose(p0, space, 0.0))
         states = [s]
-        while s.t < cfg.max_t:
+        for _ in range(res.steps):
             s = step(s, space, cfg)
             states.append(s)
-        res = run(p0, space, cfg)
         assert len(states) == len(res.history) == res.steps + 1 > 5
         for state, snap, rec in zip(states, res.snapshots, res.history):
             assert state.t == rec.t
             assert np.array_equal(state.profile.r, snap.r)
-        # run's final state hands the same volumes on to a next step
+        # run's final state hands the same volumes and history on to a next step
         assert res.final.v_target == s.v_target == res.history[0].V
         assert res.final.v_tracked == s.v_tracked
+        assert res.final.dt_rung == s.dt_rung and res.final.dt_prev == s.dt_prev
+        assert np.array_equal(res.final.v_prev, s.v_prev)
+        assert np.array_equal(res.final.d_prev, s.d_prev)
 
     @pytest.mark.parametrize("space_name", ["euclid2", "hyper2"])
     def test_cylinder_step_chain_without_max_t_stays_fixed(self, request, space_name):
