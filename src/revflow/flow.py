@@ -64,7 +64,24 @@ Scheme choices:
   (<= 5 steps, 1e-12 relative; a miss stops the flow with
   ``projection_failed``).  Between-step volume changes are accumulated
   with 3-point Gauss-Legendre increments of ``bounds._volume_density``, so a
-  projection costs a few (f, h) evaluations, not a full radial quadrature.
+  projection costs a few (f, h) evaluations, not a full radial quadrature;
+* a Newton endgame for the CMC limit: once max|H - Hbar| falls below
+  1e-2 |Hbar| (and not yet below conv_tol), the flow only follows the
+  slowest mode's exponential decay, about half of a converging run's steps.
+  Its limit is the discrete fixed point H_i(r) = Hc, V(r) = V0, which the
+  step replaces by Newton's method on that system, tried once per run: J =
+  dH/dr is tridiagonal and analytic (``hypersurface._jacobian``), the volume
+  row borders it, and each iteration is one Thomas sweep with two
+  right-hand sides, one volume projection and one kernel pass, down to the
+  rounding floor (3 iterations from the hand-off in the acceptance runs).
+  The try is declined, and the run steps on as without it, unless the
+  limit is stable under volume-preserving variations (the inertia of the
+  bordered J), its gap falls at every iteration to below conv_tol, and it
+  stays in (0, r_max).  The new state is dated t + ln(gap/conv_tol)/lambda1,
+  when the linearised flow would reach conv_tol, with lambda1 the decay
+  rate of the slowest volume-preserving mode from inverse iteration; a date
+  past max_t declines the try.  The explicit reference and runs without
+  volume projection never take it.
 
 ``run`` iterates until one of the terminal conditions fires: max|H - Hbar|
 below conv_tol (converged), min r below r_min_stop (singularity, the arg-min
@@ -73,12 +90,14 @@ non-finite values / leaving a finite ambient ball (instability), or a
 volume projection that misses its tolerance (projection failed).  Each
 state, the initial one included, goes through the geometry kernel once: its
 stop checks, its step and its record (``_record``) all reduce that output.
+A converged run that took the endgame reports it in ``RunResult.endgame``.
 
 ``step`` is one iteration of the ``run`` loop: ``FlowState`` carries the
-controller's proposal, the projection's volumes and the SBDF2 history
-(v_prev, d_prev, dt_prev), so a chain of ``step`` calls lands on the states
-of ``run`` bit for bit.  Its full re-diagnosis of each new state, with a
-quadrature volume, is why it costs more per call.
+controller's proposal, the projection's volumes, the SBDF2 history
+(v_prev, d_prev, dt_prev), the resolved conv_tol and whether the endgame
+was tried, so a chain of ``step`` calls lands on the states of ``run`` bit
+for bit, the endgame's included.  Its full re-diagnosis of each new state,
+with a quadrature volume, is why it costs more per call.
 
 Where a step of ``run`` spends its time (2 vCPUs, Python 3.11, numpy 2.4):
 an SBDF2 step costs about a fifth more than an Euler step did (its
@@ -88,7 +107,12 @@ right-hand side, estimate, ``_turns`` and dt ladder 25%, the geometry
 kernel 19%, the volume increments 17%, the Thomas sweep 14%, the rest of
 the projection 7% and the stop checks 8%; at m = 201 the pure-Python
 Thomas sweep takes 30%, the velocity and right-hand side 20%, the kernel
-16% and the increments 14%.
+16% and the increments 14%.  The endgame's one jump costs three to four
+steps: about 0.7 ms at m = 61, 14-16% of a converging run of
+1 + 0.1 cos(pi z) in euclidean or hyperbolic space, and 1.2-1.3 ms at
+m = 201, 16-17%, for three Jacobians with their LU factorizations, nine
+pure-Python tridiagonal solves, three kernel passes and projections.  It
+replaces 22-25 steps of the linear tail.
 Short arrays make numpy's per-call overhead most of this, so the loop
 reduces with ndarray methods and carries each state's min and max r.
 """
@@ -104,7 +128,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .bounds import _volume_density, unit_sphere_area
+from .bounds import _h_pow, _volume_density, unit_sphere_area
 from .hypersurface import (
     ProfileGrid,
     _L2,
@@ -115,6 +139,7 @@ from .hypersurface import (
     _hbar,
     _checked_geometry,
     _interior_critical_z,
+    _jacobian,
     _split,
     enclosed_volume,
     trapezoid_weights,
@@ -126,6 +151,7 @@ __all__ = [
     "FlowConfig",
     "DiagnosticsRecord",
     "FlowState",
+    "Endgame",
     "RunResult",
     "FlowStopped",
     "rhs",
@@ -223,6 +249,21 @@ class FlowState:
     v_prev: Optional[np.ndarray] = None
     d_prev: Optional[np.ndarray] = None
     dt_prev: Optional[float] = None
+    # the convergence tolerance; None is cfg.conv_tol, or 1e-6 |cached.Hbar|
+    conv_tol: Optional[float] = None
+    endgame_tried: bool = False  # the Newton endgame is tried at most once
+
+
+@dataclass(frozen=True)
+class Endgame:
+    """The Newton endgame that gave a run its last state (``_Euler._endgame``)."""
+
+    step: int  # steps taken before the hand-off
+    t: float  # t at the hand-off
+    gap: float  # max|H - Hbar| at the hand-off
+    iterations: int
+    residual: float  # max|H - Hbar| of the limit
+    lambda1: float  # decay rate of the slowest volume-preserving mode
 
 
 @dataclass
@@ -232,7 +273,8 @@ class RunResult:
     history: List[DiagnosticsRecord]
     snapshots: List[ProfileGrid]
     config: FlowConfig  # resolved thresholds actually used
-    steps: int  # time steps taken
+    steps: int  # time steps taken, the endgame's jump counted as one
+    endgame: Optional[Endgame] = None  # None: no endgame was taken
 
 
 class FlowStopped(RuntimeError):
@@ -246,6 +288,7 @@ class FlowStopped(RuntimeError):
 def _record(profile: ProfileGrid, space, g, hbar: float, wz, t: float) -> DiagnosticsRecord:
     """The record of ``profile`` from its kernel output ``g`` and lagged ``hbar``."""
     i1, i2 = _split(g, wz, space.n)
+    max_r = float(profile.r.max())
     return DiagnosticsRecord(
         t=t,
         V=enclosed_volume(profile, space),
@@ -254,9 +297,9 @@ def _record(profile: ProfileGrid, space, g, hbar: float, wz, t: float) -> Diagno
         I1=i1,
         I2=i2,
         min_r=float(profile.r.min()),
-        max_r=float(profile.r.max()),
+        max_r=max_r,
         max_v=float(g.v.max()),
-        N=2 + _interior_critical_z(g.rdot, profile.z, None).size,  # with both endpoints
+        N=2 + _interior_critical_z(g.rdot, profile.z, max_r, None).size,  # with both endpoints
         curve_len=_curve_length(g, wz),
         max_L2=float(_L2(g, space.n).max()),
     )
@@ -373,6 +416,17 @@ _DIAG_MARGIN = 2.0 ** -20
 # 2.8e-5 at 1000 (semi-implicit Euler: 1.1e-4 and 3.4e-4), against the
 # documented 1e-3 per unit time.
 _DT_CAP = 300.0
+# The Newton endgame (``_Euler._endgame``): tried once, at the first state
+# with conv_tol <= max|H - Hbar| < _ENDGAME_GAP |Hbar|, where the flow only
+# follows the slowest mode's decay.  Newton iterates to the rounding floor:
+# while the gap falls, until it is below _SPEED_NOISE |Hbar|, at most
+# _ENDGAME_ITERS times.  A limit left at a gap of 1e-11 still carries a
+# multi-mode remnant whose slopes the critical-point census counts.
+# _ENDGAME_SWEEPS inverse iterations give the decay rate lambda1 that dates
+# the limit.
+_ENDGAME_GAP = 1e-2
+_ENDGAME_ITERS = 6
+_ENDGAME_SWEEPS = 3
 
 
 def _second_difference(d):
@@ -399,6 +453,41 @@ def _turns(slope):
     a = abs(slope)
     s = slope[a > 1e-9 * a.max()]
     return np.count_nonzero(s[1:] * s[:-1] < 0.0)
+
+
+def _factor(lower, diag, upper):
+    """LU factors (multipliers, pivots, upper) of a tridiagonal matrix.
+
+    No pivoting: the endgame's Jacobian is a shifted Neumann Laplacian near
+    a limit, definite but for its few lowest modes, so a pivot nears 0 only
+    when an eigenvalue does; the endgame then declines.  ``lower[i]`` is row
+    i+1's entry left of the diagonal.
+    """
+    a = lower.tolist()
+    c = upper.tolist()
+    b = diag.tolist()
+    p = b[0]
+    mult = [0.0]
+    piv = [p]
+    for i in range(1, len(b)):
+        li = a[i - 1] / p
+        p = b[i] - li * c[i - 1]
+        mult.append(li)
+        piv.append(p)
+    return mult, piv, c
+
+
+def _lu_solve(lu, rhs):
+    """Solve with the factors of ``_factor``: one forward and one back sweep."""
+    mult, piv, c = lu
+    x = rhs.tolist()
+    m = len(x)
+    for i in range(1, m):
+        x[i] -= mult[i] * x[i - 1]
+    xi = x[-1] = x[-1] / piv[-1]
+    for i in range(m - 2, -1, -1):
+        xi = x[i] = (x[i] - c[i] * xi) / piv[i]
+    return np.array(x)
 
 
 def _solve_diffusion(diag, rhs):
@@ -432,13 +521,15 @@ class _Euler:
     dt, applies the update, checks it, and projects the volume.  ``rung`` is
     the step-size controller's proposal k for the next dt = dt_cfl 2^(k/4),
     and ``prev`` the last step's (v, dr, dt), or None before a first step,
-    which is then semi-implicit Euler.  With ``implicit=False`` the update
-    is explicit Euler at dt_cfl, kept as the reference that the
-    differential tests compare against.
+    which is then semi-implicit Euler.  ``conv_tol`` and ``tried`` set the
+    Newton endgame, and ``endgame`` holds (t, gap, iterations, residual,
+    lambda1) of one that was taken.  With ``implicit=False`` the update is
+    explicit Euler at dt_cfl, kept as the reference that the differential
+    tests compare against; it never takes the endgame.
     """
 
     def __init__(self, grid: ProfileGrid, space, cfg: FlowConfig, implicit: bool = True,
-                 rung: int = 0, prev=None):
+                 rung: int = 0, prev=None, conv_tol=None, tried: bool = False):
         self.space = space
         self.dz = grid.dz
         self.z = grid.z
@@ -450,6 +541,9 @@ class _Euler:
         self.r_max = space.r_max_domain
         self.rung = rung
         self.prev = prev
+        self.conv_tol = conv_tol
+        self.tried = tried
+        self.endgame = None
 
     def history(self):
         """(v_prev, d_prev, dt_prev) for ``FlowState``; Nones before a first step."""
@@ -532,7 +626,8 @@ class _Euler:
                 return dr, dt
             k = max(0, min(k - 1, math.floor(pos + change)))
 
-    def advance(self, r, g, hbar, floor, v_tracked, v_target, t=0.0, max_t=math.inf):
+    def advance(self, r, g, hbar, floor, v_tracked, v_target, t=0.0, max_t=math.inf,
+                gap=None):
         """Return (r_new, t_new, tracked volume, min r_new, max r_new) or
         raise ``FlowStopped``.
 
@@ -541,7 +636,26 @@ class _Euler:
         ``floor`` is a singularity; with projection on, the shifted profile
         is driven from ``v_tracked`` to ``v_target``.  The shift c moves the
         min and max by exactly c: x -> x + c is monotone in floating point.
+        ``gap`` is max|H - hbar| of the state; in the linear tail the step
+        is the Newton endgame's jump to the limit when that is accepted.
+        A raise leaves ``rung``, ``prev`` and ``tried`` as they were, so a
+        refused step leaves the controller at the last accepted state.
         """
+        saved = self.rung, self.prev, self.tried
+        try:
+            if (gap is not None and not self.tried and self.implicit and self.project
+                    and self.conv_tol is not None
+                    and self.conv_tol <= gap < _ENDGAME_GAP * abs(hbar)):
+                self.tried = True
+                limit = self._endgame(r, g, hbar, floor, v_tracked, v_target, t, max_t, gap)
+                if limit is not None:
+                    return limit
+            return self._step(r, g, hbar, floor, v_tracked, v_target, t, max_t)
+        except FlowStopped:
+            self.rung, self.prev, self.tried = saved
+            raise
+
+    def _step(self, r, g, hbar, floor, v_tracked, v_target, t, max_t):
         dt_left = max_t - t if t < max_t else math.inf
         dr, dt = self._increment(r, g, hbar, dt_left)
         r_new = r + dr
@@ -563,6 +677,87 @@ class _Euler:
                 raise self._singularity(r_new)
         return r_new, (max_t if dt == dt_left else t + dt), v_tracked, mn, mx
 
+    def _bordered(self, g):
+        """(LU of J, J^-1 1, wv, wv . J^-1 1) at the kernel output ``g``.
+
+        wv = sigma wz beta'(r) is the volume row that borders J.
+        """
+        lu = _factor(*_jacobian(g, self.space.n, self.dz))
+        x2 = _lu_solve(lu, np.ones(g.H.size))
+        wv = self.wz_sigma * g.f * _h_pow(g.h, self.space.n)
+        return lu, x2, wv, float(wv @ x2)
+
+    def _endgame(self, r, g, hbar, floor, v_tracked, v_target, t, max_t, gap):
+        """Newton's method for the discrete CMC limit: H_i(r) = Hc for all i,
+        with the volume v_target; the unknowns are r and Hc.
+
+        Each iteration solves the bordered system [J -1; wv 0] by one sweep
+        with two right-hand sides, J x1 = -(H - Hc) and J x2 = 1, and the
+        scalar dHc from the volume row, then tracks and projects the volume
+        as a step does and takes one kernel pass.  Before any iteration the
+        try is declined unless the limit is stable under volume-preserving
+        variations: by Haynsworth's inertia additivity, J on wv's null space
+        is positive definite iff J has 1 negative pivot and wv.J^-1 1 < 0,
+        or none and wv.J^-1 1 > 0 (Sylvester's law holds the pivot count to
+        J's inertia, J being similar to a symmetric matrix near a graph's
+        limit).  Three inverse-iteration sweeps of the bordered J, from
+        H - Hbar, give lambda1, the decay rate of the slowest mode of the
+        volume-preserving flow v (Hbar - H); the limit is dated
+        t + ln(gap/conv_tol)/lambda1, when the linearised flow reaches
+        conv_tol, and a date past max_t declines the try.  Iterates are kept
+        while the gap falls and the profile stays in (floor, r_max); the
+        last one is accepted when its gap is below conv_tol.  Returns what
+        ``advance`` returns, or None, the state untouched, to step on.
+        """
+        conv_tol = self.conv_tol
+        with np.errstate(all="ignore"):
+            try:
+                lu, x2, wv, s = self._bordered(g)
+                negative = sum(p < 0.0 for p in lu[1])
+                if not (s < 0.0 if negative == 1 else negative == 0 and s > 0.0):
+                    return None
+                x = g.H - hbar
+                for _ in range(_ENDGAME_SWEEPS):  # (J - mu) y = x / v, wv.y = 0
+                    y = _lu_solve(lu, x / g.v)
+                    y -= (float(wv @ y) / s) * x2
+                    lam = float(x @ y) / float(y @ y)
+                    x = y / float(abs(y).max())
+            except ZeroDivisionError:
+                return None
+            t_new = t + math.log(gap / conv_tol) / lam if lam > 0.0 else math.inf
+            if not t_new <= max_t or not math.isfinite(t_new):
+                return None
+            limit, hc, res, its = None, hbar, gap, 0
+            floor_gap = _SPEED_NOISE * abs(hbar)
+            try:
+                while its < _ENDGAME_ITERS and res > floor_gap:
+                    if its:
+                        lu, x2, wv, s = self._bordered(g)
+                    x1 = _lu_solve(lu, hc - g.H)
+                    dhc = (v_target - v_tracked - float(wv @ x1)) / s
+                    r_new = r + (x1 + dhc * x2)
+                    mn, mx = float(r_new.min()), float(r_new.max())
+                    if not (floor < mn and mx < self.r_max):
+                        break
+                    v_new = v_tracked + _volume_increment(self.space, self.wz_sigma, r, r_new)
+                    c, r_new, v_new = _project_volume(self.space, self.wz_sigma, r_new, v_new,
+                                                      v_target, self.r_max, mn, mx)
+                    if not floor < mn + c:
+                        break
+                    g, hbar_new = self.geometry(r_new)
+                    res_new = float(abs(g.H - hbar_new).max())
+                    if not res_new < res:
+                        break
+                    r, v_tracked, hc, res, its = r_new, v_new, hc + dhc, res_new, its + 1
+                    limit = r, t_new, v_tracked, mn + c, mx + c
+            except (ZeroDivisionError, FlowStopped):
+                pass
+        if not res < conv_tol:
+            return None
+        self.prev = None  # a jump, not a time step: the next step starts afresh
+        self.endgame = (t, gap, its, res, lam)
+        return limit
+
 
 def step(s: FlowState, space, cfg: FlowConfig) -> FlowState:
     """Advance one SBDF2 step (plus volume projection if enabled).
@@ -572,7 +767,8 @@ def step(s: FlowState, space, cfg: FlowConfig) -> FlowState:
     ``s.dt_rung`` and is clipped to land on ``cfg.max_t``; the step extends
     the history ``s.v_prev``, ``s.d_prev``, ``s.dt_prev`` (semi-implicit
     Euler without one), and the projection carries ``s.v_tracked`` to
-    ``s.v_target``.
+    ``s.v_target``.  Where ``run`` would take the Newton endgame (tried
+    once, ``s.endgame_tried``, against ``s.conv_tol``), so does ``step``.
     Raises ``FlowStopped`` if the update produces non-finite values, drives
     a node out of (0, r_max), or the volume projection misses its
     tolerance; the caller's state is never mutated.
@@ -580,15 +776,20 @@ def step(s: FlowState, space, cfg: FlowConfig) -> FlowState:
     p = s.profile
     _check_domain(p, space)
     prev = None if s.dt_prev is None else (s.v_prev, s.d_prev, s.dt_prev)
-    euler = _Euler(p, space, cfg, rung=s.dt_rung, prev=prev)
+    conv_tol = s.conv_tol
+    if conv_tol is None:
+        conv_tol = _resolve(cfg, s.cached.min_r, s.cached.Hbar).conv_tol
+    euler = _Euler(p, space, cfg, rung=s.dt_rung, prev=prev, conv_tol=conv_tol,
+                   tried=s.endgame_tried)
     g, hbar = euler.geometry(p.r)
+    gap = None if s.endgame_tried else float(abs(g.H - hbar).max())
     v_target = s.cached.V if s.v_target is None else s.v_target
     v_tracked = s.cached.V if s.v_tracked is None else s.v_tracked
     r_new, t_new, v_tracked = euler.advance(p.r, g, hbar, 0.0, v_tracked, v_target,
-                                            s.t, cfg.max_t)[:3]
+                                            s.t, cfg.max_t, gap)[:3]
     profile = ProfileGrid(p.a, p.b, r_new)
     return FlowState(profile, t_new, _diagnose(profile, space, t_new), euler.rung,
-                     v_tracked, v_target, *euler.history())
+                     v_tracked, v_target, *euler.history(), conv_tol, euler.tried)
 
 
 def run(initial: ProfileGrid, space, cfg: FlowConfig) -> RunResult:
@@ -596,8 +797,10 @@ def run(initial: ProfileGrid, space, cfg: FlowConfig) -> RunResult:
 
     Diagnostics are recorded every ``cfg.record_every`` steps and at
     termination, each with a profile snapshot.  The returned config carries
-    the resolved default thresholds.  A run is strictly sequential in time;
-    independent runs share no mutable state and can execute in parallel.
+    the resolved default thresholds.  A run that takes the Newton endgame
+    reports it in ``endgame``; its last state is the discrete limit.  A run
+    is strictly sequential in time; independent runs share no mutable state
+    and can execute in parallel.
     """
     _check_domain(initial, space)
     a, b = initial.a, initial.b
@@ -618,8 +821,9 @@ def run(initial: ProfileGrid, space, cfg: FlowConfig) -> RunResult:
     record()
     rcfg = _resolve(cfg, history[0].min_r, hbar)
     r_min_stop = rcfg.r_min_stop
-    conv_tol = rcfg.conv_tol
+    conv_tol = euler.conv_tol = rcfg.conv_tol
     v_target = v_tracked = history[0].V
+    endgame = None
     r_lo, r_hi = history[0].min_r, history[0].max_r  # min and max of r
 
     while True:
@@ -636,7 +840,8 @@ def run(initial: ProfileGrid, space, cfg: FlowConfig) -> RunResult:
         if g.v.max() > rcfg.v_max_stop:
             reason = StopReason(StopTag.GRAPH_FAILURE)
             break
-        if abs(g.H - hbar).max() < conv_tol:
+        gap = float(abs(g.H - hbar).max())
+        if gap < conv_tol:
             reason = StopReason(StopTag.CONVERGED)
             break
         if t >= rcfg.max_t:
@@ -645,22 +850,24 @@ def run(initial: ProfileGrid, space, cfg: FlowConfig) -> RunResult:
 
         try:
             r, t, v_tracked, r_lo, r_hi = euler.advance(r, g, hbar, r_min_stop, v_tracked,
-                                                        v_target, t, rcfg.max_t)
+                                                        v_target, t, rcfg.max_t, gap)
         except FlowStopped as stop:
             reason = stop.reason
             break
+        if euler.endgame is not None and endgame is None:
+            endgame = Endgame(step_idx, *euler.endgame)
         step_idx += 1
         g, hbar = euler.geometry(r)
         if step_idx % rcfg.record_every == 0:
             record()
 
-    # a failed advance leaves r, g and hbar at the last state
+    # a failed advance leaves r, g, hbar and the controller at the last state
     if step_idx % rcfg.record_every:
         record()
     final = FlowState(snapshots[-1], t, history[-1], euler.rung, v_tracked, v_target,
-                      *euler.history())
+                      *euler.history(), conv_tol, euler.tried)
     return RunResult(final=final, reason=reason, history=history,
-                     snapshots=snapshots, config=rcfg, steps=step_idx)
+                     snapshots=snapshots, config=rcfg, steps=step_idx, endgame=endgame)
 
 
 def write_history_csv(history, path) -> None:
@@ -680,6 +887,7 @@ def build_summary(result: RunResult, bounds_report=None, config_echo=None, extra
         "flow_config": result.config.to_dict(),
         "records": len(result.history),
         "steps": result.steps,
+        "endgame": None if result.endgame is None else asdict(result.endgame),
         # empirical two-sided Hbar range (no closed form exists for the
         # sharper constants, which depend on an uncomputable infimum area)
         "hbar_range": [min(rec.Hbar for rec in result.history),

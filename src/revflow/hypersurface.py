@@ -129,10 +129,13 @@ class _Geometry(NamedTuple):
     """Nodal output of ``_geometry``; ``w`` is the area density sqrt(q) h^(n-1)."""
 
     rdot: np.ndarray
+    rddot: np.ndarray
     f: np.ndarray
     fp: np.ndarray
+    fpp: np.ndarray
     h: np.ndarray
     hp: np.ndarray
+    hpp: np.ndarray
     q: np.ndarray
     invq: np.ndarray
     sq: np.ndarray
@@ -170,11 +173,38 @@ def _curvatures(rdot, rddot, f, fp, h, hp, n, sqrt=np.sqrt):
 
 def _geometry(r: np.ndarray, space, dz: float) -> _Geometry:
     """Derivatives, warps and curvatures of bare radii ``r``; callers check the domain."""
-    f, fp, _, h, hp, _ = space.warp(r)
+    f, fp, fpp, h, hp, hpp = space.warp(r)
     rdot, rddot = _derivatives(r, dz)
     q, invq, sq, v, k1, k2, H = _curvatures(rdot, rddot, f, fp, h, hp, space.n)
     w = sq * _h_pow(h, space.n)
-    return _Geometry(rdot, f, fp, h, hp, q, invq, sq, v, k1, k2, H, w)
+    return _Geometry(rdot, rddot, f, fp, fpp, h, hp, hpp, q, invq, sq, v, k1, k2, H, w)
+
+
+def _jacobian(g: _Geometry, n: int, dz: float):
+    """(lower, diag, upper) of the tridiagonal dH_i/dr_j of the kernel's H.
+
+    The chain rule through ``_curvatures`` and the ``_derivatives`` stencil:
+    with A = (f' rdot^2 - rddot f)/q + f', H = A/sqrt(q) + (n-1) f h'/(h sqrt(q)),
+    so dH/drddot = -f/q^(3/2), dH/drdot = 2 rdot (f' - (A - f'))/q^(3/2)
+    - H rdot/q, and dH/dr through f, f', h, h' (with dq/dr = 2 f f').  The
+    end rows see the reflected ghost twice: rddot_0 = 2 (r_1 - r_0)/dz^2.
+    ``lower[i]`` is J[i+1, i] and ``upper[i]`` is J[i, i+1].
+    """
+    rd, rdd, f, fp, invq, H = g.rdot, g.rddot, g.f, g.fp, g.invq, g.H
+    invq_sq = invq / g.sq
+    num = (fp * rd * rd - rdd * f) * invq  # A - f'
+    h_rdd = -f * invq_sq
+    h_rd = 2.0 * rd * (fp - num) * invq_sq - H * rd * invq
+    da = (g.fpp * rd * rd - rdd * fp - 2.0 * f * fp * num) * invq + g.fpp
+    dk2 = (fp * g.hp + f * g.hpp) / g.h - f * g.hp * g.hp / (g.h * g.h)
+    h_r = (da + (n - 1) * dk2) / g.sq - H * f * fp * invq
+    c_rd = h_rd * (0.5 / dz)
+    c_rdd = h_rdd * (1.0 / (dz * dz))
+    upper = c_rdd[:-1] + c_rd[:-1]
+    lower = c_rdd[1:] - c_rd[1:]
+    upper[0] = 2.0 * c_rdd[0]
+    lower[-1] = 2.0 * c_rdd[-1]
+    return lower, h_r - 2.0 * c_rdd, upper
 
 
 def _hbar(g: _Geometry, wz: np.ndarray) -> float:
@@ -254,15 +284,25 @@ def curve_length(p: ProfileGrid, space) -> float:
     return _curve_length(*_checked_geometry(p, space))
 
 
-def _interior_critical_z(rdot: np.ndarray, z: np.ndarray, slope_tol: Optional[float]):
+# Slopes below this many ulps of max r over dz are rounding noise: central
+# differences of radii with a few ulps of noise each.
+_SLOPE_NOISE_ULPS = 8.0
+
+
+def _interior_critical_z(rdot: np.ndarray, z: np.ndarray, r_top: float,
+                         slope_tol: Optional[float]):
     """z of the interior slope events of the nodal slope ``rdot`` on nodes ``z``.
 
-    Between two consecutive nonzero slopes, a sign change or a run of zeros
-    (a plateau) is one event, at the midpoint of the pair or of the run.
-    Zeros with no nonzero slope on one side merge with an endpoint.
+    ``r_top`` is the profile's max r.  Between two consecutive nonzero
+    slopes, a sign change or a run of zeros (a plateau) is one event, at the
+    midpoint of the pair or of the run.  Zeros with no nonzero slope on one
+    side merge with an endpoint.  The default ``slope_tol`` is 1e-9 max|rdot|,
+    but at least ``_SLOPE_NOISE_ULPS`` ulps of ``r_top`` over dz, so that
+    the rounding noise of a cylinder's slopes counts no critical point.
     """
     if slope_tol is None:
-        slope_tol = 1e-9 * float(np.max(np.abs(rdot)))
+        noise = _SLOPE_NOISE_ULPS * float(np.spacing(r_top)) / float(z[1] - z[0])
+        slope_tol = max(1e-9 * float(np.max(np.abs(rdot))), noise)
     signs = np.sign(rdot[1:-1])
     signs[np.abs(rdot[1:-1]) <= slope_tol] = 0.0
     z = z[1:-1]
@@ -278,15 +318,18 @@ def _interior_critical_z(rdot: np.ndarray, z: np.ndarray, slope_tol: Optional[fl
 def critical_point_count(p: ProfileGrid, slope_tol: Optional[float] = None) -> int:
     """Number of critical points of r: both endpoints plus interior slope events.
 
-    Interior slopes below ``slope_tol`` (default 1e-9 * max|rdot|) are treated
-    as zero, and each run of zeros contributes a single critical point.
+    Interior slopes below ``slope_tol`` (default 1e-9 * max|rdot|, and at
+    least a few ulps of max r over dz) are treated as zero, and each run of
+    zeros contributes a single critical point.
     """
-    return 2 + _interior_critical_z(spatial_derivatives(p)[0], p.z, slope_tol).size
+    return 2 + _interior_critical_z(spatial_derivatives(p)[0], p.z, float(p.r.max()),
+                                    slope_tol).size
 
 
 def critical_points(p: ProfileGrid, slope_tol: Optional[float] = None) -> np.ndarray:
     """z-locations of the critical points counted by ``critical_point_count``."""
-    interior = _interior_critical_z(spatial_derivatives(p)[0], p.z, slope_tol)
+    interior = _interior_critical_z(spatial_derivatives(p)[0], p.z, float(p.r.max()),
+                                    slope_tol)
     return np.concatenate(([p.a], interior, [p.b]))
 
 

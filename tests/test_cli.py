@@ -221,6 +221,10 @@ class TestRunCommand:
         summary = json.loads((outdir / "summary.json").read_text())
         assert summary["reason"] == "converged"
         assert summary["seed"] == 7
+        endgame = summary["endgame"]
+        assert set(endgame) == {"step", "t", "gap", "iterations", "residual", "lambda1"}
+        assert summary["steps"] == endgame["step"] + 1
+        assert endgame["residual"] < summary["flow_config"]["conv_tol"] <= endgame["gap"]
         assert {"r1", "r2", "r3"} <= set(summary["bounds"])
         assert summary["config"]["grid"]["m"] == "21"
         assert (outdir / "diagnostics.svg").read_text().startswith("<svg")
@@ -375,6 +379,9 @@ class TestSweepCommand:
         with open(outdir / "sweep.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert [row["reason"] for row in rows] == ["converged", "singularity"]
+        endgames = [json.loads((outdir / f"run_{i:04d}" / "summary.json").read_text())["endgame"]
+                    for i in range(2)]
+        assert endgames[0] is not None and endgames[1] is None
 
     def test_failed_run_recorded_and_sweep_continues(self, tmp_path, capsys):
         text = BASE + "\n[sweep]\ninitial.cylinder = 1.0, -1.0\n"

@@ -434,3 +434,75 @@ class TestStepSizeControl:
         assert all(b > a for a, b in zip(ts, ts[1:])) and math.isfinite(ts[-1])
         dt_ceiling = p0.dz * p0.dz * float(np.min(space.warp(1.0)[0])) ** 2 / flow._DIAG_MARGIN
         assert ts[-1] - ts[-2] == pytest.approx(dt_ceiling, rel=1e-9)
+
+    def test_final_state_after_a_refused_step_is_the_last_accepted_one(self, euclid2):
+        # the pinch ends on a refused update: run's final state hands on the
+        # controller of the step chain's last state, not of the refused try
+        p0 = neck_profile(101)
+        cfg = FlowConfig(max_t=2.0, record_every=10)
+        res = run(p0, euclid2, cfg)
+        assert res.reason.tag is StopTag.SINGULARITY
+        s = FlowState(p0, 0.0, _diagnose(p0, euclid2, 0.0))
+        for _ in range(res.steps):
+            s = step(s, euclid2, cfg)
+        assert res.final.t == s.t and np.array_equal(res.final.profile.r, s.profile.r)
+        assert res.final.dt_rung == s.dt_rung and res.final.dt_prev == s.dt_prev
+        assert np.array_equal(res.final.v_prev, s.v_prev)
+        assert np.array_equal(res.final.d_prev, s.d_prev)
+
+
+def _gap(profile, space):
+    """max|H - Hbar| of ``profile``, as run's convergence check reads it."""
+    g, wz = hypersurface._checked_geometry(profile, space)
+    return float(np.max(np.abs(g.H - hypersurface._hbar(g, wz))))
+
+
+class TestEndgame:
+    @pytest.mark.parametrize("space_name", ["euclid2", "hyper2"])
+    def test_converged_run_ends_on_the_discrete_limit(self, request, space_name):
+        space = request.getfixturevalue(space_name)
+        res = run(cos_profile(51), space, FlowConfig())
+        eg = res.endgame
+        assert res.reason.tag is StopTag.CONVERGED and eg is not None
+        assert res.steps == eg.step + 1 and 1 <= eg.iterations <= flow._ENDGAME_ITERS
+        conv_tol = res.config.conv_tol
+        assert conv_tol <= eg.gap < flow._ENDGAME_GAP * abs(res.final.cached.Hbar)
+        # iterated to rounding: a cylinder to the last bits, with no critical point
+        assert eg.residual == _gap(res.final.profile, space) <= 1e-14
+        assert np.ptp(res.final.profile.r) <= 1e-14 and res.final.cached.N == 2
+        assert abs(res.final.cached.V / res.history[0].V - 1.0) <= 1e-12
+        # dated when the linearised flow reaches conv_tol
+        assert res.final.t == eg.t + math.log(eg.gap / conv_tol) / eg.lambda1
+        assert res.final.endgame_tried and res.final.dt_prev is None
+
+    def test_lambda1_is_the_cylinders_decay_rate(self, euclid2):
+        # R + eps cos(pi z) decays like exp(-(pi^2 - 1/R^2) t) in a unit slab
+        res = run(cos_profile(101), euclid2, FlowConfig())
+        radius = float(np.mean(res.final.profile.r))
+        oracle = math.pi ** 2 - 1.0 / radius ** 2
+        assert abs(res.endgame.lambda1 / oracle - 1.0) <= 1e-3
+
+    @pytest.mark.parametrize("radius,steps", [(0.3, 104), (0.2, 58)])
+    def test_unstable_cylinders_are_not_taken_as_limits(self, euclid2, radius, steps):
+        # below R = 1/pi the cylinder is unstable under volume-preserving
+        # variations: the try at the first state is declined, and the
+        # near-cylinder pinches in the steps it took without the endgame
+        z = np.linspace(0.0, 1.0, 61)
+        p0 = ProfileGrid(0.0, 1.0, radius * (1.0 + 1e-3 * np.cos(np.pi * z)))
+        res = run(p0, euclid2, FlowConfig())
+        assert res.reason.tag is StopTag.SINGULARITY and res.steps == steps
+        assert res.endgame is None and res.final.endgame_tried
+
+    @pytest.mark.parametrize("cfg", [FlowConfig(max_t=1.0), FlowConfig(volume_projection=False)],
+                             ids=["dated-past-max_t", "no-projection"])
+    def test_a_declined_try_steps_on_as_without_the_endgame(self, monkeypatch, euclid2, cfg):
+        # past max_t the try is declined before any iteration; without the
+        # projection there is no volume to hold, and no try
+        cfg = dataclasses.replace(cfg, record_every=1)
+        res = run(cos_profile(51), euclid2, cfg)
+        assert res.endgame is None and res.final.endgame_tried is cfg.volume_projection
+        monkeypatch.setattr(flow, "_ENDGAME_GAP", 0.0)
+        plain = run(cos_profile(51), euclid2, cfg)
+        assert res.reason == plain.reason and res.steps == plain.steps
+        assert res.history == plain.history
+        assert all(np.array_equal(a.r, b.r) for a, b in zip(res.snapshots, plain.snapshots))

@@ -240,6 +240,16 @@ class TestCriticalPoints:
         # rising, flat plateau, rising again: one interior critical event
         assert critical_point_count(p) == 3
 
+    @pytest.mark.parametrize("m", [61, 201])
+    def test_rounding_noise_of_a_cylinder_is_no_critical_point(self, m):
+        # a cylinder within 4 ulps: every slope is noise, as on the flow's
+        # Newton limit (ptp r about 1e-15); 1e-9 max|rdot| alone counted
+        # each sign change of the noise
+        rng = np.random.default_rng(m)
+        p = ProfileGrid(0.0, 1.0, 1.0 + rng.integers(-4, 5, m) * np.spacing(1.0))
+        assert critical_point_count(p) == 2
+        assert critical_points(p).tolist() == [0.0, 1.0]
+
     def test_slope_tol_override(self):
         z = np.linspace(0.0, 1.0, 101)
         p = ProfileGrid(0.0, 1.0, 1.0 + 1e-12 * np.sin(2 * np.pi * z))
