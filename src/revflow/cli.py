@@ -25,6 +25,7 @@ from .svgplot import write_line_plot
 __all__ = ["main"]
 
 MAX_PROFILE_SNAPSHOTS = 9
+_PROBE_MARGIN = 1.05
 
 
 def _err(msg):
@@ -35,8 +36,15 @@ def _warn(msg):
     print(f"warning: {msg}", file=sys.stderr)
 
 
+def _validate(cfg):
+    """``validate_space`` on (0, r_probe_max], and to 5% past the initial max r."""
+    probe = max(cfg.validate_probe,
+                min(_PROBE_MARGIN * float(cfg.initial.r.max()), cfg.space.r_max_domain))
+    return validate_space(cfg.space, probe, cfg.validate_samples)
+
+
 def cmd_validate(cfg, args):
-    report = validate_space(cfg.space, cfg.validate_probe, cfg.validate_samples)
+    report = _validate(cfg)
     print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     if report.rss_ok and report.rss2_branch is None:
         _warn("space is rotationally symmetric but the sign conditions "
@@ -61,7 +69,7 @@ def _snapshot_indices(count):
 
 def run_to_directory(cfg, outdir, seed=None):
     """Execute flow.run for a parsed config and write all artifacts."""
-    report = validate_space(cfg.space, cfg.validate_probe, cfg.validate_samples)
+    report = _validate(cfg)
     if not report.rss_ok:
         raise RuntimeError("space validation failed: " + "; ".join(report.violations))
     if report.rss2_branch is None:

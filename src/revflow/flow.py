@@ -53,11 +53,13 @@ Scheme choices:
   differences of the state from changing the rung.  The ceiling
   dt <= 2^20 dz^2 min(q) (``_DIAG_MARGIN``) keeps the tridiagonal system
   well conditioned where est says nothing, as on a cylinder, where v = 0
-  and est = 0 at every dt.  The last step is clipped so that t lands on
-  max_t.  A try that reaches r_max is not retried: near r_max the speed
-  grows like 1/f, and smaller tries only creep up to the wall.  Without
-  volume projection dt is also capped at 300 dt_cfl (``_DT_CAP``), which
-  bounds the volume drift;
+  and est = 0 at every dt.  A run's first try is the rung where the Euler
+  error model est = dt^2 max|L v| meets tol (starting step selection,
+  Hairer, Norsett & Wanner, Solving ODEs I, II.4), not the floor.  The last
+  step is clipped so that t lands on max_t.  A try that reaches r_max is not
+  retried: near r_max the speed grows like 1/f, and smaller tries only creep
+  up to the wall.  Without volume projection dt is also capped at 300 dt_cfl
+  (``_DT_CAP``), which bounds the volume drift;
 * optional exact discrete volume conservation: after each update a uniform
   additive shift c is applied to the radii, with enclosed_volume(r+c)
   driven back to the initial volume by a safeguarded Newton iteration
@@ -65,23 +67,24 @@ Scheme choices:
   ``projection_failed``).  Between-step volume changes are accumulated
   with 3-point Gauss-Legendre increments of ``bounds._volume_density``, so a
   projection costs a few (f, h) evaluations, not a full radial quadrature;
-* a Newton endgame for the CMC limit: once max|H - Hbar| falls below
-  1e-2 |Hbar| (and not yet below conv_tol), the flow only follows the
-  slowest mode's exponential decay, about half of a converging run's steps.
-  Its limit is the discrete fixed point H_i(r) = Hc, V(r) = V0, which the
-  step replaces by Newton's method on that system, tried once per run: J =
-  dH/dr is tridiagonal and analytic (``hypersurface._jacobian``), the volume
-  row borders it, and each iteration is one Thomas sweep with two
+* a Newton endgame for the CMC limit, the discrete fixed point H_i(r) =
+  Hc, V(r) = V0, which a step replaces by Newton's method on that system: J
+  = dH/dr is tridiagonal and analytic (``hypersurface._jacobian``), the
+  volume row borders it, and each iteration is one Thomas sweep with two
   right-hand sides, one volume projection and one kernel pass, down to the
-  rounding floor (3 iterations from the hand-off in the acceptance runs).
-  The try is declined, and the run steps on as without it, unless the
-  limit is stable under volume-preserving variations (the inertia of the
-  bordered J), its gap falls at every iteration to below conv_tol, and it
-  stays in (0, r_max).  The new state is dated t + ln(gap/conv_tol)/lambda1,
-  when the linearised flow would reach conv_tol, with lambda1 the decay
-  rate of the slowest volume-preserving mode from inverse iteration; a date
-  past max_t declines the try.  The explicit reference and runs without
-  volume projection never take it.
+  rounding floor.  Tries come in two tiers.  Below max|H - Hbar| = 1e-2
+  |Hbar| the flow only follows the slowest mode's decay, and the first
+  state there makes the last try.  An early try, at a gap in [1e-2, 1e-1)
+  |Hbar|, also needs the slowest mode to carry 95% of the gap before any
+  iteration and the limit's decay rate within 1% of the hand-off's after;
+  a declined one is retried once the gap has fallen 3 times.  A try is
+  declined, and the run steps on as without it, unless the limit is stable
+  under volume-preserving variations (the inertia of the bordered J), its
+  gap falls at every iteration to below conv_tol, and it stays in
+  (0, r_max).  The new state is dated t + ln(gap/conv_tol)/rate, when the
+  linearised flow would reach conv_tol, with rate the hand-off's decay rate
+  of the slowest volume-preserving mode; a date past max_t declines the
+  try.  The explicit reference and runs without projection never take it.
 
 ``run`` iterates until one of the terminal conditions fires: max|H - Hbar|
 below conv_tol (converged), min r below r_min_stop (singularity, the arg-min
@@ -94,25 +97,21 @@ A converged run that took the endgame reports it in ``RunResult.endgame``.
 
 ``step`` is one iteration of the ``run`` loop: ``FlowState`` carries the
 controller's proposal, the projection's volumes, the SBDF2 history
-(v_prev, d_prev, dt_prev), the resolved conv_tol and whether the endgame
-was tried, so a chain of ``step`` calls lands on the states of ``run`` bit
+(v_prev, d_prev, dt_prev), the resolved conv_tol and the endgame's tries,
+so a chain of ``step`` calls lands on the states of ``run`` bit
 for bit, the endgame's included.  Its full re-diagnosis of each new state,
 with a quadrature volume, is why it costs more per call.
 
 Where a step of ``run`` spends its time (2 vCPUs, Python 3.11, numpy 2.4):
-an SBDF2 step costs about a fifth more than an Euler step did (its
-right-hand side, predictor and ``_turns`` check), and a converging run
-takes a third fewer steps.  At m = 61, about 210 us: the velocity, SBDF2
-right-hand side, estimate, ``_turns`` and dt ladder 25%, the geometry
-kernel 19%, the volume increments 17%, the Thomas sweep 14%, the rest of
-the projection 7% and the stop checks 8%; at m = 201 the pure-Python
-Thomas sweep takes 30%, the velocity and right-hand side 20%, the kernel
-16% and the increments 14%.  The endgame's one jump costs three to four
-steps: about 0.7 ms at m = 61, 14-16% of a converging run of
-1 + 0.1 cos(pi z) in euclidean or hyperbolic space, and 1.2-1.3 ms at
-m = 201, 16-17%, for three Jacobians with their LU factorizations, nine
-pure-Python tridiagonal solves, three kernel passes and projections.  It
-replaces 22-25 steps of the linear tail.
+at m = 61, about 210 us: the velocity, SBDF2 right-hand side, estimate,
+``_turns`` and dt ladder 25%, the geometry kernel 19%, the volume
+increments 17%, the Thomas sweep 14%, the rest of the projection 7% and
+the stop checks 8%; at m = 201 the pure-Python Thomas sweep takes 30%, the
+velocity and right-hand side 20%, the kernel 16% and the increments 14%.
+The endgame's jump from 1 + 0.1 cos(pi z) costs 0.5 ms (euclidean, 3
+iterations, a quarter of the run) to 0.8 ms (hyperbolic, 4 iterations, two
+fifths) at m = 61, and 1.0-1.4 ms at m = 201; the run takes 11 and 6
+steps, against 21-24 and 18-21 with the 1e-2 hand-off alone.
 Short arrays make numpy's per-call overhead most of this, so the loop
 reduces with ndarray methods and carries each state's min and max r.
 """
@@ -128,7 +127,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .bounds import _h_pow, _volume_density, unit_sphere_area
+from .bounds import _h_pow, _volume_density, beta, unit_sphere_area
 from .hypersurface import (
     ProfileGrid,
     _L2,
@@ -240,7 +239,7 @@ class FlowState:
     profile: ProfileGrid
     t: float
     cached: DiagnosticsRecord
-    dt_rung: int = 0  # the step-size controller's proposal, see ``_Euler``
+    dt_rung: Optional[int] = None  # the step-size controller's proposal, see ``_Euler``
     # the projection's tracked and target volumes, as in ``run``; None is cached.V
     v_tracked: Optional[float] = None
     v_target: Optional[float] = None
@@ -251,7 +250,8 @@ class FlowState:
     dt_prev: Optional[float] = None
     # the convergence tolerance; None is cfg.conv_tol, or 1e-6 |cached.Hbar|
     conv_tol: Optional[float] = None
-    endgame_tried: bool = False  # the Newton endgame is tried at most once
+    endgame_tried: bool = False  # the Newton endgame's last try was made
+    endgame_declined: Optional[float] = None  # the gap of the last declined try
 
 
 @dataclass(frozen=True)
@@ -263,7 +263,8 @@ class Endgame:
     gap: float  # max|H - Hbar| at the hand-off
     iterations: int
     residual: float  # max|H - Hbar| of the limit
-    lambda1: float  # decay rate of the slowest volume-preserving mode
+    lambda1: float  # decay rate of the slowest volume-preserving mode at the limit
+    rate: float  # the same at the hand-off, which dates the limit
 
 
 @dataclass
@@ -416,15 +417,16 @@ _DIAG_MARGIN = 2.0 ** -20
 # 2.8e-5 at 1000 (semi-implicit Euler: 1.1e-4 and 3.4e-4), against the
 # documented 1e-3 per unit time.
 _DT_CAP = 300.0
-# The Newton endgame (``_Euler._endgame``): tried once, at the first state
-# with conv_tol <= max|H - Hbar| < _ENDGAME_GAP |Hbar|, where the flow only
-# follows the slowest mode's decay.  Newton iterates to the rounding floor:
-# while the gap falls, until it is below _SPEED_NOISE |Hbar|, at most
-# _ENDGAME_ITERS times.  A limit left at a gap of 1e-11 still carries a
-# multi-mode remnant whose slopes the critical-point census counts.
-# _ENDGAME_SWEEPS inverse iterations give the decay rate lambda1 that dates
-# the limit.
-_ENDGAME_GAP = 1e-2
+# The Newton endgame (``_Euler._endgame``) for conv_tol <= max|H - Hbar| <
+# _ENDGAME_GAP |Hbar|, its two tiers split at _ENDGAME_LATE |Hbar| (see the
+# module docstring).  Newton iterates while the gap falls, until it is below
+# _SPEED_NOISE |Hbar|, at most _ENDGAME_ITERS times: a limit left at a gap of
+# 1e-11 still carries a multi-mode remnant that the census counts.
+_ENDGAME_GAP = 1e-1
+_ENDGAME_LATE = 1e-2
+_ENDGAME_SHARE = 0.95
+_ENDGAME_RATE_TOL = 1e-2
+_ENDGAME_RETRY = 3.0
 _ENDGAME_ITERS = 6
 _ENDGAME_SWEEPS = 3
 
@@ -520,16 +522,17 @@ class _Euler:
     ``geometry`` evaluates the kernel and the lagged Hbar; ``advance`` picks
     dt, applies the update, checks it, and projects the volume.  ``rung`` is
     the step-size controller's proposal k for the next dt = dt_cfl 2^(k/4),
-    and ``prev`` the last step's (v, dr, dt), or None before a first step,
-    which is then semi-implicit Euler.  ``conv_tol`` and ``tried`` set the
-    Newton endgame, and ``endgame`` holds (t, gap, iterations, residual,
-    lambda1) of one that was taken.  With ``implicit=False`` the update is
-    explicit Euler at dt_cfl, kept as the reference that the differential
-    tests compare against; it never takes the endgame.
+    None to estimate it, and ``prev`` the last step's (v, dr, dt), or None
+    before a first step, which is then semi-implicit Euler.  ``conv_tol``,
+    ``tried`` and ``declined`` set the Newton endgame, and ``endgame`` holds
+    the ``Endgame`` fields after ``step`` of one that was taken.  With
+    ``implicit=False`` the update is explicit Euler at dt_cfl, kept as the
+    reference that the differential tests compare against; it never takes
+    the endgame.
     """
 
     def __init__(self, grid: ProfileGrid, space, cfg: FlowConfig, implicit: bool = True,
-                 rung: int = 0, prev=None, conv_tol=None, tried: bool = False):
+                 rung=None, prev=None, conv_tol=None, tried: bool = False, declined=None):
         self.space = space
         self.dz = grid.dz
         self.z = grid.z
@@ -543,6 +546,7 @@ class _Euler:
         self.prev = prev
         self.conv_tol = conv_tol
         self.tried = tried
+        self.declined = declined
         self.endgame = None
 
     def history(self):
@@ -586,6 +590,12 @@ class _Euler:
         atol = _ATOL * float(r.min())
         noise = _SPEED_NOISE * abs(hbar)
         k = self.rung
+        if k is None:  # the Euler error model est = dt^2 max|L v| against tol
+            lv = float(abs(_second_difference(v) * g.invq).max()) / (self.dz * self.dz)
+            dt0 = (min(math.sqrt(atol / lv), _RTOL * float(abs(v).max()) / lv)
+                   if lv > 0.0 else math.inf)
+            x = min(dt0, 2.0 * ceiling) / dt_cfl  # above the ceiling: clipped to it
+            k = math.floor(_RUNGS_PER_OCTAVE * math.log2(x)) if x > 1.0 else 0
         while True:
             rung_dt = dt_cfl * 2.0 ** (k / _RUNGS_PER_OCTAVE)
             if rung_dt <= ceiling:
@@ -636,23 +646,27 @@ class _Euler:
         ``floor`` is a singularity; with projection on, the shifted profile
         is driven from ``v_tracked`` to ``v_target``.  The shift c moves the
         min and max by exactly c: x -> x + c is monotone in floating point.
-        ``gap`` is max|H - hbar| of the state; in the linear tail the step
-        is the Newton endgame's jump to the limit when that is accepted.
-        A raise leaves ``rung``, ``prev`` and ``tried`` as they were, so a
-        refused step leaves the controller at the last accepted state.
+        ``gap`` is max|H - hbar| of the state; near the limit the step is the
+        Newton endgame's jump to it when that is accepted.  A raise leaves
+        ``rung``, ``prev`` and the endgame's state as they were, so a refused
+        step leaves the controller at the last accepted state.
         """
-        saved = self.rung, self.prev, self.tried
+        saved = self.rung, self.prev, self.tried, self.declined
         try:
             if (gap is not None and not self.tried and self.implicit and self.project
                     and self.conv_tol is not None
                     and self.conv_tol <= gap < _ENDGAME_GAP * abs(hbar)):
-                self.tried = True
-                limit = self._endgame(r, g, hbar, floor, v_tracked, v_target, t, max_t, gap)
-                if limit is not None:
-                    return limit
+                late = gap < _ENDGAME_LATE * abs(hbar)
+                if late or self.declined is None or _ENDGAME_RETRY * gap <= self.declined:
+                    self.tried = late
+                    limit = self._endgame(r, g, hbar, floor, v_tracked, v_target, t, max_t,
+                                          gap, not late)
+                    if limit is not None:
+                        return limit
+                    self.declined = gap
             return self._step(r, g, hbar, floor, v_tracked, v_target, t, max_t)
         except FlowStopped:
-            self.rung, self.prev, self.tried = saved
+            self.rung, self.prev, self.tried, self.declined = saved
             raise
 
     def _step(self, r, g, hbar, floor, v_tracked, v_target, t, max_t):
@@ -678,53 +692,65 @@ class _Euler:
         return r_new, (max_t if dt == dt_left else t + dt), v_tracked, mn, mx
 
     def _bordered(self, g):
-        """(LU of J, J^-1 1, wv, wv . J^-1 1) at the kernel output ``g``.
+        """(LU of J, J^-1 1, wv, wv . J^-1 1, v) at the kernel output ``g``.
 
         wv = sigma wz beta'(r) is the volume row that borders J.
         """
         lu = _factor(*_jacobian(g, self.space.n, self.dz))
         x2 = _lu_solve(lu, np.ones(g.H.size))
         wv = self.wz_sigma * g.f * _h_pow(g.h, self.space.n)
-        return lu, x2, wv, float(wv @ x2)
+        return lu, x2, wv, float(wv @ x2), g.v
 
-    def _endgame(self, r, g, hbar, floor, v_tracked, v_target, t, max_t, gap):
+    @staticmethod
+    def _sweeps(bordered, x):
+        """(rate, product of the normalisers, x) of inverse iterations from x."""
+        lu, x2, wv, s, v = bordered
+        norms = 1.0
+        for _ in range(_ENDGAME_SWEEPS):  # (J - mu) y = x / v, wv.y = 0
+            y = _lu_solve(lu, x / v)
+            y -= (float(wv @ y) / s) * x2
+            lam = float(x @ y) / float(y @ y)
+            norm = float(abs(y).max())
+            x = y / norm
+            norms *= norm
+        return lam, norms, x
+
+    def _endgame(self, r, g, hbar, floor, v_tracked, v_target, t, max_t, gap, early):
         """Newton's method for the discrete CMC limit: H_i(r) = Hc for all i,
         with the volume v_target; the unknowns are r and Hc.
 
         Each iteration solves the bordered system [J -1; wv 0] by one sweep
         with two right-hand sides, J x1 = -(H - Hc) and J x2 = 1, and the
-        scalar dHc from the volume row, then tracks and projects the volume
-        as a step does and takes one kernel pass.  Before any iteration the
+        scalar dHc from the volume row, then measures the volume by
+        quadrature, projects it as a step does and takes one kernel pass.  Before any iteration the
         try is declined unless the limit is stable under volume-preserving
         variations: by Haynsworth's inertia additivity, J on wv's null space
         is positive definite iff J has 1 negative pivot and wv.J^-1 1 < 0,
         or none and wv.J^-1 1 > 0 (Sylvester's law holds the pivot count to
         J's inertia, J being similar to a symmetric matrix near a graph's
-        limit).  Three inverse-iteration sweeps of the bordered J, from
-        H - Hbar, give lambda1, the decay rate of the slowest mode of the
-        volume-preserving flow v (Hbar - H); the limit is dated
-        t + ln(gap/conv_tol)/lambda1, when the linearised flow reaches
-        conv_tol, and a date past max_t declines the try.  Iterates are kept
-        while the gap falls and the profile stays in (floor, r_max); the
-        last one is accepted when its gap is below conv_tol.  Returns what
-        ``advance`` returns, or None, the state untouched, to step on.
+        limit).  Inverse-iteration sweeps from H - Hbar give the hand-off's
+        rate, which dates the limit, and rate^3 times their normalisers the
+        slowest mode's share of the gap.  Iterates are kept while the gap
+        falls and the profile stays in (floor, r_max); the last one is
+        accepted when its gap is below conv_tol, and sweeps with the last
+        factored J give lambda1, the limit's rate.  An ``early`` try also
+        passes the two gates.  Returns what ``advance`` returns, or None, the
+        state untouched, to step on.
         """
         conv_tol = self.conv_tol
         with np.errstate(all="ignore"):
             try:
-                lu, x2, wv, s = self._bordered(g)
+                b = self._bordered(g)
+                lu, s = b[0], b[3]
                 negative = sum(p < 0.0 for p in lu[1])
                 if not (s < 0.0 if negative == 1 else negative == 0 and s > 0.0):
                     return None
-                x = g.H - hbar
-                for _ in range(_ENDGAME_SWEEPS):  # (J - mu) y = x / v, wv.y = 0
-                    y = _lu_solve(lu, x / g.v)
-                    y -= (float(wv @ y) / s) * x2
-                    lam = float(x @ y) / float(y @ y)
-                    x = y / float(abs(y).max())
+                rate, norms, mode = self._sweeps(b, g.H - hbar)
             except ZeroDivisionError:
                 return None
-            t_new = t + math.log(gap / conv_tol) / lam if lam > 0.0 else math.inf
+            if early and not rate ** 3 * norms >= _ENDGAME_SHARE * gap:
+                return None
+            t_new = t + math.log(gap / conv_tol) / rate if rate > 0.0 else math.inf
             if not t_new <= max_t or not math.isfinite(t_new):
                 return None
             limit, hc, res, its = None, hbar, gap, 0
@@ -732,14 +758,16 @@ class _Euler:
             try:
                 while its < _ENDGAME_ITERS and res > floor_gap:
                     if its:
-                        lu, x2, wv, s = self._bordered(g)
+                        b = self._bordered(g)
+                    lu, x2, wv, s = b[:4]
                     x1 = _lu_solve(lu, hc - g.H)
                     dhc = (v_target - v_tracked - float(wv @ x1)) / s
                     r_new = r + (x1 + dhc * x2)
                     mn, mx = float(r_new.min()), float(r_new.max())
                     if not (floor < mn and mx < self.r_max):
                         break
-                    v_new = v_tracked + _volume_increment(self.space, self.wz_sigma, r, r_new)
+                    # an early jump is long for the O(dr^7) increment
+                    v_new = float(self.wz_sigma @ beta(self.space, r_new))
                     c, r_new, v_new = _project_volume(self.space, self.wz_sigma, r_new, v_new,
                                                       v_target, self.r_max, mn, mx)
                     if not floor < mn + c:
@@ -752,10 +780,17 @@ class _Euler:
                     limit = r, t_new, v_tracked, mn + c, mx + c
             except (ZeroDivisionError, FlowStopped):
                 pass
-        if not res < conv_tol:
+            if not res < conv_tol:
+                return None
+            try:
+                lam = self._sweeps(b, mode)[0]
+            except ZeroDivisionError:
+                return None
+        if early and not abs(lam / rate - 1.0) <= _ENDGAME_RATE_TOL:
             return None
         self.prev = None  # a jump, not a time step: the next step starts afresh
-        self.endgame = (t, gap, its, res, lam)
+        self.tried = True
+        self.endgame = (t, gap, its, res, lam, rate)
         return limit
 
 
@@ -780,7 +815,7 @@ def step(s: FlowState, space, cfg: FlowConfig) -> FlowState:
     if conv_tol is None:
         conv_tol = _resolve(cfg, s.cached.min_r, s.cached.Hbar).conv_tol
     euler = _Euler(p, space, cfg, rung=s.dt_rung, prev=prev, conv_tol=conv_tol,
-                   tried=s.endgame_tried)
+                   tried=s.endgame_tried, declined=s.endgame_declined)
     g, hbar = euler.geometry(p.r)
     gap = None if s.endgame_tried else float(abs(g.H - hbar).max())
     v_target = s.cached.V if s.v_target is None else s.v_target
@@ -789,7 +824,8 @@ def step(s: FlowState, space, cfg: FlowConfig) -> FlowState:
                                             s.t, cfg.max_t, gap)[:3]
     profile = ProfileGrid(p.a, p.b, r_new)
     return FlowState(profile, t_new, _diagnose(profile, space, t_new), euler.rung,
-                     v_tracked, v_target, *euler.history(), conv_tol, euler.tried)
+                     v_tracked, v_target, *euler.history(), conv_tol, euler.tried,
+                     euler.declined)
 
 
 def run(initial: ProfileGrid, space, cfg: FlowConfig) -> RunResult:
@@ -865,7 +901,7 @@ def run(initial: ProfileGrid, space, cfg: FlowConfig) -> RunResult:
     if step_idx % rcfg.record_every:
         record()
     final = FlowState(snapshots[-1], t, history[-1], euler.rung, v_tracked, v_target,
-                      *euler.history(), conv_tol, euler.tried)
+                      *euler.history(), conv_tol, euler.tried, euler.declined)
     return RunResult(final=final, reason=reason, history=history,
                      snapshots=snapshots, config=rcfg, steps=step_idx, endgame=endgame)
 

@@ -133,6 +133,18 @@ class TestValidateCommand:
         out = json.loads(capsys.readouterr().out)
         assert any("h'(0)" in v for v in out["violations"])
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_h_vanishing_within_the_profile_exit_2(self, tmp_path, capsys, command):
+        # r_probe_max = 0.5 stops short of h = 0 at r = 1; the probe runs on
+        # 5% past the profile's largest radius, 1.0
+        outdir = tmp_path / "out"
+        code = main([command, "--config", write_ini(tmp_path / "c.ini", H_VANISHES),
+                     "--out", str(outdir)])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert "h not positive on (0, 1.05]" in (err if command == "run" else out)
+        assert not (outdir / "summary.json").exists()
+
     def test_config_error_exit_1(self, tmp_path, capsys):
         code = main(["validate", "--config",
                      write_ini(tmp_path / "c.ini", BASE.replace("b = 1.0", "b = x"))])
@@ -170,22 +182,27 @@ class TestBoundsCommand:
         assert 0.0 < out["r3"] < out["r1"] < out["r2"]
 
 
-# h = r - r^2 vanishes at r = 1: run stops as an instability at step 0, and
-# the bracket of the bounds' r2 inversion grows past r = 1, where delta
-# falls, until its quadrature overflows and fails
-BOUNDS_FAIL = (BASE.replace("preset = euclidean\nn = 2",
-                            "preset = custom\nn = 2\nf = 1\ndf = 0\nd2f = 0\n"
-                            "h = r - r^2\ndh = 1 - 2*r\nd2h = -2\n\n"
-                            "[validate]\nr_probe_max = 0.5")
-               .replace("m = 21", "m = 51")
-               .replace("cylinder = 1.0\nperturb = 0.05*cos(pi*z)",
-                        "expr = 0.9 + 0.1*cos(pi*z)^2"))
+# h = r - r^2 vanishes at r = 1, where the profile 0.9 + 0.1 cos(pi z)^2
+# reaches: the hypotheses fail on the profile's own radii
+H_VANISHES = (BASE.replace("preset = euclidean\nn = 2",
+                           "preset = custom\nn = 2\nf = 1\ndf = 0\nd2f = 0\n"
+                           "h = r - r^2\ndh = 1 - 2*r\nd2h = -2\n\n"
+                           "[validate]\nr_probe_max = 0.5")
+              .replace("m = 21", "m = 51")
+              .replace("cylinder = 1.0\nperturb = 0.05*cos(pi*z)",
+                       "expr = 0.9 + 0.1*cos(pi*z)^2"))
+
+
+# the same space on its ball r < 1: a profile past 0.99 r_max stops as an
+# instability at step 0, and the bounds' r2 target is unreachable in r < 1
+BOUNDS_FAIL = (H_VANISHES.replace("d2h = -2", "d2h = -2\nr_max = 1")
+               .replace("expr = 0.9 + 0.1*cos(pi*z)^2", "expr = 0.895 + 0.1*cos(pi*z)^2"))
 
 
 # the same space with a profile inside r < 1, where h > 0: every kernel pass
 # is finite, so these runs need no np.errstate
-FALLING_DELTA = BOUNDS_FAIL.replace("expr = 0.9 + 0.1*cos(pi*z)^2",
-                                    "expr = 0.8 + 0.1*cos(pi*z)^2")
+FALLING_DELTA = H_VANISHES.replace("expr = 0.9 + 0.1*cos(pi*z)^2",
+                                   "expr = 0.8 + 0.1*cos(pi*z)^2")
 
 
 class TestNonIncreasingIntegral:
@@ -222,7 +239,7 @@ class TestRunCommand:
         assert summary["reason"] == "converged"
         assert summary["seed"] == 7
         endgame = summary["endgame"]
-        assert set(endgame) == {"step", "t", "gap", "iterations", "residual", "lambda1"}
+        assert set(endgame) == {"step", "t", "gap", "iterations", "residual", "lambda1", "rate"}
         assert summary["steps"] == endgame["step"] + 1
         assert endgame["residual"] < summary["flow_config"]["conv_tol"] <= endgame["gap"]
         assert {"r1", "r2", "r3"} <= set(summary["bounds"])
@@ -265,15 +282,13 @@ class TestRunCommand:
 
     def test_bounds_failure_keeps_the_run_artifacts(self, tmp_path, capsys):
         outdir = tmp_path / "out"
-        # h = 0 at r = 1, and the r2 bracket overflows the quadrature
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            code = main(["run", "--config", write_ini(tmp_path / "c.ini", BOUNDS_FAIL),
-                         "--out", str(outdir)])
+        code = main(["run", "--config", write_ini(tmp_path / "c.ini", BOUNDS_FAIL),
+                     "--out", str(outdir)])
         assert code == 2  # from the stop reason
         summary = json.loads((outdir / "summary.json").read_text())
         assert summary["reason"] == "instability" and summary["bounds"] is None
-        assert "Gauss-Legendre" in summary["bounds_error"]
-        assert "Gauss-Legendre" in capsys.readouterr().err
+        assert "unreachable within the domain" in summary["bounds_error"]
+        assert "unreachable within the domain" in capsys.readouterr().err
         assert (outdir / "history.csv").exists() and (outdir / "profile_0.csv").exists()
         assert (outdir / "diagnostics.svg").exists()
 
@@ -398,15 +413,13 @@ class TestSweepCommand:
     def test_bounds_failure_keeps_the_run_reason(self, tmp_path, capsys):
         text = BOUNDS_FAIL + "\n[sweep]\ngrid.m = 51\n"
         outdir = tmp_path / "sweep"
-        # h = 0 at r = 1, and the r2 bracket overflows the quadrature
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            code = main(["sweep", "--config", write_ini(tmp_path / "c.ini", text),
-                         "--out", str(outdir), "--jobs", "1"])
+        code = main(["sweep", "--config", write_ini(tmp_path / "c.ini", text),
+                     "--out", str(outdir), "--jobs", "1"])
         assert code == 0
         with open(outdir / "sweep.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 1 and rows[0]["reason"] == "instability"
-        assert rows[0]["steps"] == "0" and "Gauss-Legendre" in rows[0]["error"]
+        assert rows[0]["steps"] == "0" and "unreachable within the domain" in rows[0]["error"]
 
     def test_empty_sweep(self, tmp_path, capsys):
         outdir = tmp_path / "sweep"
@@ -549,7 +562,8 @@ class TestFlowOptions:
 
     def test_snapshots_thinned_to_nine(self, tmp_path, capsys):
         outdir = tmp_path / "out"
-        text = BASE.replace("record_every = 100", "record_every = 1")
+        text = (BASE.replace("record_every = 100", "record_every = 1")
+                .replace("perturb = 0.05*cos(pi*z)", "perturb = 0.2*cos(pi*z)"))
         assert main(["run", "--config", write_ini(tmp_path / "c.ini", text),
                      "--out", str(outdir)]) == 0
         records = json.loads((outdir / "summary.json").read_text())["records"]
