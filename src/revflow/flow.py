@@ -70,29 +70,29 @@ Scheme choices:
 * a Newton endgame for the CMC limit, the discrete fixed point H_i(r) =
   Hc, V(r) = V0, which a step replaces by Newton's method on that system: J
   = dH/dr is tridiagonal and analytic (``hypersurface._jacobian``), the
-  volume row borders it, and each iteration is one Thomas sweep with two
-  right-hand sides, one volume projection and one kernel pass, down to the
-  rounding floor.  Tries come in two tiers.  Below max|H - Hbar| = 1e-2
-  |Hbar| the flow only follows the slowest mode's decay, and the first
-  state there makes the last try.  An early try, at a gap in [1e-2, 1e-1)
-  |Hbar|, also needs the slowest mode to carry 95% of the gap before any
-  iteration and the limit's decay rate within 1% of the hand-off's after;
-  a declined one is retried once the gap has fallen 3 times.  A try is
-  declined, and the run steps on as without it, unless the limit is stable
-  under volume-preserving variations (the inertia of the bordered J), its
-  gap falls at every iteration to below conv_tol, and it stays in
-  (0, r_max).  The new state is dated t + ln(gap/conv_tol)/rate, when the
-  linearised flow would reach conv_tol, with rate the hand-off's decay rate
-  of the slowest volume-preserving mode; a date past max_t declines the
+  volume row borders it and holds the volume, and each iteration is one
+  Thomas sweep with two right-hand sides and one kernel pass, down to the
+  rounding floor.  After a first step, a state with conv_tol <= max|H -
+  Hbar| < 0.5 |Hbar| tries it, and a declined try is retried once the gap
+  has fallen 3 times.  A try is declined, and the run steps on as without
+  it, unless the limit is stable under volume-preserving variations (the
+  inertia of the bordered J), the slowest volume-preserving mode carries
+  half the gap or more (``share``), the gap falls at every iteration to
+  below conv_tol, the limit stays in (0, r_max), and the limit's decay rate
+  lambda1 of that mode is within 5% of the hand-off's, ``rate``.  The limit
+  is dated t + ln(share gap lambda1 / (conv_tol rate)) / lambda1, when the
+  mode's part of the gap reaches conv_tol at a rate moving linearly with
+  its amplitude from rate to lambda1; a date outside (t, max_t] declines the
   try.  The explicit reference and runs without projection never take it.
 
 ``run`` iterates until one of the terminal conditions fires: max|H - Hbar|
 below conv_tol (converged), min r below r_min_stop (singularity, the arg-min
 z is recorded), max v above v_max_stop (graph failure), t at max_t,
-non-finite values / leaving a finite ambient ball (instability), or a
-volume projection that misses its tolerance (projection failed).  Each
-state, the initial one included, goes through the geometry kernel once: its
-stop checks, its step and its record (``_record``) all reduce that output.
+non-finite values / leaving a finite ambient ball / f or h <= 0
+(instability), or a volume projection that misses its tolerance
+(projection failed).  Each state, the initial one included, goes through
+the geometry kernel once: its stop checks, its step and its record
+(``_record``) all reduce that output.
 A converged run that took the endgame reports it in ``RunResult.endgame``.
 
 ``step`` is one iteration of the ``run`` loop: ``FlowState`` carries the
@@ -103,17 +103,17 @@ for bit, the endgame's included.  Its full re-diagnosis of each new state,
 with a quadrature volume, is why it costs more per call.
 
 Where a step of ``run`` spends its time (2 vCPUs, Python 3.11, numpy 2.4):
-at m = 61, about 210 us: the velocity, SBDF2 right-hand side, estimate,
-``_turns`` and dt ladder 25%, the geometry kernel 19%, the volume
-increments 17%, the Thomas sweep 14%, the rest of the projection 7% and
-the stop checks 8%; at m = 201 the pure-Python Thomas sweep takes 30%, the
-velocity and right-hand side 20%, the kernel 16% and the increments 14%.
-The endgame's jump from 1 + 0.1 cos(pi z) costs 0.5 ms (euclidean, 3
-iterations, a quarter of the run) to 0.8 ms (hyperbolic, 4 iterations, two
-fifths) at m = 61, and 1.0-1.4 ms at m = 201; the run takes 11 and 6
-steps, against 21-24 and 18-21 with the 1e-2 hand-off alone.
-Short arrays make numpy's per-call overhead most of this, so the loop
-reduces with ndarray methods and carries each state's min and max r.
+at m = 61, about 220 us: the velocity, SBDF2 right-hand side, estimate,
+``_turns`` and dt ladder 25%, the geometry kernel 17%, the volume
+increments 17%, the Thomas sweep 13%, the rest of the projection 7%, the
+update's checks 7% and the stop checks and records 15%; at m = 201 the
+pure-Python Thomas sweep takes 28%, the velocity and right-hand side 20%,
+the increments 16% and the kernel 13%.  The endgame's jump from 1 + 0.1
+cos(pi z) (4 iterations) costs 0.55-0.6 ms at m = 61 and 1.05-1.1 ms at m
+= 201; the run takes 6 steps (euclidean) and 2 (hyperbolic), against 11
+and 6 with a hand-off below 0.1 |Hbar|.  Short arrays make numpy's
+per-call overhead most of this, so the loop reduces with ndarray methods
+and carries each state's min and max r.
 """
 
 from __future__ import annotations
@@ -250,7 +250,7 @@ class FlowState:
     dt_prev: Optional[float] = None
     # the convergence tolerance; None is cfg.conv_tol, or 1e-6 |cached.Hbar|
     conv_tol: Optional[float] = None
-    endgame_tried: bool = False  # the Newton endgame's last try was made
+    endgame_tried: bool = False  # the Newton endgame was taken: no more tries
     endgame_declined: Optional[float] = None  # the gap of the last declined try
 
 
@@ -261,10 +261,11 @@ class Endgame:
     step: int  # steps taken before the hand-off
     t: float  # t at the hand-off
     gap: float  # max|H - Hbar| at the hand-off
+    share: float  # the slowest volume-preserving mode's share of gap
     iterations: int
     residual: float  # max|H - Hbar| of the limit
     lambda1: float  # decay rate of the slowest volume-preserving mode at the limit
-    rate: float  # the same at the hand-off, which dates the limit
+    rate: float  # the same at the hand-off; share, lambda1 and rate date the limit
 
 
 @dataclass
@@ -418,14 +419,13 @@ _DIAG_MARGIN = 2.0 ** -20
 # documented 1e-3 per unit time.
 _DT_CAP = 300.0
 # The Newton endgame (``_Euler._endgame``) for conv_tol <= max|H - Hbar| <
-# _ENDGAME_GAP |Hbar|, its two tiers split at _ENDGAME_LATE |Hbar| (see the
-# module docstring).  Newton iterates while the gap falls, until it is below
-# _SPEED_NOISE |Hbar|, at most _ENDGAME_ITERS times: a limit left at a gap of
-# 1e-11 still carries a multi-mode remnant that the census counts.
-_ENDGAME_GAP = 1e-1
-_ENDGAME_LATE = 1e-2
-_ENDGAME_SHARE = 0.95
-_ENDGAME_RATE_TOL = 1e-2
+# _ENDGAME_GAP |Hbar| (see the module docstring).  Newton iterates while the
+# gap falls, until it is below _SPEED_NOISE |Hbar|, at most _ENDGAME_ITERS
+# times: a limit left at a gap of 1e-11 still carries a multi-mode remnant
+# that the census counts.
+_ENDGAME_GAP = 0.5
+_ENDGAME_SHARE = 0.5
+_ENDGAME_RATE_TOL = 5e-2
 _ENDGAME_RETRY = 3.0
 _ENDGAME_ITERS = 6
 _ENDGAME_SWEEPS = 3
@@ -524,11 +524,10 @@ class _Euler:
     the step-size controller's proposal k for the next dt = dt_cfl 2^(k/4),
     None to estimate it, and ``prev`` the last step's (v, dr, dt), or None
     before a first step, which is then semi-implicit Euler.  ``conv_tol``,
-    ``tried`` and ``declined`` set the Newton endgame, and ``endgame`` holds
-    the ``Endgame`` fields after ``step`` of one that was taken.  With
-    ``implicit=False`` the update is explicit Euler at dt_cfl, kept as the
-    reference that the differential tests compare against; it never takes
-    the endgame.
+    ``tried`` (an endgame was taken) and ``declined`` set the Newton
+    endgame's tries, and ``endgame`` holds the fields of one taken.  With
+    ``implicit=False`` the update is explicit Euler at dt_cfl, the
+    reference of the differential tests; it never takes the endgame.
     """
 
     def __init__(self, grid: ProfileGrid, space, cfg: FlowConfig, implicit: bool = True,
@@ -646,27 +645,28 @@ class _Euler:
         ``floor`` is a singularity; with projection on, the shifted profile
         is driven from ``v_tracked`` to ``v_target``.  The shift c moves the
         min and max by exactly c: x -> x + c is monotone in floating point.
-        ``gap`` is max|H - hbar| of the state; near the limit the step is the
-        Newton endgame's jump to it when that is accepted.  A raise leaves
-        ``rung``, ``prev`` and the endgame's state as they were, so a refused
-        step leaves the controller at the last accepted state.
+        ``gap`` is max|H - hbar| of the state; near the limit the step is
+        the Newton endgame's jump to it when that is accepted.  f or h <= 0
+        is an instability.  A raise leaves ``rung``, ``prev`` and the
+        endgame's state as they were, so a refused step leaves the
+        controller at the last accepted state.
         """
-        saved = self.rung, self.prev, self.tried, self.declined
+        saved = self.rung, self.prev, self.declined
         try:
-            if (gap is not None and not self.tried and self.implicit and self.project
+            if not np.minimum(g.f, g.h).min() > 0.0:
+                raise FlowStopped(StopReason(StopTag.INSTABILITY))
+            # after a first step: the explicit reference, which keeps none, never tries
+            if (gap is not None and self.prev is not None and not self.tried and self.project
                     and self.conv_tol is not None
-                    and self.conv_tol <= gap < _ENDGAME_GAP * abs(hbar)):
-                late = gap < _ENDGAME_LATE * abs(hbar)
-                if late or self.declined is None or _ENDGAME_RETRY * gap <= self.declined:
-                    self.tried = late
-                    limit = self._endgame(r, g, hbar, floor, v_tracked, v_target, t, max_t,
-                                          gap, not late)
-                    if limit is not None:
-                        return limit
-                    self.declined = gap
+                    and self.conv_tol <= gap < _ENDGAME_GAP * abs(hbar)
+                    and (self.declined is None or _ENDGAME_RETRY * gap <= self.declined)):
+                limit = self._endgame(r, g, hbar, floor, v_tracked, v_target, t, max_t, gap)
+                if limit is not None:
+                    return limit
+                self.declined = gap
             return self._step(r, g, hbar, floor, v_tracked, v_target, t, max_t)
         except FlowStopped:
-            self.rung, self.prev, self.tried, self.declined = saved
+            self.rung, self.prev, self.declined = saved
             raise
 
     def _step(self, r, g, hbar, floor, v_tracked, v_target, t, max_t):
@@ -715,27 +715,25 @@ class _Euler:
             norms *= norm
         return lam, norms, x
 
-    def _endgame(self, r, g, hbar, floor, v_tracked, v_target, t, max_t, gap, early):
+    def _endgame(self, r, g, hbar, floor, v_tracked, v_target, t, max_t, gap):
         """Newton's method for the discrete CMC limit: H_i(r) = Hc for all i,
         with the volume v_target; the unknowns are r and Hc.
 
         Each iteration solves the bordered system [J -1; wv 0] by one sweep
-        with two right-hand sides, J x1 = -(H - Hc) and J x2 = 1, and the
-        scalar dHc from the volume row, then measures the volume by
-        quadrature, projects it as a step does and takes one kernel pass.  Before any iteration the
-        try is declined unless the limit is stable under volume-preserving
-        variations: by Haynsworth's inertia additivity, J on wv's null space
-        is positive definite iff J has 1 negative pivot and wv.J^-1 1 < 0,
-        or none and wv.J^-1 1 > 0 (Sylvester's law holds the pivot count to
-        J's inertia, J being similar to a symmetric matrix near a graph's
-        limit).  Inverse-iteration sweeps from H - Hbar give the hand-off's
-        rate, which dates the limit, and rate^3 times their normalisers the
-        slowest mode's share of the gap.  Iterates are kept while the gap
-        falls and the profile stays in (floor, r_max); the last one is
-        accepted when its gap is below conv_tol, and sweeps with the last
-        factored J give lambda1, the limit's rate.  An ``early`` try also
-        passes the two gates.  Returns what ``advance`` returns, or None, the
-        state untouched, to step on.
+        with two right-hand sides, J x1 = -(H - Hc) and J x2 = 1, and dHc
+        from the volume row; the volume is measured by quadrature after the
+        first, long jump, by increments after the others, and projected once
+        on the limit.  By Haynsworth's inertia additivity, J on wv's null
+        space is positive definite (the limit is stable) iff J has 1
+        negative pivot and wv.J^-1 1 < 0, or none and wv.J^-1 1 > 0
+        (Sylvester's law holds the pivot count to J's inertia, J being
+        similar to a symmetric matrix near a graph's limit).  Inverse
+        iteration from H - Hbar gives the hand-off's rate and, as rate^3
+        times its normalisers, the slowest mode's share of the gap; from the
+        limit's mode, with the last factored J, lambda1.  Iterates are kept
+        while the gap falls and the profile stays in (floor, r_max).
+        Returns what ``advance`` returns, or None, the state untouched, to
+        step on (see the module docstring for the gates).
         """
         conv_tol = self.conv_tol
         with np.errstate(all="ignore"):
@@ -748,12 +746,12 @@ class _Euler:
                 rate, norms, mode = self._sweeps(b, g.H - hbar)
             except ZeroDivisionError:
                 return None
-            if early and not rate ** 3 * norms >= _ENDGAME_SHARE * gap:
+            share = min(1.0, rate ** 3 * norms / gap)
+            # dated at lambda1 = rate: a try far past max_t ends before any iteration
+            if not (share >= _ENDGAME_SHARE
+                    and t + math.log(share * gap / conv_tol) / rate <= max_t):
                 return None
-            t_new = t + math.log(gap / conv_tol) / rate if rate > 0.0 else math.inf
-            if not t_new <= max_t or not math.isfinite(t_new):
-                return None
-            limit, hc, res, its = None, hbar, gap, 0
+            hc, res, its = hbar, gap, 0
             floor_gap = _SPEED_NOISE * abs(hbar)
             try:
                 while its < _ENDGAME_ITERS and res > floor_gap:
@@ -766,32 +764,31 @@ class _Euler:
                     mn, mx = float(r_new.min()), float(r_new.max())
                     if not (floor < mn and mx < self.r_max):
                         break
-                    # an early jump is long for the O(dr^7) increment
-                    v_new = float(self.wz_sigma @ beta(self.space, r_new))
-                    c, r_new, v_new = _project_volume(self.space, self.wz_sigma, r_new, v_new,
-                                                      v_target, self.r_max, mn, mx)
-                    if not floor < mn + c:
-                        break
+                    v_new = (v_tracked + _volume_increment(self.space, self.wz_sigma, r, r_new)
+                             if its else float(self.wz_sigma @ beta(self.space, r_new)))
                     g, hbar_new = self.geometry(r_new)
                     res_new = float(abs(g.H - hbar_new).max())
                     if not res_new < res:
                         break
                     r, v_tracked, hc, res, its = r_new, v_new, hc + dhc, res_new, its + 1
-                    limit = r, t_new, v_tracked, mn + c, mx + c
-            except (ZeroDivisionError, FlowStopped):
-                pass
-            if not res < conv_tol:
-                return None
-            try:
+                    lo, hi = mn, mx
+                if not res < conv_tol:
+                    return None
                 lam = self._sweeps(b, mode)[0]
-            except ZeroDivisionError:
+                c, r, v_tracked = _project_volume(self.space, self.wz_sigma, r, v_tracked,
+                                                  v_target, self.r_max, lo, hi)
+            except (ZeroDivisionError, FlowStopped):
                 return None
-        if early and not abs(lam / rate - 1.0) <= _ENDGAME_RATE_TOL:
+        if not abs(lam / rate - 1.0) <= _ENDGAME_RATE_TOL:
+            return None
+        # a decay rate moving linearly with the amplitude from rate to lam, integrated
+        t_new = t + math.log(share * gap * lam / (conv_tol * rate)) / lam
+        if not (t < t_new <= max_t and floor < lo + c):
             return None
         self.prev = None  # a jump, not a time step: the next step starts afresh
         self.tried = True
-        self.endgame = (t, gap, its, res, lam, rate)
-        return limit
+        self.endgame = (t, gap, share, its, res, lam, rate)
+        return r, t_new, v_tracked, lo + c, hi + c
 
 
 def step(s: FlowState, space, cfg: FlowConfig) -> FlowState:
@@ -802,11 +799,12 @@ def step(s: FlowState, space, cfg: FlowConfig) -> FlowState:
     ``s.dt_rung`` and is clipped to land on ``cfg.max_t``; the step extends
     the history ``s.v_prev``, ``s.d_prev``, ``s.dt_prev`` (semi-implicit
     Euler without one), and the projection carries ``s.v_tracked`` to
-    ``s.v_target``.  Where ``run`` would take the Newton endgame (tried
-    once, ``s.endgame_tried``, against ``s.conv_tol``), so does ``step``.
-    Raises ``FlowStopped`` if the update produces non-finite values, drives
-    a node out of (0, r_max), or the volume projection misses its
-    tolerance; the caller's state is never mutated.
+    ``s.v_target``.  Where ``run`` would take the Newton endgame (against
+    ``s.conv_tol``, ``s.endgame_declined`` and ``s.endgame_tried``), so
+    does ``step``.  Raises ``FlowStopped`` if f or h <= 0 at ``s``, or the
+    update produces non-finite values, drives a node out of (0, r_max), or
+    the volume projection misses its tolerance; the caller's state is never
+    mutated.
     """
     p = s.profile
     _check_domain(p, space)

@@ -145,6 +145,15 @@ class TestValidateCommand:
         assert "h not positive on (0, 1.05]" in (err if command == "run" else out)
         assert not (outdir / "summary.json").exists()
 
+    def test_h_vanishing_past_the_profile_stops_the_run(self, tmp_path, capsys):
+        # the first state with a node where h <= 0 is an instability
+        outdir = tmp_path / "out"
+        code = main(["run", "--config", write_ini(tmp_path / "c.ini", H_LEAVES),
+                     "--out", str(outdir)])
+        summary = json.loads((outdir / "summary.json").read_text())
+        assert code == 2 and summary["reason"] == "instability"
+        assert 1.0 < summary["final"]["max_r"] < 1.02
+
     def test_config_error_exit_1(self, tmp_path, capsys):
         code = main(["validate", "--config",
                      write_ini(tmp_path / "c.ini", BASE.replace("b = 1.0", "b = x"))])
@@ -193,6 +202,11 @@ H_VANISHES = (BASE.replace("preset = euclidean\nn = 2",
                        "expr = 0.9 + 0.1*cos(pi*z)^2"))
 
 
+# the same space with a profile inside the probed (0, 0.9975]: validation
+# passes, and the flow carries the profile past r = 1, where h < 0
+H_LEAVES = H_VANISHES.replace("expr = 0.9 + 0.1*cos(pi*z)^2", "expr = 0.9 + 0.05*cos(pi*z)^2")
+
+
 # the same space on its ball r < 1: a profile past 0.99 r_max stops as an
 # instability at step 0, and the bounds' r2 target is unreachable in r < 1
 BOUNDS_FAIL = (H_VANISHES.replace("d2h = -2", "d2h = -2\nr_max = 1")
@@ -239,7 +253,8 @@ class TestRunCommand:
         assert summary["reason"] == "converged"
         assert summary["seed"] == 7
         endgame = summary["endgame"]
-        assert set(endgame) == {"step", "t", "gap", "iterations", "residual", "lambda1", "rate"}
+        assert set(endgame) == {"step", "t", "gap", "share", "iterations", "residual", "lambda1",
+                               "rate"}
         assert summary["steps"] == endgame["step"] + 1
         assert endgame["residual"] < summary["flow_config"]["conv_tol"] <= endgame["gap"]
         assert {"r1", "r2", "r3"} <= set(summary["bounds"])

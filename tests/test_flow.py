@@ -359,24 +359,25 @@ class TestStepSizeControl:
         k = math.floor(4 * math.log2(dt0 / dt_cfl))
         assert k > 0 and dts[0] == dt_cfl * 2.0 ** (k / 4)
 
-    @pytest.mark.parametrize("space_name,scale,max_t,end", [
-        pytest.param("euclid2", 1.0, 0.3, "max_t", id="euclid2-1.0"),
-        pytest.param("hyper2", 1.0, 0.3, "max_t", id="hyper2-1.0"),
-        pytest.param("sphere3", 0.5, 0.3, "max_t", id="sphere3-0.5"),
-        pytest.param("custom_rss2", 1.0, 0.3, "max_t", id="custom_rss2-1.0"),
-        pytest.param("euclid2", 1.0, FlowConfig.max_t, "early", id="euclid2-converge"),
-        pytest.param("hyper2", 1.0, FlowConfig.max_t, "early", id="hyper2-converge"),
-        pytest.param("custom_rss2", 1.0, FlowConfig.max_t, "early", id="custom_rss2-early"),
-        pytest.param("sphere3", 0.5, FlowConfig.max_t, "late", id="sphere3-declined-late"),
+    @pytest.mark.parametrize("space_name,scale,amp,max_t,end", [
+        pytest.param("euclid2", 1.0, 0.1, 0.3, "max_t", id="euclid2-1.0"),
+        pytest.param("hyper2", 1.0, 0.1, 0.3, "max_t", id="hyper2-1.0"),
+        pytest.param("sphere3", 0.5, 0.1, 0.3, "max_t", id="sphere3-0.5"),
+        pytest.param("custom_rss2", 1.0, 0.1, 0.3, "max_t", id="custom_rss2-1.0"),
+        pytest.param("euclid2", 1.0, 0.1, FlowConfig.max_t, "taken", id="euclid2-converge"),
+        pytest.param("hyper2", 1.0, 0.2, FlowConfig.max_t, "retried", id="hyper2-converge"),
+        pytest.param("custom_rss2", 1.0, 0.2, FlowConfig.max_t, "retried",
+                     id="custom_rss2-retried"),
+        pytest.param("sphere3", 0.5, 0.1, FlowConfig.max_t, "retried", id="sphere3-retried"),
     ])
-    def test_step_chain_is_run_bit_for_bit(self, request, space_name, scale, max_t, end):
+    def test_step_chain_is_run_bit_for_bit(self, request, space_name, scale, amp, max_t, end):
         # FlowState carries run's proposal, tracked and target volumes, SBDF2
         # history and endgame state, so every step lands on the same bits as
         # run's; a chain to max_t lands on it by itself in run's steps, and a
-        # converging one takes run's endgame: an early try (custom_rss2 after a
-        # declined one), or the last try after declined early tries
+        # converging one takes run's endgame: at its first try, or at a retry
+        # once the gap has fallen 3 times below a declined try's
         space = request.getfixturevalue(space_name)
-        p0 = ProfileGrid(0.0, 1.0, scale * cos_profile(51).r)
+        p0 = ProfileGrid(0.0, 1.0, scale * cos_profile(51, amp=amp).r)
         cfg = FlowConfig(max_t=max_t, record_every=1)
         res = run(p0, space, cfg)
         assert res.reason.tag is (StopTag.MAX_TIME if end == "max_t" else StopTag.CONVERGED)
@@ -391,10 +392,10 @@ class TestStepSizeControl:
             assert np.array_equal(state.profile.r, snap.r)
         if end == "max_t":
             assert s.t == max_t
-        else:  # the hand-off's gap against its state's Hbar
-            early = res.endgame.gap >= flow._ENDGAME_LATE * abs(res.history[-2].Hbar)
-            assert early is (end == "early")
-            assert early or res.final.endgame_declined is not None
+        elif end == "taken":
+            assert res.final.endgame_declined is None
+        else:
+            assert flow._ENDGAME_RETRY * res.endgame.gap <= res.final.endgame_declined
         # run's final state hands the same volumes, history and endgame state
         # on to a next step
         assert res.final.v_target == s.v_target == res.history[0].V
@@ -453,13 +454,18 @@ class TestEndgame:
         assert res.reason.tag is StopTag.CONVERGED and eg is not None
         assert res.steps == eg.step + 1 and 1 <= eg.iterations <= flow._ENDGAME_ITERS
         conv_tol = res.config.conv_tol
-        assert conv_tol <= eg.gap < flow._ENDGAME_GAP * abs(res.final.cached.Hbar)
+        # after a first step, within the window and through both gates
+        assert eg.step >= 1 and conv_tol <= eg.gap < flow._ENDGAME_GAP * abs(res.final.cached.Hbar)
+        assert flow._ENDGAME_SHARE <= eg.share <= 1.0
+        assert abs(eg.lambda1 / eg.rate - 1.0) <= flow._ENDGAME_RATE_TOL
         # iterated to rounding: a cylinder to the last bits, with no critical point
         assert eg.residual == _gap(res.final.profile, space) <= 1e-14
         assert np.ptp(res.final.profile.r) <= 1e-14 and res.final.cached.N == 2
         assert abs(res.final.cached.V / res.history[0].V - 1.0) <= 1e-12
-        # dated when the linearised flow reaches conv_tol, at the hand-off's rate
-        assert res.final.t == eg.t + math.log(eg.gap / conv_tol) / eg.rate
+        # dated when the slowest mode's share of the gap reaches conv_tol, at a
+        # decay rate moving linearly with its amplitude from rate to lambda1
+        assert res.final.t == eg.t + math.log(eg.share * eg.gap * eg.lambda1
+                                              / (conv_tol * eg.rate)) / eg.lambda1
         assert res.final.endgame_tried and res.final.dt_prev is None
 
     def test_lambda1_is_the_cylinders_decay_rate(self, euclid2):
@@ -472,13 +478,16 @@ class TestEndgame:
     @pytest.mark.parametrize("radius", [0.3, 0.2])
     def test_unstable_cylinders_are_not_taken_as_limits(self, monkeypatch, euclid2, radius):
         # below R = 1/pi the cylinder is unstable under volume-preserving
-        # variations: the try at the first state is declined, and the
-        # near-cylinder pinches in the steps it takes without the endgame
+        # variations: the try after the first step is declined (endgame_declined
+        # holds its gap, and endgame_tried, an endgame taken, stays False), the
+        # gap grows, so none follows, and the near-cylinder pinches in the
+        # steps it takes without the endgame
         z = np.linspace(0.0, 1.0, 61)
         p0 = ProfileGrid(0.0, 1.0, radius * (1.0 + 1e-3 * np.cos(np.pi * z)))
         res = run(p0, euclid2, FlowConfig())
         assert res.reason.tag is StopTag.SINGULARITY
-        assert res.endgame is None and res.final.endgame_tried
+        assert res.endgame is None and not res.final.endgame_tried
+        assert res.final.endgame_declined is not None
         monkeypatch.setattr(flow, "_ENDGAME_GAP", 0.0)
         plain = run(p0, euclid2, FlowConfig())
         assert res.reason == plain.reason and res.steps == plain.steps > 50
@@ -486,11 +495,13 @@ class TestEndgame:
     @pytest.mark.parametrize("cfg", [FlowConfig(max_t=1.0), FlowConfig(volume_projection=False)],
                              ids=["dated-past-max_t", "no-projection"])
     def test_a_declined_try_steps_on_as_without_the_endgame(self, monkeypatch, euclid2, cfg):
-        # past max_t the try is declined before any iteration; without the
-        # projection there is no volume to hold, and no try
+        # past max_t each try, and each retry, is declined before any
+        # iteration; without the projection there is no volume to hold, and
+        # no try.  No endgame is taken (endgame_tried), in both.
         cfg = dataclasses.replace(cfg, record_every=1)
         res = run(cos_profile(51), euclid2, cfg)
-        assert res.endgame is None and res.final.endgame_tried is cfg.volume_projection
+        assert res.endgame is None and not res.final.endgame_tried
+        assert (res.final.endgame_declined is not None) is cfg.volume_projection
         monkeypatch.setattr(flow, "_ENDGAME_GAP", 0.0)
         plain = run(cos_profile(51), euclid2, cfg)
         assert res.reason == plain.reason and res.steps == plain.steps

@@ -335,35 +335,65 @@ def test_critical_points_never_appear(case):
     assert all(b <= a for a, b in zip(counts, counts[1:]))
 
 
+def _dated_reference(monkeypatch, p0, space, conv_tol):
+    """(explicit run to conv_tol/100, t of its first state below conv_tol).
+
+    The default run ends on the discrete limit (the Newton endgame); the
+    reference lands anywhere within its conv_tol of it, so it runs to a
+    100x tighter one.
+    """
+    dated = []
+    advance = flow._Euler.advance
+
+    def spied_advance(self, r, g, hbar, floor, v_tracked, v_target, t, max_t, gap):
+        if not dated and gap < conv_tol:
+            dated.append(t)
+        return advance(self, r, g, hbar, floor, v_tracked, v_target, t, max_t, gap)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(flow._Euler, "advance", spied_advance)
+        mp.setattr(flow, "_Euler", functools.partial(flow._Euler, implicit=False))
+        ref = run(p0, space, FlowConfig(conv_tol=1e-2 * conv_tol))
+    assert ref.reason.tag is StopTag.CONVERGED and ref.endgame is None
+    return ref, dated[0]
+
+
 @pytest.mark.parametrize("tag,lam", [("euclidean", None), ("hyperbolic", -1.0)])
 def test_semi_implicit_reaches_the_explicit_limit(monkeypatch, tag, lam):
-    # the default run ends on the discrete limit (the Newton endgame); the
-    # reference lands anywhere within its conv_tol of it, so it runs to a
-    # 100x tighter one.  Measured: 1.2e-9 (euclidean), 5.5e-9 (hyperbolic).
-    # The limit is dated when the reference reaches conv_tol: measured
-    # -0.5% (euclidean) and +0.9% (hyperbolic); the 1e-2 hand-off read -2.6%
+    # the limits differ by 1.2e-9 (euclidean) and 5.5e-9 (hyperbolic), and
+    # the date against the reference's is +0.3% and +0.6% (measured); a date
+    # from the whole gap read -0.5% and +0.9% from a 1e-1 hand-off, and
+    # -2.6% (euclidean) from a 1e-2 one
     space = make_preset(tag, lam, n=2)
     p0 = cos_profile(51)
     semi = run(p0, space, FlowConfig())
     assert semi.endgame is not None
-    dated = []  # t of the reference's first state below conv_tol
-    advance = flow._Euler.advance
-
-    def spied_advance(self, r, g, hbar, floor, v_tracked, v_target, t, max_t, gap):
-        if not dated and gap < semi.config.conv_tol:
-            dated.append(t)
-        return advance(self, r, g, hbar, floor, v_tracked, v_target, t, max_t, gap)
-
-    monkeypatch.setattr(flow._Euler, "advance", spied_advance)
-    monkeypatch.setattr(flow, "_Euler", functools.partial(flow._Euler, implicit=False))
-    ref = run(p0, space, FlowConfig(conv_tol=1e-2 * semi.config.conv_tol))
-    assert ref.reason.tag is StopTag.CONVERGED and semi.reason == ref.reason
-    assert ref.endgame is None
+    ref, dated = _dated_reference(monkeypatch, p0, space, semi.config.conv_tol)
+    assert semi.reason == ref.reason
     r_semi, r_ref = semi.final.profile.r, ref.final.profile.r
     assert abs(float(np.mean(r_semi)) - float(np.mean(r_ref))) <= 1e-8
     assert float(np.max(np.abs(r_semi - r_ref))) <= 1e-8
     assert 100 * semi.steps <= ref.steps
-    assert abs(semi.final.t / dated[0] - 1.0) <= 0.015
+    assert abs(semi.final.t / dated - 1.0) <= 0.015
+
+
+@pytest.mark.parametrize("amps", [(0.08, 0.02, 0.0), (5e-4, 0.03, 0.01)],
+                         ids=["generic", "near-symmetric"])
+@pytest.mark.parametrize("space_name", list(_JACOBIAN_SPACES))
+def test_endgame_dates_the_limit_by_its_slowest_mode(monkeypatch, space_name, amps):
+    # R (1 + a1 cos(pi z) + a2 cos(2 pi z) + a3 cos(3 pi z)) at m = 17.  With
+    # a1 small beside a2 and a3 the hand-off gap is mostly faster modes', and
+    # a date from the whole gap lands 13-66% late; the slowest mode's share
+    # of it dates these within 1.6% (measured)
+    space = _JACOBIAN_SPACES[space_name]
+    z = np.linspace(0.0, 1.0, 17)
+    shape = sum(a * np.cos(k * np.pi * z) for k, a in enumerate(amps, 1))
+    p0 = ProfileGrid(0.0, 1.0, (0.5 if space_name == "sphere3" else 1.0) * (1.0 + shape))
+    semi = run(p0, space, FlowConfig())
+    assert semi.endgame is not None
+    ref, dated = _dated_reference(monkeypatch, p0, space, semi.config.conv_tol)
+    assert float(np.max(np.abs(semi.final.profile.r - ref.final.profile.r))) <= 1e-7
+    assert abs(semi.final.t / dated - 1.0) <= 0.03
 
 
 def test_semi_implicit_pinches_where_and_when_explicit_does(monkeypatch):
