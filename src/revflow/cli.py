@@ -67,16 +67,66 @@ def _snapshot_indices(count):
     return sorted({round(i * stride) for i in range(MAX_PROFILE_SNAPSHOTS)})
 
 
-def run_to_directory(cfg, outdir, seed=None):
-    """Execute flow.run for a parsed config and write all artifacts."""
+def _prepare(cfg, outdir):
+    """Validate the space for ``cfg`` and make ``outdir``; raise on a failed validation."""
     report = _validate(cfg)
     if not report.rss_ok:
         raise RuntimeError("space validation failed: " + "; ".join(report.violations))
     if report.rss2_branch is None:
         _warn("sign conditions fail; running outside the guaranteed regime")
-
     os.makedirs(outdir, exist_ok=True)
-    result = flow_mod.run(cfg.initial, cfg.space, cfg.flow)
+
+
+def run_to_directory(cfg, outdir, seed=None):
+    """Execute flow.run for a parsed config and write all artifacts.
+
+    ``cfg`` and ``outdir`` may also be equal-length lists of configs that
+    differ only in ``[initial]``, a sweep group: their runs step together,
+    as one ``flow.run`` ensemble, and each member writes the artifacts of
+    its own run.  The list form returns, per member, its (result, summary)
+    or the exception its own run raises.
+    """
+    if not isinstance(cfg, list):
+        _prepare(cfg, outdir)
+        result = flow_mod.run(cfg.initial, cfg.space, cfg.flow)
+        return result, _write_artifacts(cfg, outdir, result, seed)
+    outs = [None] * len(cfg)
+    ready = []
+    for i, (c, d) in enumerate(zip(cfg, outdir)):
+        try:
+            _prepare(c, d)
+            ready.append(i)
+        except Exception as exc:
+            outs[i] = exc
+    if not ready:
+        return outs
+    first = cfg[ready[0]]
+    try:
+        results = flow_mod.run([cfg[i].initial for i in ready], first.space, first.flow)
+    except Exception as exc:
+        if len(ready) == 1:
+            results = [exc]
+        else:  # some member's own error: run each alone, so that it lands there
+            results = [_run_alone(cfg[i]) for i in ready]
+    for i, result in zip(ready, results):
+        try:
+            if isinstance(result, Exception):
+                raise result
+            outs[i] = result, _write_artifacts(cfg[i], outdir[i], result, seed)
+        except Exception as exc:
+            outs[i] = exc
+    return outs
+
+
+def _run_alone(cfg):
+    try:
+        return flow_mod.run(cfg.initial, cfg.space, cfg.flow)
+    except Exception as exc:
+        return exc
+
+
+def _write_artifacts(cfg, outdir, result, seed):
+    """Write one run's artifacts; return its summary."""
     write_history_csv(result.history, os.path.join(outdir, "history.csv"))
     for k in _snapshot_indices(len(result.snapshots)):
         save_profile_csv(result.snapshots[k], os.path.join(outdir, f"profile_{k}.csv"))
@@ -96,7 +146,7 @@ def run_to_directory(cfg, outdir, seed=None):
         _warn(f"bounds not computed: {extras['bounds_error']}")
     summary = build_summary(result, bounds_report, cfg.echo, extras)
     write_summary_json(summary, os.path.join(outdir, "summary.json"))
-    return result, summary
+    return summary
 
 
 def cmd_run(cfg, args):
@@ -143,12 +193,24 @@ _SWEEP_FINALS = ("V", "area", "Hbar", "min_r", "max_r", "max_v")  # final-record
 _SWEEP_COLUMNS = ("reason", "location", "t_final", "steps") + _SWEEP_FINALS + ("error",)
 
 
-def _sweep_worker(payload):
-    idx, sections, outdir, base_dir = payload
-    row = {"run_id": idx}
-    try:
-        cfg = parse_config(sections, base_dir=base_dir)
-        result, summary = run_to_directory(cfg, os.path.join(outdir, f"run_{idx:04d}"))
+def _sweep_group(members, outdir, base_dir):
+    """The rows of one sweep group: its members parse, run together and write."""
+    rows, cfgs, dirs, parsed = [], [], [], []
+    for idx, sections in members:
+        row = {"run_id": idx}
+        rows.append(row)
+        try:
+            cfgs.append(parse_config(sections, base_dir=base_dir))
+        except Exception as exc:  # a failed run must not sink the sweep
+            row.update(reason="error", error=f"{type(exc).__name__}: {exc}")
+            continue
+        dirs.append(os.path.join(outdir, f"run_{idx:04d}"))
+        parsed.append(row)
+    for row, out in zip(parsed, run_to_directory(cfgs, dirs) if cfgs else []):
+        if isinstance(out, Exception):
+            row.update(reason="error", error=f"{type(out).__name__}: {out}")
+            continue
+        result, summary = out
         final = summary["final"]
         row.update({
             "reason": result.reason.tag.value,
@@ -158,10 +220,7 @@ def _sweep_worker(payload):
             **{col: repr(final[col]) for col in _SWEEP_FINALS},
             "error": summary.get("bounds_error", ""),
         })
-    except Exception as exc:  # a failed run must not sink the sweep
-        row.setdefault("reason", "error")
-        row["error"] = f"{type(exc).__name__}: {exc}"
-    return row
+    return rows
 
 
 def cmd_sweep(cfg, args):
@@ -172,25 +231,18 @@ def cmd_sweep(cfg, args):
     keys = [f"{sect}.{opt}" for (sect, opt), _ in items]
     combos = list(itertools.product(*[values for _, values in items])) if items else []
 
-    payloads = []
+    # members that differ only in [initial] share a space, grid and flow: one group
+    groups = {}
     for idx, combo in enumerate(combos):
         sections = {s: dict(kv) for s, kv in cfg.echo.items()}
         sections.pop("sweep", None)
         for ((sect, opt), _), value in zip(items, combo):
             sections.setdefault(sect, {})[opt] = value
-        payloads.append((idx, sections, outdir, base_dir))
-
-    rows = []
-    jobs = args.jobs or os.cpu_count() or 1
-    if payloads:
-        if jobs > 1:
-            # imported here: concurrent.futures adds 10–20 ms to every command's start-up
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                rows = list(pool.map(_sweep_worker, payloads))
-        else:
-            rows = [_sweep_worker(p) for p in payloads]
+        key = tuple(v for ((sect, _), _), v in zip(items, combo) if sect != "initial")
+        groups.setdefault(key, []).append((idx, sections))
+    rows = sorted((row for group in groups.values()
+                   for row in _sweep_group(group, outdir, base_dir)),
+                  key=lambda row: row["run_id"])
 
     table_path = os.path.join(outdir, "sweep.csv")
     with open(table_path, "w", newline="") as fh:
@@ -200,6 +252,17 @@ def cmd_sweep(cfg, args):
             writer.writerow([row["run_id"], *combo] + [row.get(c, "") for c in _SWEEP_COLUMNS])
     print(f"{len(rows)} runs -> {table_path}")
     return 0
+
+
+def _worker_count(text):
+    """argparse type of ``--jobs``: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def main(argv=None) -> int:
@@ -219,7 +282,9 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True, help="path to config (.ini or summary.json)")
         p.add_argument("--out", help="output directory")
         if name == "sweep":
-            p.add_argument("--jobs", type=int, default=None, help="worker count")
+            p.add_argument("--jobs", type=_worker_count, default=1,
+                           help="at least 1; no effect: a sweep runs in one process, "
+                                "each group as one ensemble")
         if name == "run":
             p.add_argument("--seed", type=int, default=None,
                            help="recorded as 'seed' in summary.json; "

@@ -31,6 +31,7 @@ operands are constants, ``(-2)^0.5``, and gives nan when they vary,
 from __future__ import annotations
 
 import ast
+import functools
 import re
 from typing import Callable
 
@@ -105,12 +106,15 @@ def _check(node, source, var):
     return node
 
 
+@functools.lru_cache(maxsize=32)
 def compile_expression(text: str, var: str = "r") -> Callable:
     """Compile ``text`` into a callable of the single variable ``var``.
 
     ``var`` is an identifier other than ``pi`` and the function names.
     The callable accepts floats or numpy arrays and returns a matching
     float or array (constant expressions broadcast to the input shape).
+    The callable holds no state, so a repeated text, as in the members of
+    a sweep, is compiled once.
     """
     bad = _FORBIDDEN.search(text)
     if bad:

@@ -105,15 +105,29 @@ with a quadrature volume, is why it costs more per call.
 Where a step of ``run`` spends its time (2 vCPUs, Python 3.11, numpy 2.4):
 at m = 61, about 220 us: the velocity, SBDF2 right-hand side, estimate,
 ``_turns`` and dt ladder 25%, the geometry kernel 17%, the volume
-increments 17%, the Thomas sweep 13%, the rest of the projection 7%, the
-update's checks 7% and the stop checks and records 15%; at m = 201 the
-pure-Python Thomas sweep takes 28%, the velocity and right-hand side 20%,
-the increments 16% and the kernel 13%.  The endgame's jump from 1 + 0.1
-cos(pi z) (4 iterations) costs 0.55-0.6 ms at m = 61 and 1.05-1.1 ms at m
-= 201; the run takes 6 steps (euclidean) and 2 (hyperbolic), against 11
-and 6 with a hand-off below 0.1 |Hbar|.  Short arrays make numpy's
+increments 17%, the Thomas sweep about 10%, the rest of the projection 7%,
+the update's checks 7% and the stop checks and records 15%; at m = 201 the
+pure-Python Thomas sweep takes about 21%, the velocity and right-hand side
+20%, the increments 16% and the kernel 13%.  The endgame's jump from 1 +
+0.1 cos(pi z) (4 iterations) costs 0.55-0.6 ms at m = 61 and 1.05-1.1 ms
+at m = 201; the run takes 6 steps (euclidean) and 2 (hyperbolic), against
+11 and 6 with a hand-off below 0.1 |Hbar|.  Short arrays make numpy's
 per-call overhead most of this, so the loop reduces with ndarray methods
 and carries each state's min and max r.
+
+``run`` of several profiles on one grid is an ensemble (``_Run`` holds
+each run's state): each step evaluates the geometry kernel once for all
+live runs (``_geometries``), and each run then steps alone through
+``_Euler.advance``, so its bits are those of its own run.  In the six
+dumbbells of the benchmark sweep (custom space, m = 201, 187 steps in
+all), a step of a run alone takes about 280 us: the Thomas sweeps 25%, the
+kernel 13%, the volume densities of the increments and the projection 10%,
+the records 8% and ``_turns`` 7%.  In their ensemble, 4.7 live runs per
+step on average, the kernel takes about 17 us per run and step instead of
+36; the rest stays per run.  The kernel's cosh and sinh cost per element,
+so a batch saves less than numpy's per-call overhead would suggest.
+Batching the volume densities too, through generators, took another 2%
+off the ensemble but made a run of one profile 3-5% slower.
 """
 
 from __future__ import annotations
@@ -467,15 +481,12 @@ def _factor(lower, diag, upper):
     """
     a = lower.tolist()
     c = upper.tolist()
-    b = diag.tolist()
-    p = b[0]
-    mult = [0.0]
-    piv = [p]
-    for i in range(1, len(b)):
-        li = a[i - 1] / p
-        p = b[i] - li * c[i - 1]
-        mult.append(li)
-        piv.append(p)
+    piv = diag.tolist()  # each pivot takes the place of its diagonal entry
+    mult = [0.0] * len(piv)
+    p = piv[0]
+    for i in range(1, len(piv)):
+        li = mult[i] = a[i - 1] / p
+        p = piv[i] = piv[i] - li * c[i - 1]
     return mult, piv, c
 
 
@@ -484,9 +495,10 @@ def _lu_solve(lu, rhs):
     mult, piv, c = lu
     x = rhs.tolist()
     m = len(x)
+    xi = x[0]
     for i in range(1, m):
-        x[i] -= mult[i] * x[i - 1]
-    xi = x[-1] = x[-1] / piv[-1]
+        xi = x[i] = x[i] - mult[i] * xi
+    xi = x[-1] = xi / piv[-1]
     for i in range(m - 2, -1, -1):
         xi = x[i] = (x[i] - c[i] * xi) / piv[i]
     return np.array(x)
@@ -498,22 +510,24 @@ def _solve_diffusion(diag, rhs):
     The end rows use the reflected ghosts x_{-1} = x_1 and x_m = x_{m-2} of
     the Neumann second difference.  diag > 2 makes the system strictly
     diagonally dominant, so the sweep needs no pivoting; rhs = 0 gives x = 0
-    exactly.
+    exactly.  The sweep overwrites the lists of diag and rhs: w_i takes the
+    place of diag_i once it is read, and y_i, then x_i, that of rhs_i.
+    Indexed stores into them, with each value carried in a local, take
+    about 30% less time than appending to new lists (45 -> 32 us at
+    m = 201).
     """
-    e = diag.tolist()
-    g = rhs.tolist()
-    m = len(e)
-    w = [2.0 / e[0]]  # x_i = y_i + w_i x_{i+1}
-    y = [g[0] / e[0]]
+    w = diag.tolist()  # x_i = y_i + w_i x_{i+1}
+    y = rhs.tolist()
+    m = len(w)
+    yi = y[0] = y[0] / w[0]
+    wi = w[0] = 2.0 / w[0]
     for i in range(1, m - 1):
-        wi = 1.0 / (e[i] - w[-1])
-        y.append((g[i] + y[-1]) * wi)
-        w.append(wi)
-    x = [0.0] * m
-    xi = x[-1] = (g[-1] + 2.0 * y[-1]) / (e[-1] - 2.0 * w[-1])
+        wi = w[i] = 1.0 / (w[i] - wi)
+        yi = y[i] = (y[i] + yi) * wi
+    xi = y[-1] = (y[-1] + 2.0 * yi) / (w[-1] - 2.0 * wi)
     for i in range(m - 2, -1, -1):
-        xi = x[i] = y[i] + w[i] * xi
-    return np.array(x)
+        xi = y[i] = y[i] + w[i] * xi
+    return np.array(y)
 
 
 class _Euler:
@@ -826,82 +840,138 @@ def step(s: FlowState, space, cfg: FlowConfig) -> FlowState:
                      euler.declined)
 
 
-def run(initial: ProfileGrid, space, cfg: FlowConfig) -> RunResult:
+def _geometries(rows, space, dz, wz):
+    """[(kernel output, Hbar)] of each profile's radii in ``rows``, one kernel call.
+
+    The kernel is elementwise, so a row of the stacked (B, m) output holds
+    the bits of that row's own call; each Hbar reduces its own row.
+    """
+    if len(rows) == 1:
+        g = _geometry(rows[0], space, dz)
+        return [(g, _hbar(g, wz))]
+    batch = _geometry(np.array(rows), space, dz)
+    out = []
+    for fields_j in zip(*batch):
+        g = type(batch)(*fields_j)
+        out.append((g, _hbar(g, wz)))
+    return out
+
+
+class _Run:
+    """One run of ``run``: its state, controller, records and, once stopped, result."""
+
+    def __init__(self, initial: ProfileGrid, space, cfg: FlowConfig):
+        self.space = space
+        self.a, self.b = initial.a, initial.b
+        self.r = initial.r.copy()
+        self.euler = _Euler(initial, space, cfg)
+        self.cfg = cfg
+        self.history: List[DiagnosticsRecord] = []
+        self.snapshots: List[ProfileGrid] = []
+        self.t = 0.0
+        self.endgame = None
+        self.result = None
+
+    def record(self):  # the current state, from its kernel output g
+        prof = ProfileGrid(self.a, self.b, self.r)
+        self.history.append(_record(prof, self.space, self.g, self.hbar, self.euler.wz, self.t))
+        self.snapshots.append(prof)
+
+    def start(self, g, hbar):
+        """Record the initial state and resolve the config's default thresholds."""
+        self.g, self.hbar = g, hbar
+        self.record()
+        first = self.history[0]
+        self.cfg = _resolve(self.cfg, first.min_r, hbar)
+        self.euler.conv_tol = self.cfg.conv_tol
+        self.v_target = self.v_tracked = first.V
+        self.lo, self.hi = first.min_r, first.max_r  # min and max of r
+
+    def advance(self, step_idx):
+        """Take step ``step_idx`` from the current state; False once the run has stopped.
+
+        The caller sets the new state's kernel output (``g``, ``hbar``).
+        """
+        rc, g, hbar, euler = self.cfg, self.g, self.hbar, self.euler
+        r_max = self.space.r_max_domain
+        if not math.isfinite(hbar):
+            reason = StopReason(StopTag.INSTABILITY)
+        elif self.lo < rc.r_min_stop:
+            reason = euler._singularity(self.r).reason
+        elif r_max < math.inf and self.hi > 0.99 * r_max:
+            # outside the regime the theory covers; treated as a failure
+            reason = StopReason(StopTag.INSTABILITY)
+        elif g.v.max() > rc.v_max_stop:
+            reason = StopReason(StopTag.GRAPH_FAILURE)
+        else:
+            gap = float(abs(g.H - hbar).max())
+            if gap < rc.conv_tol:
+                reason = StopReason(StopTag.CONVERGED)
+            elif self.t >= rc.max_t:
+                reason = StopReason(StopTag.MAX_TIME)
+            else:
+                try:
+                    self.r, self.t, self.v_tracked, self.lo, self.hi = euler.advance(
+                        self.r, g, hbar, rc.r_min_stop, self.v_tracked, self.v_target,
+                        self.t, rc.max_t, gap)
+                except FlowStopped as stop:
+                    reason = stop.reason
+                else:
+                    if euler.endgame is not None and self.endgame is None:
+                        self.endgame = Endgame(step_idx, *euler.endgame)
+                    return True
+        # a failed advance leaves r, g, hbar and the controller at the last state
+        if step_idx % rc.record_every:
+            self.record()
+        final = FlowState(self.snapshots[-1], self.t, self.history[-1], euler.rung,
+                          self.v_tracked, self.v_target, *euler.history(), rc.conv_tol,
+                          euler.tried, euler.declined)
+        self.result = RunResult(final=final, reason=reason, history=self.history,
+                                snapshots=self.snapshots, config=rc, steps=step_idx,
+                                endgame=self.endgame)
+        return False
+
+
+def run(initial, space, cfg: FlowConfig):
     """Iterate the flow from ``initial`` until a terminal condition fires.
 
     Diagnostics are recorded every ``cfg.record_every`` steps and at
     termination, each with a profile snapshot.  The returned config carries
     the resolved default thresholds.  A run that takes the Newton endgame
-    reports it in ``endgame``; its last state is the discrete limit.  A run
-    is strictly sequential in time; independent runs share no mutable state
-    and can execute in parallel.
+    reports it in ``endgame``; its last state is the discrete limit.
+
+    ``initial`` may also be a sequence of profiles on one grid, an
+    ensemble; the list of their results is returned.  Each step of the
+    ensemble evaluates the geometry kernel once for all its live runs, and
+    each run then steps alone, so each result is ``==`` to the run of its
+    profile alone.  A run leaves the ensemble when it stops.  A single
+    profile is the ensemble of one.  Each run's steps are sequential in
+    time.
     """
-    _check_domain(initial, space)
-    a, b = initial.a, initial.b
-    r = initial.r.copy()
-    r_max = space.r_max_domain
-    euler = _Euler(initial, space, cfg)
-    history: List[DiagnosticsRecord] = []
-    snapshots: List[ProfileGrid] = []
-    t = 0.0
+    single = isinstance(initial, ProfileGrid)
+    profiles = [initial] if single else list(initial)
+    for p in profiles:
+        _check_domain(p, space)
+        if (p.a, p.b, p.m) != (profiles[0].a, profiles[0].b, profiles[0].m):
+            raise ValueError("the profiles of an ensemble must share one grid")
+    runs = [_Run(p, space, cfg) for p in profiles]
+    if not runs:
+        return []
+    dz, wz = profiles[0].dz, runs[0].euler.wz
+    for x, state in zip(runs, _geometries([x.r for x in runs], space, dz, wz)):
+        x.start(*state)
+    live = runs
     step_idx = 0
-
-    def record():  # the current state, from its kernel output g
-        prof = ProfileGrid(a, b, r)
-        history.append(_record(prof, space, g, hbar, euler.wz, t))
-        snapshots.append(prof)
-
-    g, hbar = euler.geometry(r)
-    record()
-    rcfg = _resolve(cfg, history[0].min_r, hbar)
-    r_min_stop = rcfg.r_min_stop
-    conv_tol = euler.conv_tol = rcfg.conv_tol
-    v_target = v_tracked = history[0].V
-    endgame = None
-    r_lo, r_hi = history[0].min_r, history[0].max_r  # min and max of r
-
     while True:
-        if not math.isfinite(hbar):
-            reason = StopReason(StopTag.INSTABILITY)
+        live = [x for x in live if x.advance(step_idx)]
+        if not live:
             break
-        if r_lo < r_min_stop:
-            reason = euler._singularity(r).reason
-            break
-        if r_max < math.inf and r_hi > 0.99 * r_max:
-            # outside the regime the theory covers; treated as a failure
-            reason = StopReason(StopTag.INSTABILITY)
-            break
-        if g.v.max() > rcfg.v_max_stop:
-            reason = StopReason(StopTag.GRAPH_FAILURE)
-            break
-        gap = float(abs(g.H - hbar).max())
-        if gap < conv_tol:
-            reason = StopReason(StopTag.CONVERGED)
-            break
-        if t >= rcfg.max_t:
-            reason = StopReason(StopTag.MAX_TIME)
-            break
-
-        try:
-            r, t, v_tracked, r_lo, r_hi = euler.advance(r, g, hbar, r_min_stop, v_tracked,
-                                                        v_target, t, rcfg.max_t, gap)
-        except FlowStopped as stop:
-            reason = stop.reason
-            break
-        if euler.endgame is not None and endgame is None:
-            endgame = Endgame(step_idx, *euler.endgame)
         step_idx += 1
-        g, hbar = euler.geometry(r)
-        if step_idx % rcfg.record_every == 0:
-            record()
-
-    # a failed advance leaves r, g, hbar and the controller at the last state
-    if step_idx % rcfg.record_every:
-        record()
-    final = FlowState(snapshots[-1], t, history[-1], euler.rung, v_tracked, v_target,
-                      *euler.history(), conv_tol, euler.tried, euler.declined)
-    return RunResult(final=final, reason=reason, history=history,
-                     snapshots=snapshots, config=rcfg, steps=step_idx, endgame=endgame)
+        for x, (g, hbar) in zip(live, _geometries([x.r for x in live], space, dz, wz)):
+            x.g, x.hbar = g, hbar
+            if step_idx % x.cfg.record_every == 0:
+                x.record()
+    return runs[0].result if single else [x.result for x in runs]
 
 
 def write_history_csv(history, path) -> None:

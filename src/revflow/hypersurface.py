@@ -46,6 +46,7 @@ slope of ``spatial_derivatives``, the same stencil.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -147,15 +148,17 @@ class _Geometry(NamedTuple):
 
 
 def _derivatives(r: np.ndarray, dz: float):
-    m = r.size
-    rdot = np.empty(m)
-    rddot = np.empty(m)
-    rdot[1:-1] = (r[2:] - r[:-2]) * (1.0 / (2.0 * dz))
-    rdot[0] = rdot[-1] = 0.0
+    """(rdot, rddot) along the last axis: of one profile's radii, or of each row of a batch."""
+    rdot = np.empty(r.shape)
+    rddot = np.empty(r.shape)
+    # z first: for a batch the end nodes are rows of the transposes
+    rt, rdot_t, rddot_t = r.T, rdot.T, rddot.T
+    rdot_t[1:-1] = (rt[2:] - rt[:-2]) * (1.0 / (2.0 * dz))
+    rdot_t[0] = rdot_t[-1] = 0.0
     invdz2 = 1.0 / (dz * dz)
-    rddot[1:-1] = (r[2:] - 2.0 * r[1:-1] + r[:-2]) * invdz2
-    rddot[0] = 2.0 * (r[1] - r[0]) * invdz2
-    rddot[-1] = 2.0 * (r[-2] - r[-1]) * invdz2
+    rddot_t[1:-1] = (rt[2:] - 2.0 * rt[1:-1] + rt[:-2]) * invdz2
+    rddot_t[0] = 2.0 * (rt[1] - rt[0]) * invdz2
+    rddot_t[-1] = 2.0 * (rt[-2] - rt[-1]) * invdz2
     return rdot, rddot
 
 
@@ -172,7 +175,11 @@ def _curvatures(rdot, rddot, f, fp, h, hp, n, sqrt=np.sqrt):
 
 
 def _geometry(r: np.ndarray, space, dz: float) -> _Geometry:
-    """Derivatives, warps and curvatures of bare radii ``r``; callers check the domain."""
+    """Derivatives, warps and curvatures of bare radii ``r``; callers check the domain.
+
+    ``r`` is one profile's (m,) radii or a (B, m) batch of them: every field
+    is then (B, m), and each row holds the bits of that row's own call.
+    """
     f, fp, fpp, h, hp, hpp = space.warp(r)
     rdot, rddot = _derivatives(r, dz)
     q, invq, sq, v, k1, k2, H = _curvatures(rdot, rddot, f, fp, h, hp, space.n)
@@ -333,10 +340,21 @@ def critical_points(p: ProfileGrid, slope_tol: Optional[float] = None) -> np.nda
     return np.concatenate(([p.a], interior, [p.b]))
 
 
+@functools.lru_cache(maxsize=16)
+def _z_column(z_bytes):
+    """The ``repr(z) + ","`` cells of the nodes packed in ``z_bytes``.
+
+    The z nodes of a grid repeat in every snapshot of every run on it, and
+    a float's repr costs about as much as the rest of a row.
+    """
+    return tuple(f"{z!r}," for z in np.frombuffer(z_bytes).tolist())
+
+
 def save_profile_csv(p: ProfileGrid, path) -> None:
     """Write the profile as a two-column CSV with header ``z,r``."""
     # floats as repr, the bytes csv.writer would write; one string, one write
-    text = "z,r\n" + "".join(f"{z!r},{r!r}\n" for z, r in zip(p.z.tolist(), p.r.tolist()))
+    text = "z,r\n" + "".join(f"{z}{r!r}\n" for z, r in zip(_z_column(p.z.tobytes()),
+                                                            p.r.tolist()))
     with open(path, "w", newline="") as fh:
         fh.write(text)
 

@@ -525,6 +525,88 @@ class TestSpaceAndInitialSources:
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
+MIXED_EXPRS = ["1 + 0.1*cos(pi*z)", "0.05 + 0.9*cos(pi*z)^6", "0.9*cos(pi*z)^2 - 0.5",
+               "0.08 + 0.7*cos(pi*z)^4"]
+MIXED = (BASE.replace("m = 21", "m = 41")
+         .replace("cylinder = 1.0\nperturb = 0.05*cos(pi*z)", "expr = 1 + 0.1*cos(pi*z)")
+         .replace("max_t = 5.0\nrecord_every = 100", "max_t = 2.0\nrecord_every = 5")
+         + "\n[sweep]\ninitial.expr = " + ", ".join(MIXED_EXPRS) + "\ngrid.m = 31, 41\n")
+
+
+def _tree(root):
+    """{relative path: bytes} of every file under ``root``."""
+    return {str(path.relative_to(root)): path.read_bytes()
+            for path in root.rglob("*") if path.is_file()}
+
+
+class TestSweepGroups:
+    # a converging member, two pinches and an [initial] error row, on two
+    # grids: the members of each grid.m step together as one group
+    def test_members_write_what_their_own_runs_write(self, tmp_path, capsys):
+        outdir = tmp_path / "sweep"
+        assert main(["sweep", "--config", write_ini(tmp_path / "c.ini", MIXED),
+                     "--out", str(outdir), "--jobs", "1"]) == 0
+        with open(outdir / "sweep.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["reason"] for row in rows] == [  # grid.m varies fastest
+            reason for reason in ("converged", "singularity", "error", "singularity")
+            for _ in range(2)]
+        for idx, row in enumerate(rows):
+            if row["reason"] == "error":
+                assert not (outdir / f"run_{idx:04d}").exists()
+                continue
+            text = (MIXED.split("[sweep]")[0].replace("m = 41", f"m = {row['grid.m']}")
+                    .replace("expr = 1 + 0.1*cos(pi*z)", f"expr = {row['initial.expr']}"))
+            solo = tmp_path / f"solo_{idx}"
+            assert main(["run", "--config", write_ini(tmp_path / f"s{idx}.ini", text),
+                         "--out", str(solo)]) == 0
+            member, alone = _tree(outdir / f"run_{idx:04d}"), _tree(solo)
+            assert set(member) == set(alone)
+            for name in member:
+                if name.endswith(".csv"):
+                    assert member[name] == alone[name], name
+            assert (json.loads(member["summary.json"]) == json.loads(alone["summary.json"]))
+
+    def test_one_and_two_jobs_write_the_same_trees(self, tmp_path, capsys):
+        config = write_ini(tmp_path / "c.ini", MIXED)
+        for jobs in ("1", "2"):
+            assert main(["sweep", "--config", config, "--out", str(tmp_path / jobs),
+                         "--jobs", jobs]) == 0
+        assert _tree(tmp_path / "1") == _tree(tmp_path / "2")
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_is_a_usage_error(self, tmp_path, capsys, jobs):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", write_ini(tmp_path / "c.ini", MIXED),
+                  "--out", str(tmp_path / "sweep"), "--jobs", jobs])
+        assert exc.value.code == 2
+        assert "--jobs: must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "sweep").exists()
+
+    @pytest.mark.parametrize("members, calls", [(1, 1), (3, 4)])
+    def test_a_raising_group_reruns_only_to_place_the_error(self, tmp_path, capsys,
+                                                            monkeypatch, members, calls):
+        # a group of one reports its run's error as it is; a larger group
+        # runs each member alone to learn whose error it was
+        seen = []
+
+        def raising(initial, space, cfg):
+            seen.append(initial)
+            raise ArithmeticError("overflow in the warp")
+
+        monkeypatch.setattr(flow, "run", raising)
+        exprs = ", ".join(MIXED_EXPRS[:1] * members)
+        text = MIXED.split("[sweep]")[0] + f"[sweep]\ninitial.expr = {exprs}\n"
+        outdir = tmp_path / "sweep"
+        assert main(["sweep", "--config", write_ini(tmp_path / "c.ini", text),
+                     "--out", str(outdir)]) == 0
+        with open(outdir / "sweep.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        error = "ArithmeticError: overflow in the warp"
+        assert [row["error"] for row in rows] == [error] * members
+        assert len(seen) == calls
+
+
 SPHERE = BASE.replace("preset = euclidean\nn = 2", "preset = spherical\nlambda = 1.0\nn = 2")
 
 

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from revflow import (
     FlowConfig,
@@ -507,3 +508,123 @@ class TestEndgame:
         assert res.reason == plain.reason and res.steps == plain.steps
         assert res.history == plain.history
         assert all(np.array_equal(a.r, b.r) for a, b in zip(res.snapshots, plain.snapshots))
+
+
+def _assert_same_run(res, solo):
+    """Everything ``run`` reports of a run, ``==`` to its solo run's; arrays bit for bit."""
+    assert res.reason == solo.reason and res.steps == solo.steps
+    assert res.endgame == solo.endgame and res.config == solo.config
+    assert res.history == solo.history
+    assert len(res.snapshots) == len(solo.snapshots)
+    for a, b in zip(res.snapshots, solo.snapshots):
+        assert (a.a, a.b) == (b.a, b.b) and np.array_equal(a.r, b.r)
+    for field in dataclasses.fields(FlowState):
+        a, b = getattr(res.final, field.name), getattr(solo.final, field.name)
+        if field.name == "profile":
+            assert np.array_equal(a.r, b.r)
+        elif isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+            assert a is not None and b is not None and np.array_equal(a, b)
+        else:
+            assert a == b
+
+
+def _capped_projection(monkeypatch, cap):
+    """A volume projection that refuses every update whose max r exceeds ``cap``."""
+    real = flow._project_volume
+
+    def capped(space, wz_sigma, r, v_at_r, v_target, r_max, r_lo, r_hi):
+        if r_hi > cap:
+            raise FlowStopped(StopReason(StopTag.PROJECTION_FAILED))
+        return real(space, wz_sigma, r, v_at_r, v_target, r_max, r_lo, r_hi)
+
+    monkeypatch.setattr(flow, "_project_volume", capped)
+
+
+_Z41 = np.linspace(0.0, 1.0, 41)
+_NECK = 0.05 + 0.9 * np.cos(np.pi * _Z41) ** 6  # pinches
+_REFUSED = 1.3 + 0.1 * np.cos(2 * np.pi * _Z41)  # above the cap from its first update
+# per space: a run to the CMC limit through the endgame, and one to max_t = 3
+_ENSEMBLES = {
+    "euclid2": (1.0 + 0.1 * np.cos(np.pi * _Z41), 0.33 * (1.0 + 0.01 * np.cos(np.pi * _Z41))),
+    "hyper2": (1.0 + 0.1 * np.cos(np.pi * _Z41), 0.33 * (1.0 + 0.01 * np.cos(np.pi * _Z41))),
+    "sphere3": (0.5 * (1.3 + 0.1 * np.cos(2 * np.pi * _Z41)),
+                0.5 * (1.0 + 0.1 * np.cos(np.pi * _Z41))),
+    "custom_rss2": (0.5 * (1.0 + 0.02 * np.cos(np.pi * _Z41)), 1.0 + 0.1 * np.cos(np.pi * _Z41)),
+}
+
+
+class TestEnsemble:
+    @pytest.mark.parametrize("space_name", list(_ENSEMBLES))
+    def test_each_member_is_its_solo_run(self, request, monkeypatch, space_name):
+        # members that converge through the endgame, pinch, reach max_t and
+        # are refused, each at its own step, leave the batch as they would
+        # end alone
+        space = request.getfixturevalue(space_name)
+        _capped_projection(monkeypatch, 1.25)
+        converge, slow = _ENSEMBLES[space_name]
+        profiles = [ProfileGrid(0.0, 1.0, r) for r in (converge, _NECK, slow, _REFUSED)]
+        cfg = FlowConfig(max_t=3.0, record_every=3)
+        ensemble = run(profiles, space, cfg)
+        solos = [run(p, space, cfg) for p in profiles]
+        for res, solo in zip(ensemble, solos):
+            _assert_same_run(res, solo)
+        tags = [res.reason.tag for res in ensemble]
+        assert tags == [StopTag.CONVERGED, StopTag.SINGULARITY, StopTag.MAX_TIME,
+                        StopTag.PROJECTION_FAILED]
+        assert ensemble[0].endgame is not None
+        assert len({res.steps for res in ensemble}) == 4
+
+    def test_a_member_past_h_zero_stops_as_alone(self):
+        # h = r - r^2 vanishes at r = 1: the first member grows past it and
+        # stops on f or h <= 0, beside a pinch and a run to r_min_stop
+        space = space_from_expressions(2, f="1", df="0", d2f="0",
+                                       h="r - r^2", dh="1 - 2*r", d2h="-2")
+        z = np.linspace(0.0, 1.0, 51)
+        profiles = [ProfileGrid(0.0, 1.0, r) for r in (0.9 + 0.05 * np.cos(np.pi * z) ** 2,
+                                                        0.03 + 0.4 * np.cos(np.pi * z) ** 6,
+                                                        0.3 * (1.0 + 0.05 * np.cos(np.pi * z)))]
+        cfg = FlowConfig(record_every=4)
+        ensemble = run(profiles, space, cfg)
+        for res, p in zip(ensemble, profiles):
+            _assert_same_run(res, run(p, space, cfg))
+        assert ensemble[0].reason == StopReason(StopTag.INSTABILITY)
+        assert [res.reason.tag for res in ensemble[1:]] == [StopTag.SINGULARITY] * 2
+        assert len({res.steps for res in ensemble}) == 3
+
+    def test_an_ensemble_of_one_is_run(self, euclid2):
+        p0 = cos_profile(51)
+        cfg = FlowConfig(record_every=2)
+        (res,) = run([p0], euclid2, cfg)
+        _assert_same_run(res, run(p0, euclid2, cfg))
+        assert run([], euclid2, cfg) == []
+
+    def test_profiles_on_different_grids_are_refused(self, euclid2):
+        with pytest.raises(ValueError, match="one grid"):
+            run([cos_profile(41), cos_profile(51)], euclid2, FlowConfig())
+
+
+_SPACE_NAMES = ["euclid2", "hyper2", "sphere3", "custom_rss2"]
+
+
+@settings(deadline=None, max_examples=20)
+@given(space_index=st.integers(0, 3), m=st.integers(11, 41),
+       shapes=st.lists(st.tuples(st.floats(0.3, 1.0), st.floats(-0.2, 0.2),
+                                 st.floats(-0.1, 0.1), st.floats(0.0, 0.6),
+                                 st.sampled_from([2, 4, 6])), min_size=2, max_size=4),
+       max_t=st.floats(0.01, 0.3), record_every=st.integers(1, 4))
+def test_random_ensembles_are_their_solo_runs(request, space_index, m, shapes, max_t,
+                                              record_every):
+    # r = c + a1 cos(pi z) + a2 cos(2 pi z) - d cos(pi z)^k, scaled into the
+    # space's domain; each member's result is that of its own run
+    name = _SPACE_NAMES[space_index]
+    space = request.getfixturevalue(name)
+    z = np.linspace(0.0, 1.0, m)
+    scale = 0.5 if name == "sphere3" else 1.0
+    profiles = []
+    for c, a1, a2, d, k in shapes:
+        c1 = np.cos(np.pi * z)
+        r = c + a1 * c1 + a2 * np.cos(2 * np.pi * z) - d * c * c1 ** k
+        profiles.append(ProfileGrid(0.0, 1.0, scale * np.maximum(r, 0.05)))
+    cfg = FlowConfig(max_t=max_t, record_every=record_every)
+    for res, p in zip(run(profiles, space, cfg), profiles):
+        _assert_same_run(res, run(p, space, cfg))
