@@ -77,22 +77,20 @@ def _prepare(cfg, outdir):
     os.makedirs(outdir, exist_ok=True)
 
 
-def run_to_directory(cfg, outdir, seed=None):
-    """Execute flow.run for a parsed config and write all artifacts.
+def run_to_directory(cfgs, outdirs, seed=None):
+    """Execute ``flow.run`` for equal-length lists of parsed configs and
+    their output directories, and write each member's artifacts.
 
-    ``cfg`` and ``outdir`` may also be equal-length lists of configs that
-    differ only in ``[initial]``, a sweep group: their runs step together,
-    as one ``flow.run`` ensemble, and each member writes the artifacts of
-    its own run.  The list form returns, per member, its (result, summary)
-    or the exception its own run raises.
+    The configs differ only in ``[initial]``, a sweep group or a single
+    ``revflow run``: their runs step together, as one ``flow.run``
+    ensemble.  Returns, per member, its (result, summary) or the exception
+    its own validation, run or writes raised.  If the ensemble raises, a
+    group of two or more runs each member alone, so that the error lands on
+    the member that raised it.
     """
-    if not isinstance(cfg, list):
-        _prepare(cfg, outdir)
-        result = flow_mod.run(cfg.initial, cfg.space, cfg.flow)
-        return result, _write_artifacts(cfg, outdir, result, seed)
-    outs = [None] * len(cfg)
+    outs = [None] * len(cfgs)
     ready = []
-    for i, (c, d) in enumerate(zip(cfg, outdir)):
+    for i, (c, d) in enumerate(zip(cfgs, outdirs)):
         try:
             _prepare(c, d)
             ready.append(i)
@@ -100,19 +98,16 @@ def run_to_directory(cfg, outdir, seed=None):
             outs[i] = exc
     if not ready:
         return outs
-    first = cfg[ready[0]]
+    first = cfgs[ready[0]]
     try:
-        results = flow_mod.run([cfg[i].initial for i in ready], first.space, first.flow)
+        results = flow_mod.run([cfgs[i].initial for i in ready], first.space, first.flow)
     except Exception as exc:
-        if len(ready) == 1:
-            results = [exc]
-        else:  # some member's own error: run each alone, so that it lands there
-            results = [_run_alone(cfg[i]) for i in ready]
+        results = [exc] if len(ready) == 1 else [_run_alone(cfgs[i]) for i in ready]
     for i, result in zip(ready, results):
         try:
             if isinstance(result, Exception):
                 raise result
-            outs[i] = result, _write_artifacts(cfg[i], outdir[i], result, seed)
+            outs[i] = result, _write_artifacts(cfgs[i], outdirs[i], result, seed)
         except Exception as exc:
             outs[i] = exc
     return outs
@@ -151,7 +146,10 @@ def _write_artifacts(cfg, outdir, result, seed):
 
 def cmd_run(cfg, args):
     outdir = args.out or cfg.outdir or "out"
-    result, _ = run_to_directory(cfg, outdir, seed=args.seed)
+    [out] = run_to_directory([cfg], [outdir], seed=args.seed)  # a sweep group of one
+    if isinstance(out, Exception):
+        raise out
+    result, _ = out
     print(f"reason: {result.reason.tag.value}"
           + (f" at z={result.reason.location:.6g}" if result.reason.location is not None else ""))
     print(f"t_final: {result.final.t:.6g}   steps: {result.steps}   "

@@ -6,128 +6,51 @@ speed times the graph slope v = sqrt(q)/f, q = rdot^2 + f^2:
     dr/dt = (Hbar - H) sqrt(q)/f = rddot/q + (terms without rddot),
 
 with H from the geometry kernel (``hypersurface._curvatures``), Neumann ends
-rdot(a) = rdot(b) = 0, and the averaged mean curvature Hbar recomputed from
-the pre-step profile (lagged).  All nodes of a cylinder share one H, so the
-speed is exactly 0 at Hbar = H; the lagged Hbar can differ in the last bit,
-and the volume projection then holds the cylinder to within rounding.
+rdot(a) = rdot(b) = 0, and Hbar from the pre-step profile (lagged).
 
-Scheme choices:
-
-* variable-step semi-implicit BDF2 (SBDF2; Ascher, Ruuth & Wetton, SIAM J.
-  Numer. Anal. 32, 1995; variable steps after Wang & Ruuth, J. Comput.
-  Math. 26, 2008): the quasilinear diffusion rddot/q is taken at the new
-  time level through L = diag(1/q) D2 with q lagged, D2 the ghost-node
-  Neumann second difference, and the rest of the velocity is extrapolated
-  from the last two levels.  With v the velocity dr/dt at the current
-  state and v_prev at the last one, omega = dt/dt_prev, and d_prev the
-  last update before its volume projection, each step solves
+* SBDF2, variable-step (Ascher, Ruuth & Wetton 1995; Wang & Ruuth 2008):
+  with L = diag(1/q) D2 (q lagged, D2 the ghost-node Neumann second
+  difference), v and v_prev the velocities at this state and the last,
+  omega = dt/dt_prev and d_prev the last update before its projection, a
+  step solves by one Thomas sweep (``_solve_diffusion``)
 
       (a0 I - dt L) dr = dt [(1 + omega) v - omega v_prev] + a2 d_prev
                          - omega dt L d_prev,
       a0 = (1 + 2 omega)/(1 + omega),  a2 = omega^2/(1 + omega).
 
-  Scaled by q dz^2 / dt this is a tridiagonal system with diagonal
-  2 + a0 dz^2 q / dt, solved by one Thomas sweep.  The first step, and any
-  try with omega above 1 + sqrt(2) (the zero-stability limit of
-  variable-step BDF2) or whose slope changes sign more often than the
-  state's (``_turns``), is semi-implicit Euler, (I - dt L) dr = dt v.
-  dr = 0 exactly when v = 0 and d_prev = 0, so the discrete steady state is
-  the explicit scheme's;
-* dt is set by a local error estimate (standard step-size control, Hairer
-  & Wanner, Solving ODEs II, IV.2).  For SBDF2, est = max|dr - dr_AB2| is
-  the gap to the variable-step AB2 predictor dr_AB2 = dt [(1 + omega/2) v
-  - (omega/2) v_prev] (Milne's device), O(dt^3); for an Euler step,
-  est = max|dr - dt v|, O(dt^2).  Neither costs an extra solve.  A step is
-  accepted when est <= min(1e-3 min r, 0.25 max|dr|) (``_ATOL``,
-  ``_RTOL``); a rejected one re-solves the tridiagonal system with a
-  smaller dt.  The min r term resolves pinches; the max|dr| term bounds the
-  error per unit of motion, so t stays physical in the exponential approach
-  to the limit.  An est below the rounding noise of the speed,
-  dt 2^-48 |Hbar|, is accepted, or a cylinder's last-bit speed would drive
-  dt to the floor.  dt sits on the ladder dt_cfl 2^(k/4), k >= 0, with the
-  explicit parabolic step dt_cfl = dt_safety * dz^2 * min(q) / 2 as its
-  floor; the proposal moves by (4/3) log2(tol/est) rungs after an SBDF2
-  step (2 log2(tol/est) after Euler), at most 5 up, so omega stays below
-  1 + sqrt(2) on the ladder.  The floor keeps dt from collapsing and never
-  takes more steps than explicit Euler; the ladder keeps last-bit
-  differences of the state from changing the rung.  The ceiling
-  dt <= 2^20 dz^2 min(q) (``_DIAG_MARGIN``) keeps the tridiagonal system
-  well conditioned where est says nothing, as on a cylinder, where v = 0
-  and est = 0 at every dt.  A run's first try is the rung where the Euler
-  error model est = dt^2 max|L v| meets tol (starting step selection,
-  Hairer, Norsett & Wanner, Solving ODEs I, II.4), not the floor.  The last
-  step is clipped so that t lands on max_t.  A try that reaches r_max is not
-  retried: near r_max the speed grows like 1/f, and smaller tries only creep
-  up to the wall.  Without volume projection dt is also capped at 300 dt_cfl
-  (``_DT_CAP``), which bounds the volume drift;
-* optional exact discrete volume conservation: after each update a uniform
-  additive shift c is applied to the radii, with enclosed_volume(r+c)
-  driven back to the initial volume by a safeguarded Newton iteration
-  (<= 5 steps, 1e-12 relative; a miss stops the flow with
-  ``projection_failed``).  Between-step volume changes are accumulated
-  with 3-point Gauss-Legendre increments of ``bounds._volume_density``, so a
-  projection costs a few (f, h) evaluations, not a full radial quadrature;
-* a Newton endgame for the CMC limit, the discrete fixed point H_i(r) =
-  Hc, V(r) = V0, which a step replaces by Newton's method on that system: J
-  = dH/dr is tridiagonal and analytic (``hypersurface._jacobian``), the
-  volume row borders it and holds the volume, and each iteration is one
-  Thomas sweep with two right-hand sides and one kernel pass, down to the
-  rounding floor.  After a first step, a state with conv_tol <= max|H -
-  Hbar| < 0.5 |Hbar| tries it, and a declined try is retried once the gap
-  has fallen 3 times.  A try is declined, and the run steps on as without
-  it, unless the limit is stable under volume-preserving variations (the
-  inertia of the bordered J), the slowest volume-preserving mode carries
-  half the gap or more (``share``), the gap falls at every iteration to
-  below conv_tol, the limit stays in (0, r_max), and the limit's decay rate
-  lambda1 of that mode is within 5% of the hand-off's, ``rate``.  The limit
-  is dated t + ln(share gap lambda1 / (conv_tol rate)) / lambda1, when the
-  mode's part of the gap reaches conv_tol at a rate moving linearly with
-  its amplitude from rate to lambda1; a date outside (t, max_t] declines the
-  try.  The explicit reference and runs without projection never take it.
+  A first step, or a try with omega > _OMEGA_MAX or more slope sign changes
+  than the state's (``_turns``), is semi-implicit Euler, (I - dt L) dr =
+  dt v.  v = 0 and d_prev = 0 give dr = 0 exactly.
+* Step size (Hairer & Wanner, Solving ODEs II, IV.2): est is the gap to the
+  AB2 predictor, O(dt^3), or after Euler max|dr - dt v|, O(dt^2); a try is
+  accepted when est <= min(_ATOL min r, max(_RTOL max|dr|, dt _SPEED_NOISE
+  |Hbar|)).  dt = dt_cfl 2^(k/_RUNGS_PER_OCTAVE), k >= 0, over the floor
+  dt_cfl = dt_safety dz^2 min(q)/2, rises at most _MAX_GROWTH rungs a step,
+  stays below dz^2 min(q)/_DIAG_MARGIN (and _DT_CAP dt_cfl without
+  projection), starts where est = dt^2 max|L v| meets tol, and lands on
+  max_t.  A try that reaches r_max is not retried.
+* Volume projection (optional): a uniform shift of the radii takes the
+  tracked volume to the initial one by safeguarded Newton
+  (``_project_volume``, <= 5 iterations, 1e-12 relative); between steps the
+  volume follows 3-point Gauss-Legendre increments.
+* Newton endgame (``_Euler._endgame``) on H_i(r) = Hc, V(r) = V0: after a
+  first step, a state with conv_tol <= max|H - Hbar| < _ENDGAME_GAP |Hbar|
+  tries it, and after a declined try once the gap has fallen _ENDGAME_RETRY
+  times.  The jump is taken only if the limit is stable under
+  volume-preserving variations, the slowest such mode carries a share >=
+  _ENDGAME_SHARE of the gap, the gap falls at every iteration to below
+  conv_tol, the limit stays in (floor, r_max), its decay rate lambda1 is
+  within _ENDGAME_RATE_TOL of the hand-off's rate, and its date t +
+  ln(share gap lambda1 / (conv_tol rate)) / lambda1 lies in (t, max_t].
+  The explicit reference and runs without projection never take it.
 
-``run`` iterates until one of the terminal conditions fires: max|H - Hbar|
-below conv_tol (converged), min r below r_min_stop (singularity, the arg-min
-z is recorded), max v above v_max_stop (graph failure), t at max_t,
-non-finite values / leaving a finite ambient ball / f or h <= 0
-(instability), or a volume projection that misses its tolerance
-(projection failed).  Each state, the initial one included, goes through
-the geometry kernel once: its stop checks, its step and its record
-(``_record``) all reduce that output.
-A converged run that took the endgame reports it in ``RunResult.endgame``.
-
-``step`` is one iteration of the ``run`` loop: ``FlowState`` carries the
-controller's proposal, the projection's volumes, the SBDF2 history
-(v_prev, d_prev, dt_prev), the resolved conv_tol and the endgame's tries,
-so a chain of ``step`` calls lands on the states of ``run`` bit
-for bit, the endgame's included.  Its full re-diagnosis of each new state,
-with a quadrature volume, is why it costs more per call.
-
-Where a step of ``run`` spends its time (2 vCPUs, Python 3.11, numpy 2.4):
-at m = 61, about 220 us: the velocity, SBDF2 right-hand side, estimate,
-``_turns`` and dt ladder 25%, the geometry kernel 17%, the volume
-increments 17%, the Thomas sweep about 10%, the rest of the projection 7%,
-the update's checks 7% and the stop checks and records 15%; at m = 201 the
-pure-Python Thomas sweep takes about 21%, the velocity and right-hand side
-20%, the increments 16% and the kernel 13%.  The endgame's jump from 1 +
-0.1 cos(pi z) (4 iterations) costs 0.55-0.6 ms at m = 61 and 1.05-1.1 ms
-at m = 201; the run takes 6 steps (euclidean) and 2 (hyperbolic), against
-11 and 6 with a hand-off below 0.1 |Hbar|.  Short arrays make numpy's
-per-call overhead most of this, so the loop reduces with ndarray methods
-and carries each state's min and max r.
-
-``run`` of several profiles on one grid is an ensemble (``_Run`` holds
-each run's state): each step evaluates the geometry kernel once for all
-live runs (``_geometries``), and each run then steps alone through
-``_Euler.advance``, so its bits are those of its own run.  In the six
-dumbbells of the benchmark sweep (custom space, m = 201, 187 steps in
-all), a step of a run alone takes about 280 us: the Thomas sweeps 25%, the
-kernel 13%, the volume densities of the increments and the projection 10%,
-the records 8% and ``_turns`` 7%.  In their ensemble, 4.7 live runs per
-step on average, the kernel takes about 17 us per run and step instead of
-36; the rest stays per run.  The kernel's cosh and sinh cost per element,
-so a batch saves less than numpy's per-call overhead would suggest.
-Batching the volume densities too, through generators, took another 2%
-off the ensemble but made a run of one profile 3-5% slower.
+``run`` stops at the first of: max|H - Hbar| < conv_tol (converged); min r
+< r_min_stop (singularity, at the arg-min z); max v > v_max_stop (graph
+failure); t at max_t (max time); a non-finite value, max r past 0.99 r_max
+or on r_max, or f or h <= 0 (instability); a missed projection (projection
+failed).  ``step`` is one iteration of ``run`` and lands on its states bit
+for bit, the endgame's included, and each result of an ensemble ``run`` is
+``==`` to the run of its profile alone.
 """
 
 from __future__ import annotations
@@ -408,8 +331,11 @@ def _resolve(cfg: FlowConfig, r0_min: float, hbar0: float) -> FlowConfig:
 # _RUNGS_PER_OCTAVE) with k >= 0, and at most _MAX_GROWTH rungs up per step:
 # 2^(5/4) = 2.38 stays under _OMEGA_MAX = 1 + sqrt(2), the zero-stability
 # limit of variable-step BDF2, so a step from a ladder step stays SBDF2.
-# _RTOL = 0.25 keeps the linearised decay within 20% at t = 0.25 and 40% at
-# t = 0.5 (tests/test_kernel.py).
+# The ladder keeps last-bit differences of the state from changing the rung.
+# The min r term resolves pinches; the max|dr| term bounds the error per unit
+# of motion, so t stays physical in the approach to the limit.  _RTOL = 0.25
+# keeps the linearised decay within 20% at t = 0.25 and 40% at t = 0.5
+# (tests/test_kernel.py).
 _ATOL = 1e-3
 _RTOL = 0.25
 _RUNGS_PER_OCTAVE = 4
@@ -512,9 +438,9 @@ def _solve_diffusion(diag, rhs):
     diagonally dominant, so the sweep needs no pivoting; rhs = 0 gives x = 0
     exactly.  The sweep overwrites the lists of diag and rhs: w_i takes the
     place of diag_i once it is read, and y_i, then x_i, that of rhs_i.
-    Indexed stores into them, with each value carried in a local, take
-    about 30% less time than appending to new lists (45 -> 32 us at
-    m = 201).
+    Kept beside ``_factor``/``_lu_solve``: through them this solve takes
+    1.3-1.6 times as long at m = 61 to 201, and rounds differently (about
+    half the entries, by up to 3e-14 relative).
     """
     w = diag.tolist()  # x_i = y_i + w_i x_{i+1}
     y = rhs.tolist()
@@ -531,22 +457,31 @@ def _solve_diffusion(diag, rhs):
 
 
 class _Euler:
-    """One SBDF2 step with volume projection, shared by step and run.
+    """One run of the flow: its state, its records and its stepper, SBDF2
+    with volume projection and the Newton endgame.
 
     ``geometry`` evaluates the kernel and the lagged Hbar; ``advance`` picks
     dt, applies the update, checks it, and projects the volume.  ``rung`` is
     the step-size controller's proposal k for the next dt = dt_cfl 2^(k/4),
     None to estimate it, and ``prev`` the last step's (v, dr, dt), or None
     before a first step, which is then semi-implicit Euler.  ``conv_tol``,
-    ``tried`` (an endgame was taken) and ``declined`` set the Newton
-    endgame's tries, and ``endgame`` holds the fields of one taken.  With
-    ``implicit=False`` the update is explicit Euler at dt_cfl, the
-    reference of the differential tests; it never takes the endgame.
+    ``tried`` (an endgame was taken) and ``declined`` set the endgame's
+    tries, and ``endgame`` is the one taken.  With ``implicit=False`` the
+    update is explicit Euler at dt_cfl, the reference of the differential
+    tests; it never takes the endgame.
+
+    ``run`` drives it through ``proceed``, which keeps the run's radii
+    ``r``, ``t``, the projection's tracked and target volumes, min and max
+    r (``lo``, ``hi``), ``steps``, the records and, once stopped,
+    ``result``.  ``state`` is the ``FlowState`` of ``step`` and of a run's
+    end.
     """
 
     def __init__(self, grid: ProfileGrid, space, cfg: FlowConfig, implicit: bool = True,
                  rung=None, prev=None, conv_tol=None, tried: bool = False, declined=None):
         self.space = space
+        self.cfg = cfg
+        self.a, self.b = grid.a, grid.b
         self.dz = grid.dz
         self.z = grid.z
         self.wz = trapezoid_weights(grid.m, grid.dz)
@@ -561,10 +496,19 @@ class _Euler:
         self.tried = tried
         self.declined = declined
         self.endgame = None
+        self.r = grid.r
+        self.t = 0.0
+        self.v_tracked = self.v_target = None
+        self.steps = 0
+        self.history: List[DiagnosticsRecord] = []
+        self.snapshots: List[ProfileGrid] = []
+        self.result = None
 
-    def history(self):
-        """(v_prev, d_prev, dt_prev) for ``FlowState``; Nones before a first step."""
-        return self.prev or (None, None, None)
+    def state(self, profile: ProfileGrid, cached: DiagnosticsRecord) -> FlowState:
+        """The ``FlowState`` of ``profile`` at ``t``, with the volumes, controller and tries."""
+        v_prev, d_prev, dt_prev = self.prev or (None, None, None)
+        return FlowState(profile, self.t, cached, self.rung, self.v_tracked, self.v_target,
+                         v_prev, d_prev, dt_prev, self.conv_tol, self.tried, self.declined)
 
     def geometry(self, r):
         g = _geometry(r, self.space, self.dz)
@@ -733,21 +677,22 @@ class _Euler:
         """Newton's method for the discrete CMC limit: H_i(r) = Hc for all i,
         with the volume v_target; the unknowns are r and Hc.
 
-        Each iteration solves the bordered system [J -1; wv 0] by one sweep
-        with two right-hand sides, J x1 = -(H - Hc) and J x2 = 1, and dHc
-        from the volume row; the volume is measured by quadrature after the
-        first, long jump, by increments after the others, and projected once
-        on the limit.  By Haynsworth's inertia additivity, J on wv's null
-        space is positive definite (the limit is stable) iff J has 1
-        negative pivot and wv.J^-1 1 < 0, or none and wv.J^-1 1 > 0
-        (Sylvester's law holds the pivot count to J's inertia, J being
-        similar to a symmetric matrix near a graph's limit).  Inverse
-        iteration from H - Hbar gives the hand-off's rate and, as rate^3
-        times its normalisers, the slowest mode's share of the gap; from the
-        limit's mode, with the last factored J, lambda1.  Iterates are kept
-        while the gap falls and the profile stays in (floor, r_max).
-        Returns what ``advance`` returns, or None, the state untouched, to
-        step on (see the module docstring for the gates).
+        Each iteration solves the bordered system [J -1; wv 0] with one LU
+        factorisation of J and two solves on it, J x2 = 1 in ``_bordered``,
+        then J x1 = -(H - Hc), and dHc from the volume row; the volume is
+        measured by quadrature after the first, long jump, by increments
+        after the others, and projected once on the limit.  By Haynsworth's
+        inertia additivity, J on wv's null space is positive definite (the
+        limit is stable) iff J has 1 negative pivot and wv.J^-1 1 < 0, or
+        none and wv.J^-1 1 > 0 (Sylvester's law holds the pivot count to J's
+        inertia, J being similar to a symmetric matrix near a graph's
+        limit).  Inverse iteration from H - Hbar gives the hand-off's rate
+        and, as rate^3 times its normalisers, the slowest mode's share of
+        the gap; from the limit's mode, with the last factored J, lambda1.
+        Iterates are kept while the gap falls and the profile stays in
+        (floor, r_max).  Returns what ``advance`` returns, or None, the
+        state untouched, to step on (see the module docstring for the
+        gates).
         """
         conv_tol = self.conv_tol
         with np.errstate(all="ignore"):
@@ -801,8 +746,65 @@ class _Euler:
             return None
         self.prev = None  # a jump, not a time step: the next step starts afresh
         self.tried = True
-        self.endgame = (t, gap, share, its, res, lam, rate)
+        self.endgame = Endgame(self.steps, t, gap, share, its, res, lam, rate)
         return r, t_new, v_tracked, lo + c, hi + c
+
+    def record(self, g, hbar):
+        """Record the current state, from its kernel output ``g`` and ``hbar``."""
+        prof = ProfileGrid(self.a, self.b, self.r)
+        self.history.append(_record(prof, self.space, g, hbar, self.wz, self.t))
+        self.snapshots.append(prof)
+
+    def proceed(self, g, hbar):
+        """Take the next step of ``run`` from the current state, whose kernel
+        output is ``g`` and ``hbar``; False, with ``result`` set, once the
+        run has stopped.
+
+        The state is recorded every ``record_every`` steps and at the stop.
+        The initial state also resolves the config's default thresholds and
+        sets the volume target.
+        """
+        if self.steps % self.cfg.record_every == 0:
+            self.record(g, hbar)
+        if not self.steps:
+            first = self.history[0]
+            self.cfg = _resolve(self.cfg, first.min_r, hbar)
+            self.conv_tol = self.cfg.conv_tol
+            self.v_target = self.v_tracked = first.V
+            self.lo, self.hi = first.min_r, first.max_r
+        cfg = self.cfg
+        if not math.isfinite(hbar):
+            reason = StopReason(StopTag.INSTABILITY)
+        elif self.lo < cfg.r_min_stop:
+            reason = self._singularity(self.r).reason
+        elif self.r_max < math.inf and self.hi > 0.99 * self.r_max:
+            # outside the regime the theory covers; treated as a failure
+            reason = StopReason(StopTag.INSTABILITY)
+        elif g.v.max() > cfg.v_max_stop:
+            reason = StopReason(StopTag.GRAPH_FAILURE)
+        else:
+            gap = float(abs(g.H - hbar).max())
+            if gap < cfg.conv_tol:
+                reason = StopReason(StopTag.CONVERGED)
+            elif self.t >= cfg.max_t:
+                reason = StopReason(StopTag.MAX_TIME)
+            else:
+                try:
+                    self.r, self.t, self.v_tracked, self.lo, self.hi = self.advance(
+                        self.r, g, hbar, cfg.r_min_stop, self.v_tracked, self.v_target,
+                        self.t, cfg.max_t, gap)
+                except FlowStopped as stop:
+                    reason = stop.reason
+                else:
+                    self.steps += 1
+                    return True
+        # a failed advance leaves r and the controller at the last state
+        if self.steps % cfg.record_every:
+            self.record(g, hbar)
+        self.result = RunResult(final=self.state(self.snapshots[-1], self.history[-1]),
+                                reason=reason, history=self.history, snapshots=self.snapshots,
+                                config=cfg, steps=self.steps, endgame=self.endgame)
+        return False
 
 
 def step(s: FlowState, space, cfg: FlowConfig) -> FlowState:
@@ -822,131 +824,50 @@ def step(s: FlowState, space, cfg: FlowConfig) -> FlowState:
     """
     p = s.profile
     _check_domain(p, space)
-    prev = None if s.dt_prev is None else (s.v_prev, s.d_prev, s.dt_prev)
     conv_tol = s.conv_tol
     if conv_tol is None:
         conv_tol = _resolve(cfg, s.cached.min_r, s.cached.Hbar).conv_tol
+    prev = None if s.dt_prev is None else (s.v_prev, s.d_prev, s.dt_prev)
     euler = _Euler(p, space, cfg, rung=s.dt_rung, prev=prev, conv_tol=conv_tol,
                    tried=s.endgame_tried, declined=s.endgame_declined)
     g, hbar = euler.geometry(p.r)
     gap = None if s.endgame_tried else float(abs(g.H - hbar).max())
-    v_target = s.cached.V if s.v_target is None else s.v_target
+    euler.v_target = s.cached.V if s.v_target is None else s.v_target
     v_tracked = s.cached.V if s.v_tracked is None else s.v_tracked
-    r_new, t_new, v_tracked = euler.advance(p.r, g, hbar, 0.0, v_tracked, v_target,
-                                            s.t, cfg.max_t, gap)[:3]
+    r_new, euler.t, euler.v_tracked = euler.advance(p.r, g, hbar, 0.0, v_tracked,
+                                                    euler.v_target, s.t, cfg.max_t, gap)[:3]
     profile = ProfileGrid(p.a, p.b, r_new)
-    return FlowState(profile, t_new, _diagnose(profile, space, t_new), euler.rung,
-                     v_tracked, v_target, *euler.history(), conv_tol, euler.tried,
-                     euler.declined)
+    return euler.state(profile, _diagnose(profile, space, euler.t))
 
 
-def _geometries(rows, space, dz, wz):
-    """[(kernel output, Hbar)] of each profile's radii in ``rows``, one kernel call.
+def _geometries(runs):
+    """[(kernel output, Hbar)] of each run's radii, from one kernel call.
 
     The kernel is elementwise, so a row of the stacked (B, m) output holds
     the bits of that row's own call; each Hbar reduces its own row.
     """
-    if len(rows) == 1:
-        g = _geometry(rows[0], space, dz)
-        return [(g, _hbar(g, wz))]
-    batch = _geometry(np.array(rows), space, dz)
-    out = []
-    for fields_j in zip(*batch):
-        g = type(batch)(*fields_j)
-        out.append((g, _hbar(g, wz)))
-    return out
-
-
-class _Run:
-    """One run of ``run``: its state, controller, records and, once stopped, result."""
-
-    def __init__(self, initial: ProfileGrid, space, cfg: FlowConfig):
-        self.space = space
-        self.a, self.b = initial.a, initial.b
-        self.r = initial.r.copy()
-        self.euler = _Euler(initial, space, cfg)
-        self.cfg = cfg
-        self.history: List[DiagnosticsRecord] = []
-        self.snapshots: List[ProfileGrid] = []
-        self.t = 0.0
-        self.endgame = None
-        self.result = None
-
-    def record(self):  # the current state, from its kernel output g
-        prof = ProfileGrid(self.a, self.b, self.r)
-        self.history.append(_record(prof, self.space, self.g, self.hbar, self.euler.wz, self.t))
-        self.snapshots.append(prof)
-
-    def start(self, g, hbar):
-        """Record the initial state and resolve the config's default thresholds."""
-        self.g, self.hbar = g, hbar
-        self.record()
-        first = self.history[0]
-        self.cfg = _resolve(self.cfg, first.min_r, hbar)
-        self.euler.conv_tol = self.cfg.conv_tol
-        self.v_target = self.v_tracked = first.V
-        self.lo, self.hi = first.min_r, first.max_r  # min and max of r
-
-    def advance(self, step_idx):
-        """Take step ``step_idx`` from the current state; False once the run has stopped.
-
-        The caller sets the new state's kernel output (``g``, ``hbar``).
-        """
-        rc, g, hbar, euler = self.cfg, self.g, self.hbar, self.euler
-        r_max = self.space.r_max_domain
-        if not math.isfinite(hbar):
-            reason = StopReason(StopTag.INSTABILITY)
-        elif self.lo < rc.r_min_stop:
-            reason = euler._singularity(self.r).reason
-        elif r_max < math.inf and self.hi > 0.99 * r_max:
-            # outside the regime the theory covers; treated as a failure
-            reason = StopReason(StopTag.INSTABILITY)
-        elif g.v.max() > rc.v_max_stop:
-            reason = StopReason(StopTag.GRAPH_FAILURE)
-        else:
-            gap = float(abs(g.H - hbar).max())
-            if gap < rc.conv_tol:
-                reason = StopReason(StopTag.CONVERGED)
-            elif self.t >= rc.max_t:
-                reason = StopReason(StopTag.MAX_TIME)
-            else:
-                try:
-                    self.r, self.t, self.v_tracked, self.lo, self.hi = euler.advance(
-                        self.r, g, hbar, rc.r_min_stop, self.v_tracked, self.v_target,
-                        self.t, rc.max_t, gap)
-                except FlowStopped as stop:
-                    reason = stop.reason
-                else:
-                    if euler.endgame is not None and self.endgame is None:
-                        self.endgame = Endgame(step_idx, *euler.endgame)
-                    return True
-        # a failed advance leaves r, g, hbar and the controller at the last state
-        if step_idx % rc.record_every:
-            self.record()
-        final = FlowState(self.snapshots[-1], self.t, self.history[-1], euler.rung,
-                          self.v_tracked, self.v_target, *euler.history(), rc.conv_tol,
-                          euler.tried, euler.declined)
-        self.result = RunResult(final=final, reason=reason, history=self.history,
-                                snapshots=self.snapshots, config=rc, steps=step_idx,
-                                endgame=self.endgame)
-        return False
+    x = runs[0]
+    if len(runs) == 1:  # batched: the same bits, but a third more time per call
+        return [x.geometry(x.r)]
+    batch = _geometry(np.array([y.r for y in runs]), x.space, x.dz)
+    return [(g, _hbar(g, x.wz)) for g in map(type(batch)._make, zip(*batch))]
 
 
 def run(initial, space, cfg: FlowConfig):
     """Iterate the flow from ``initial`` until a terminal condition fires.
 
+    Each state, the initial one included, goes through the geometry kernel
+    once: its stop checks, its step and its record reduce that output.
     Diagnostics are recorded every ``cfg.record_every`` steps and at
     termination, each with a profile snapshot.  The returned config carries
     the resolved default thresholds.  A run that takes the Newton endgame
     reports it in ``endgame``; its last state is the discrete limit.
 
     ``initial`` may also be a sequence of profiles on one grid, an
-    ensemble; the list of their results is returned.  Each step of the
-    ensemble evaluates the geometry kernel once for all its live runs, and
-    each run then steps alone, so each result is ``==`` to the run of its
-    profile alone.  A run leaves the ensemble when it stops.  A single
-    profile is the ensemble of one.  Each run's steps are sequential in
-    time.
+    ensemble; the list of their results is returned.  Each step evaluates
+    the kernel once for all live runs, each run then steps alone, and a run
+    leaves the ensemble when it stops.  A single profile is the ensemble of
+    one.  Each run is built by ``_Euler`` as named at call time.
     """
     single = isinstance(initial, ProfileGrid)
     profiles = [initial] if single else list(initial)
@@ -954,23 +875,10 @@ def run(initial, space, cfg: FlowConfig):
         _check_domain(p, space)
         if (p.a, p.b, p.m) != (profiles[0].a, profiles[0].b, profiles[0].m):
             raise ValueError("the profiles of an ensemble must share one grid")
-    runs = [_Run(p, space, cfg) for p in profiles]
-    if not runs:
-        return []
-    dz, wz = profiles[0].dz, runs[0].euler.wz
-    for x, state in zip(runs, _geometries([x.r for x in runs], space, dz, wz)):
-        x.start(*state)
+    runs = [_Euler(p, space, cfg) for p in profiles]
     live = runs
-    step_idx = 0
-    while True:
-        live = [x for x in live if x.advance(step_idx)]
-        if not live:
-            break
-        step_idx += 1
-        for x, (g, hbar) in zip(live, _geometries([x.r for x in live], space, dz, wz)):
-            x.g, x.hbar = g, hbar
-            if step_idx % x.cfg.record_every == 0:
-                x.record()
+    while live:
+        live = [x for x, (g, hbar) in zip(live, _geometries(live)) if x.proceed(g, hbar)]
     return runs[0].result if single else [x.result for x in runs]
 
 

@@ -307,6 +307,24 @@ class TestRunCommand:
         assert (outdir / "history.csv").exists() and (outdir / "profile_0.csv").exists()
         assert (outdir / "diagnostics.svg").exists()
 
+    def test_run_error_exits_2_after_one_run(self, tmp_path, capsys, monkeypatch):
+        # `revflow run` is a sweep group of one: its member's exception is
+        # raised again, once, and no summary is written
+        calls = []
+
+        def failing_run(*args):
+            calls.append(args)
+            raise ArithmeticError("overflow in the warp")
+
+        monkeypatch.setattr(flow, "run", failing_run)
+        outdir = tmp_path / "out"
+        code = main(["run", "--config", write_ini(tmp_path / "c.ini", BASE),
+                     "--out", str(outdir)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: overflow in the warp")
+        assert len(calls) == 1
+        assert not (outdir / "summary.json").exists()
+
     def test_import_leaves_scipy_out(self):
         # scipy would add to every command's start-up time and memory
         code = "import sys, revflow.cli; sys.exit('scipy' in sys.modules)"
@@ -315,7 +333,8 @@ class TestRunCommand:
         assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
     def test_import_leaves_the_process_pool_out(self):
-        # only a sweep with --jobs > 1 needs it; the import costs every command
+        # no command uses it, and the import would cost every command: this
+        # guards against its return
         code = "import sys, revflow.cli; sys.exit('concurrent.futures.process' in sys.modules)"
         src = os.path.dirname(os.path.dirname(os.path.abspath(flow.__file__)))
         env = dict(os.environ, PYTHONPATH=src)
