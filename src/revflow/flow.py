@@ -39,10 +39,12 @@ rdot(a) = rdot(b) = 0, and Hbar from the pre-step profile (lagged).
   times.  The jump is taken only if the limit is stable under
   volume-preserving variations, the slowest such mode carries a share >=
   _ENDGAME_SHARE of the gap, the gap falls at every iteration to below
-  conv_tol, the limit stays in (floor, r_max), its decay rate lambda1 is
-  within _ENDGAME_RATE_TOL of the hand-off's rate, and its date t +
-  ln(share gap lambda1 / (conv_tol rate)) / lambda1 lies in (t, max_t].
-  The explicit reference and runs without projection never take it.
+  conv_tol, the limit stays in (floor, r_max) and is mirror-symmetric to
+  within _ENDGAME_MIRROR, the decay rate k0 = lambda1 + (rate - lambda1)/3
+  at the hand-off is within _ENDGAME_RATE_TOL of the limit's lambda1, and
+  the date t + (ln(share gap / conv_tol) - ln(k0 / lambda1)/2) / lambda1
+  lies in (t, max_t].  The explicit reference and runs without projection
+  never take it.
 
 ``run`` stops at the first of: max|H - Hbar| < conv_tol (converged); min r
 < r_min_stop (singularity, at the arg-min z); max v > v_max_stop (graph
@@ -202,7 +204,9 @@ class Endgame:
     iterations: int
     residual: float  # max|H - Hbar| of the limit
     lambda1: float  # decay rate of the slowest volume-preserving mode at the limit
-    rate: float  # the same at the hand-off; share, lambda1 and rate date the limit
+    # that mode's Jacobian eigenvalue at the hand-off, lambda1 + 3 c A^2 under
+    # the odd law; share, lambda1 and rate date the limit
+    rate: float
 
 
 @dataclass
@@ -362,10 +366,16 @@ _DT_CAP = 300.0
 # _ENDGAME_GAP |Hbar| (see the module docstring).  Newton iterates while the
 # gap falls, until it is below _SPEED_NOISE |Hbar|, at most _ENDGAME_ITERS
 # times: a limit left at a gap of 1e-11 still carries a multi-mode remnant
-# that the census counts.
-_ENDGAME_GAP = 0.5
+# that the census counts.  After one step the converge benchmark's profiles
+# (120 draws, m = 61) leave gaps of 0.65-2.23 |Hbar| (euclidean) and
+# 0.15-0.56 (hyperbolic), and its dumbbells 2.16-4.45: the window lets
+# nearly all of the first two try, and none of the third.  The odd decay
+# law needs a mirror-symmetric limit; the limits measured are symmetric to
+# within 2e-15 max r, and _ENDGAME_MIRROR is 16 times _SPEED_NOISE.
+_ENDGAME_GAP = 2.0
 _ENDGAME_SHARE = 0.5
 _ENDGAME_RATE_TOL = 5e-2
+_ENDGAME_MIRROR = 2.0 ** -44
 _ENDGAME_RETRY = 3.0
 _ENDGAME_ITERS = 6
 _ENDGAME_SWEEPS = 3
@@ -428,6 +438,27 @@ def _lu_solve(lu, rhs):
     for i in range(m - 2, -1, -1):
         xi = x[i] = (x[i] - c[i] * xi) / piv[i]
     return np.array(x)
+
+
+def _lu_solve_pair(lu, rhs, rhs2):
+    """``_lu_solve`` of two right-hand sides in one forward and one back
+    sweep, each entry by the same arithmetic as a solve of its own."""
+    mult, piv, c = lu
+    x = rhs.tolist()
+    y = rhs2.tolist()
+    m = len(x)
+    xi, yi = x[0], y[0]
+    for i in range(1, m):
+        li = mult[i]
+        xi = x[i] = x[i] - li * xi
+        yi = y[i] = y[i] - li * yi
+    p = piv[-1]
+    xi, yi = x[-1], y[-1] = xi / p, yi / p
+    for i in range(m - 2, -1, -1):
+        ci, p = c[i], piv[i]
+        xi = x[i] = (x[i] - ci * xi) / p
+        yi = y[i] = (y[i] - ci * yi) / p
+    return np.array(x), np.array(y)
 
 
 def _solve_diffusion(diag, rhs):
@@ -649,15 +680,16 @@ class _Euler:
                 raise self._singularity(r_new)
         return r_new, (max_t if dt == dt_left else t + dt), v_tracked, mn, mx
 
-    def _bordered(self, g):
-        """(LU of J, J^-1 1, wv, wv . J^-1 1, v) at the kernel output ``g``.
+    def _bordered(self, g, rhs):
+        """((LU of J, J^-1 1, wv, wv . J^-1 1, v), J^-1 rhs) at the kernel
+        output ``g``, both solves in one sweep.
 
         wv = sigma wz beta'(r) is the volume row that borders J.
         """
         lu = _factor(*_jacobian(g, self.space.n, self.dz))
-        x2 = _lu_solve(lu, np.ones(g.H.size))
+        x1, x2 = _lu_solve_pair(lu, rhs, np.ones(g.H.size))
         wv = self.wz_sigma * g.f * _h_pow(g.h, self.space.n)
-        return lu, x2, wv, float(wv @ x2), g.v
+        return (lu, x2, wv, float(wv @ x2), g.v), x1
 
     @staticmethod
     def _sweeps(bordered, x):
@@ -678,8 +710,8 @@ class _Euler:
         with the volume v_target; the unknowns are r and Hc.
 
         Each iteration solves the bordered system [J -1; wv 0] with one LU
-        factorisation of J and two solves on it, J x2 = 1 in ``_bordered``,
-        then J x1 = -(H - Hc), and dHc from the volume row; the volume is
+        factorisation of J and one two-right-hand-side sweep on it, J x2 = 1
+        and J x1 = -(H - Hc), and dHc from the volume row; the volume is
         measured by quadrature after the first, long jump, by increments
         after the others, and projected once on the limit.  By Haynsworth's
         inertia additivity, J on wv's null space is positive definite (the
@@ -689,6 +721,14 @@ class _Euler:
         limit).  Inverse iteration from H - Hbar gives the hand-off's rate
         and, as rate^3 times its normalisers, the slowest mode's share of
         the gap; from the limit's mode, with the last factored J, lambda1.
+
+        The date: the flow commutes with the mirror z -> a + b - z, which
+        flips the slowest mode about a mirror-symmetric limit, so its
+        amplitude A decays by an odd law dA/dt = -(lambda1 A + c A^3 + ...).
+        rate is that law's slope at the hand-off, lambda1 + 3 c A^2, so the
+        decay rate there is k0 = lambda1 + (rate - lambda1)/3, and the
+        integral from A = share gap down to conv_tol is
+        (ln(share gap / conv_tol) - ln(k0 / lambda1)/2) / lambda1.
         Iterates are kept while the gap falls and the profile stays in
         (floor, r_max).  Returns what ``advance`` returns, or None, the
         state untouched, to step on (see the module docstring for the
@@ -697,7 +737,7 @@ class _Euler:
         conv_tol = self.conv_tol
         with np.errstate(all="ignore"):
             try:
-                b = self._bordered(g)
+                b, x1 = self._bordered(g, hbar - g.H)
                 lu, s = b[0], b[3]
                 negative = sum(p < 0.0 for p in lu[1])
                 if not (s < 0.0 if negative == 1 else negative == 0 and s > 0.0):
@@ -706,18 +746,19 @@ class _Euler:
             except ZeroDivisionError:
                 return None
             share = min(1.0, rate ** 3 * norms / gap)
+            if not share >= _ENDGAME_SHARE:
+                return None
+            drop = math.log(share * gap / conv_tol)  # ln of the slowest mode's fall
             # dated at lambda1 = rate: a try far past max_t ends before any iteration
-            if not (share >= _ENDGAME_SHARE
-                    and t + math.log(share * gap / conv_tol) / rate <= max_t):
+            if not t + drop / rate <= max_t:
                 return None
             hc, res, its = hbar, gap, 0
             floor_gap = _SPEED_NOISE * abs(hbar)
             try:
                 while its < _ENDGAME_ITERS and res > floor_gap:
                     if its:
-                        b = self._bordered(g)
-                    lu, x2, wv, s = b[:4]
-                    x1 = _lu_solve(lu, hc - g.H)
+                        b, x1 = self._bordered(g, hc - g.H)
+                    x2, wv, s = b[1:4]
                     dhc = (v_target - v_tracked - float(wv @ x1)) / s
                     r_new = r + (x1 + dhc * x2)
                     mn, mx = float(r_new.min()), float(r_new.max())
@@ -738,10 +779,12 @@ class _Euler:
                                                   v_target, self.r_max, lo, hi)
             except (ZeroDivisionError, FlowStopped):
                 return None
-        if not abs(lam / rate - 1.0) <= _ENDGAME_RATE_TOL:
+        k0 = lam + (rate - lam) / 3.0
+        if not (abs(k0 / lam - 1.0) <= _ENDGAME_RATE_TOL
+                and float(abs(r - r[::-1]).max()) <= _ENDGAME_MIRROR * hi):
             return None
-        # a decay rate moving linearly with the amplitude from rate to lam, integrated
-        t_new = t + math.log(share * gap * lam / (conv_tol * rate)) / lam
+        # the odd decay law, integrated from share gap down to conv_tol
+        t_new = t + (drop - 0.5 * math.log(k0 / lam)) / lam
         if not (t < t_new <= max_t and floor < lo + c):
             return None
         self.prev = None  # a jump, not a time step: the next step starts afresh

@@ -365,8 +365,8 @@ class TestStepSizeControl:
         pytest.param("hyper2", 1.0, 0.1, 0.3, "max_t", id="hyper2-1.0"),
         pytest.param("sphere3", 0.5, 0.1, 0.3, "max_t", id="sphere3-0.5"),
         pytest.param("custom_rss2", 1.0, 0.1, 0.3, "max_t", id="custom_rss2-1.0"),
-        pytest.param("euclid2", 1.0, 0.1, FlowConfig.max_t, "taken", id="euclid2-converge"),
-        pytest.param("hyper2", 1.0, 0.2, FlowConfig.max_t, "retried", id="hyper2-converge"),
+        pytest.param("euclid2", 2.0, 0.1, FlowConfig.max_t, "taken", id="euclid2-converge"),
+        pytest.param("hyper2", 1.0, 0.35, FlowConfig.max_t, "retried", id="hyper2-converge"),
         pytest.param("custom_rss2", 1.0, 0.2, FlowConfig.max_t, "retried",
                      id="custom_rss2-retried"),
         pytest.param("sphere3", 0.5, 0.1, FlowConfig.max_t, "retried", id="sphere3-retried"),
@@ -455,18 +455,20 @@ class TestEndgame:
         assert res.reason.tag is StopTag.CONVERGED and eg is not None
         assert res.steps == eg.step + 1 and 1 <= eg.iterations <= flow._ENDGAME_ITERS
         conv_tol = res.config.conv_tol
-        # after a first step, within the window and through both gates
+        # after a first step, within the window and through both gates: the
+        # decay rate k0 at the hand-off within 5% of lambda1
         assert eg.step >= 1 and conv_tol <= eg.gap < flow._ENDGAME_GAP * abs(res.final.cached.Hbar)
         assert flow._ENDGAME_SHARE <= eg.share <= 1.0
-        assert abs(eg.lambda1 / eg.rate - 1.0) <= flow._ENDGAME_RATE_TOL
+        k0 = eg.lambda1 + (eg.rate - eg.lambda1) / 3.0
+        assert abs(k0 / eg.lambda1 - 1.0) <= flow._ENDGAME_RATE_TOL
         # iterated to rounding: a cylinder to the last bits, with no critical point
         assert eg.residual == _gap(res.final.profile, space) <= 1e-14
         assert np.ptp(res.final.profile.r) <= 1e-14 and res.final.cached.N == 2
         assert abs(res.final.cached.V / res.history[0].V - 1.0) <= 1e-12
-        # dated when the slowest mode's share of the gap reaches conv_tol, at a
-        # decay rate moving linearly with its amplitude from rate to lambda1
-        assert res.final.t == eg.t + math.log(eg.share * eg.gap * eg.lambda1
-                                              / (conv_tol * eg.rate)) / eg.lambda1
+        # dated when the slowest mode's share of the gap reaches conv_tol, by
+        # the odd decay law lambda1 A + c A^3 with slope rate at the hand-off
+        assert res.final.t == eg.t + (math.log(eg.share * eg.gap / conv_tol)
+                                      - 0.5 * math.log(k0 / eg.lambda1)) / eg.lambda1
         assert res.final.endgame_tried and res.final.dt_prev is None
 
     def test_lambda1_is_the_cylinders_decay_rate(self, euclid2):
@@ -492,6 +494,19 @@ class TestEndgame:
         monkeypatch.setattr(flow, "_ENDGAME_GAP", 0.0)
         plain = run(p0, euclid2, FlowConfig())
         assert res.reason == plain.reason and res.steps == plain.steps > 50
+
+    def test_a_limit_that_is_not_mirror_symmetric_is_declined(self, monkeypatch, euclid2):
+        # the date's odd decay law needs a mirror-symmetric limit: with no
+        # asymmetry admitted, every try reaches a limit and is declined, and
+        # the run steps on to convergence as without the endgame
+        monkeypatch.setattr(flow, "_ENDGAME_MIRROR", -1.0)
+        cfg = FlowConfig(record_every=1)
+        res = run(cos_profile(51), euclid2, cfg)
+        assert res.reason.tag is StopTag.CONVERGED
+        assert res.endgame is None and res.final.endgame_declined is not None
+        monkeypatch.setattr(flow, "_ENDGAME_GAP", 0.0)
+        plain = run(cos_profile(51), euclid2, cfg)
+        assert res.steps == plain.steps and res.history == plain.history
 
     @pytest.mark.parametrize("cfg", [FlowConfig(max_t=1.0), FlowConfig(volume_projection=False)],
                              ids=["dated-past-max_t", "no-projection"])
