@@ -200,13 +200,11 @@ class Endgame:
     step: int  # steps taken before the hand-off
     t: float  # t at the hand-off
     gap: float  # max|H - Hbar| at the hand-off
-    share: float  # the slowest volume-preserving mode's share of gap
+    share: float  # the slowest volume-preserving mode's share of gap (may exceed 1)
     iterations: int
     residual: float  # max|H - Hbar| of the limit
     lambda1: float  # decay rate of the slowest volume-preserving mode at the limit
-    # that mode's Jacobian eigenvalue at the hand-off, lambda1 + 3 c A^2 under
-    # the odd law; share, lambda1 and rate date the limit
-    rate: float
+    rate: float  # that mode's Jacobian eigenvalue at the hand-off
 
 
 @dataclass
@@ -440,27 +438,6 @@ def _lu_solve(lu, rhs):
     return np.array(x)
 
 
-def _lu_solve_pair(lu, rhs, rhs2):
-    """``_lu_solve`` of two right-hand sides in one forward and one back
-    sweep, each entry by the same arithmetic as a solve of its own."""
-    mult, piv, c = lu
-    x = rhs.tolist()
-    y = rhs2.tolist()
-    m = len(x)
-    xi, yi = x[0], y[0]
-    for i in range(1, m):
-        li = mult[i]
-        xi = x[i] = x[i] - li * xi
-        yi = y[i] = y[i] - li * yi
-    p = piv[-1]
-    xi, yi = x[-1], y[-1] = xi / p, yi / p
-    for i in range(m - 2, -1, -1):
-        ci, p = c[i], piv[i]
-        xi = x[i] = (x[i] - ci * xi) / p
-        yi = y[i] = (y[i] - ci * yi) / p
-    return np.array(x), np.array(y)
-
-
 def _solve_diffusion(diag, rhs):
     """Thomas sweep for diag_i x_i - x_{i-1} - x_{i+1} = rhs_i.
 
@@ -680,16 +657,15 @@ class _Euler:
                 raise self._singularity(r_new)
         return r_new, (max_t if dt == dt_left else t + dt), v_tracked, mn, mx
 
-    def _bordered(self, g, rhs):
-        """((LU of J, J^-1 1, wv, wv . J^-1 1, v), J^-1 rhs) at the kernel
-        output ``g``, both solves in one sweep.
+    def _bordered(self, g):
+        """(LU of J, J^-1 1, wv, wv . J^-1 1, v) at the kernel output ``g``.
 
         wv = sigma wz beta'(r) is the volume row that borders J.
         """
         lu = _factor(*_jacobian(g, self.space.n, self.dz))
-        x1, x2 = _lu_solve_pair(lu, rhs, np.ones(g.H.size))
+        x2 = _lu_solve(lu, np.ones(g.H.size))
         wv = self.wz_sigma * g.f * _h_pow(g.h, self.space.n)
-        return (lu, x2, wv, float(wv @ x2), g.v), x1
+        return lu, x2, wv, float(wv @ x2), g.v
 
     @staticmethod
     def _sweeps(bordered, x):
@@ -710,8 +686,8 @@ class _Euler:
         with the volume v_target; the unknowns are r and Hc.
 
         Each iteration solves the bordered system [J -1; wv 0] with one LU
-        factorisation of J and one two-right-hand-side sweep on it, J x2 = 1
-        and J x1 = -(H - Hc), and dHc from the volume row; the volume is
+        factorisation of J and two solves on it, J x2 = 1 in ``_bordered``,
+        then J x1 = -(H - Hc), and dHc from the volume row; the volume is
         measured by quadrature after the first, long jump, by increments
         after the others, and projected once on the limit.  By Haynsworth's
         inertia additivity, J on wv's null space is positive definite (the
@@ -720,7 +696,8 @@ class _Euler:
         inertia, J being similar to a symmetric matrix near a graph's
         limit).  Inverse iteration from H - Hbar gives the hand-off's rate
         and, as rate^3 times its normalisers, the slowest mode's share of
-        the gap; from the limit's mode, with the last factored J, lambda1.
+        the gap (above 1 where faster modes cancel part of it); from the
+        limit's mode, with the last factored J, lambda1.
 
         The date: the flow commutes with the mirror z -> a + b - z, which
         flips the slowest mode about a mirror-symmetric limit, so its
@@ -737,7 +714,7 @@ class _Euler:
         conv_tol = self.conv_tol
         with np.errstate(all="ignore"):
             try:
-                b, x1 = self._bordered(g, hbar - g.H)
+                b = self._bordered(g)
                 lu, s = b[0], b[3]
                 negative = sum(p < 0.0 for p in lu[1])
                 if not (s < 0.0 if negative == 1 else negative == 0 and s > 0.0):
@@ -745,7 +722,7 @@ class _Euler:
                 rate, norms, mode = self._sweeps(b, g.H - hbar)
             except ZeroDivisionError:
                 return None
-            share = min(1.0, rate ** 3 * norms / gap)
+            share = rate ** 3 * norms / gap
             if not share >= _ENDGAME_SHARE:
                 return None
             drop = math.log(share * gap / conv_tol)  # ln of the slowest mode's fall
@@ -757,8 +734,9 @@ class _Euler:
             try:
                 while its < _ENDGAME_ITERS and res > floor_gap:
                     if its:
-                        b, x1 = self._bordered(g, hc - g.H)
-                    x2, wv, s = b[1:4]
+                        b = self._bordered(g)
+                    lu, x2, wv, s = b[:4]
+                    x1 = _lu_solve(lu, hc - g.H)
                     dhc = (v_target - v_tracked - float(wv @ x1)) / s
                     r_new = r + (x1 + dhc * x2)
                     mn, mx = float(r_new.min()), float(r_new.max())

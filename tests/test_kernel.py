@@ -361,10 +361,9 @@ def _dated_reference(monkeypatch, p0, space, conv_tol):
 @pytest.mark.parametrize("tag,lam", [("euclidean", None), ("hyperbolic", -1.0)])
 def test_semi_implicit_reaches_the_explicit_limit(monkeypatch, tag, lam):
     # the limits differ by 1.2e-9 (euclidean) and 5.5e-9 (hyperbolic), and
-    # the date against the reference's is +0.16% and +0.45% (measured; a
-    # rate linear in the amplitude read +0.3% and +0.6%); a date from the
-    # whole gap read -0.5% and +0.9% from a 1e-1 hand-off, and -2.6%
-    # (euclidean) from a 1e-2 one
+    # the date against the reference's is +0.23% and +0.45% (measured); a
+    # date from the whole gap read -0.5% and +0.9% from a 1e-1 hand-off, and
+    # -2.6% (euclidean) from a 1e-2 one
     space = make_preset(tag, lam, n=2)
     p0 = cos_profile(51)
     semi = run(p0, space, FlowConfig())
