@@ -20,10 +20,13 @@ the closed form (2 pi / -lam) (-1 + sqrt(1 - lam V / (pi (b-a)))).  The
 integrands take f and h from ``AmbientSpace.eval_fh``; ``_volume_density``
 also serves the flow's volume increments and projection.
 
-The radii invert beta and delta by ``invert_increasing``, a Newton iteration
-kept inside a bisection bracket; the derivatives it needs are the integrands
-themselves, ``_volume_density`` (beta' = f h^(n-1)) and ``_area_density``
-(delta' = h^(n-1)).
+beta and delta are panel Gauss-Legendre sums (``_radial_integral``) whose
+first two levels, 1 and 2 panels, share one warp evaluation; at r = 0 they
+evaluate nothing.  The radii invert beta and delta by ``invert_increasing``,
+a Newton iteration kept inside a bisection bracket, which stops without an
+integral that would only confirm its last iterate; the derivatives it needs
+are the integrands themselves, ``_volume_density`` (beta' = f h^(n-1)) and
+``_area_density`` (delta' = h^(n-1)).
 """
 
 from __future__ import annotations
@@ -70,6 +73,11 @@ def _panel_rule(panels):
     return rule
 
 
+# the 8 nodes of the P = 1 rule, then the 16 of the P = 2 rule: one evaluation
+# of the integrand serves both first levels
+_NODES_1_2 = np.concatenate((_GL8_S, _panel_rule(2)[0]))
+
+
 def _radial_integral(space, g, r, rel_tol):
     """Integrate g from 0 to each radius in ``r`` by panel Gauss-Legendre.
 
@@ -77,7 +85,11 @@ def _radial_integral(space, g, r, rel_tol):
     applied on P equal panels of a shared normalized grid, with P = 1, 2, 4,
     ... until |G_2P - G_P| <= ``rel_tol`` |G_2P| for every integral; the finer
     sum is returned, a float for scalar ``r``.  All radii are handled in one
-    vectorized evaluation per panel count.
+    vectorized evaluation of g per panel count, and P = 1 and P = 2 share
+    one: g runs on their 24 nodes at once, and each level reduces its own
+    columns with its own weights, so both sums carry the bits of separate
+    evaluations.  When every radius is 0 the integrals are 0 and g is not
+    called.
     """
     u = np.atleast_1d(np.asarray(r, dtype=float))
     if u.size == 0:
@@ -86,20 +98,20 @@ def _radial_integral(space, g, r, rel_tol):
     if not (u.min() >= 0.0 and top <= space.r_max_domain and top < math.inf):
         raise ValueError(f"radii must be finite, >= 0 and within the ambient domain "
                          f"(r_max={space.r_max_domain:g})")
+    if top == 0.0:
+        return 0.0 if np.ndim(r) == 0 else np.zeros(u.shape)
 
-    def gauss(panels):
-        nodes, weights = _panel_rule(panels)
-        return u * (g(np.outer(u, nodes)) @ weights)
-
-    panels = 1
-    prev = gauss(panels)
-    while panels < _MAX_PANELS:
+    panels = 2
+    first = g(np.outer(u, _NODES_1_2))
+    prev = u * (first[:, :8] @ _GL8_W)
+    vals = u * (first[:, 8:] @ _panel_rule(2)[1])
+    while not (np.abs(vals - prev) <= rel_tol * np.abs(vals)).all():
+        if panels >= _MAX_PANELS:
+            raise RuntimeError("panel Gauss-Legendre failed to reach the requested tolerance")
         panels *= 2
-        vals = gauss(panels)
-        if np.all(np.abs(vals - prev) <= rel_tol * np.abs(vals)):
-            return float(vals[0]) if np.ndim(r) == 0 else vals
-        prev = vals
-    raise RuntimeError("panel Gauss-Legendre failed to reach the requested tolerance")
+        nodes, weights = _panel_rule(panels)
+        prev, vals = vals, u * (g(np.outer(u, nodes)) @ weights)
+    return float(vals[0]) if np.ndim(r) == 0 else vals
 
 
 def _h_pow(h, n):
@@ -136,13 +148,16 @@ def invert_increasing(g, y: float, r_max: float = math.inf, dg=None, name: str =
 
     The bracket [lo, hi] is found by doubling hi from 1; a g(hi) that is not
     finite or not above g(lo) raises ``ValueError``, naming g as ``name``.
-    With the derivative ``dg`` each step is then a Newton step from the last
-    iterate, kept only when it lands inside (lo, hi) and is at most half the
-    step before last; otherwise, and always when ``dg`` is None, the step
-    bisects the bracket (``rtsafe``, Numerical Recipes section 9.4).  The loop stops on g(x) = y,
-    or once |g(x) - y| <= 1e-12 max(1, |y|) after a step that moved x by at
-    most 1e-14 max(1, x).  The result satisfies the residual bound, or
-    ``RuntimeError`` is raised (at the latest after ``_MAX_STEPS`` steps).
+    The iteration starts from whichever end has the smaller residual, but
+    never from lo = 0, where a density dg vanishes.  With the derivative
+    ``dg`` each step is then a Newton step from the last iterate, kept only
+    when it lands inside (lo, hi) and is at most half the step before last;
+    otherwise, and always when ``dg`` is None, the step bisects the bracket
+    (``rtsafe``, Numerical Recipes section 9.4).  The loop stops on
+    g(x) = y, or at an x with |g(x) - y| <= 1e-12 max(1, |y|) whose next
+    step would move it by at most 1e-14 max(1, x); that step is not taken,
+    so no g call only confirms it.  The result satisfies the residual bound,
+    or ``RuntimeError`` is raised (at the latest after ``_MAX_STEPS`` steps).
     Raises ``ValueError`` when y is not finite, below g(0) or unreachable
     within the domain.
     """
@@ -169,7 +184,9 @@ def invert_increasing(g, y: float, r_max: float = math.inf, dg=None, name: str =
         lo, g_lo, x = x, gx, min(2.0 * x, cap)
 
     hi = x
-    step = prev = x - lo
+    if lo > 0.0 and y - g_lo < gx - y:  # from lo = 0 the density is 0
+        x, gx = lo, g_lo
+    step = prev = hi - lo
     for _ in range(_MAX_STEPS):
         resid = gx - y
         if resid == 0.0:
@@ -185,11 +202,11 @@ def invert_increasing(g, y: float, r_max: float = math.inf, dg=None, name: str =
             prev, step = step, resid / slope
         else:
             prev, step = step, x - 0.5 * (lo + hi)
+        if abs(step) <= 1e-14 * max(1.0, x) and abs(resid) <= resid_tol:
+            break  # x is within the step it would take: no confirming g
         if x - step != x:  # else g(x) is known: the step was under half an ulp of x
             x -= step
             gx = g(x)
-        if abs(step) <= 1e-14 * max(1.0, x) and abs(gx - y) <= resid_tol:
-            break
 
     resid = abs(gx - y)
     if resid > resid_tol:

@@ -76,10 +76,10 @@ from .hypersurface import (
     _geometry,
     _hbar,
     _checked_geometry,
-    _interior_critical_z,
+    _critical_count,
     _jacobian,
     _split,
-    enclosed_volume,
+    _volume,
     trapezoid_weights,
 )
 
@@ -226,13 +226,15 @@ class FlowStopped(RuntimeError):
         self.reason = reason
 
 
-def _record(profile: ProfileGrid, space, g, hbar: float, wz, t: float) -> DiagnosticsRecord:
-    """The record of ``profile`` from its kernel output ``g`` and lagged ``hbar``."""
+def _record(profile: ProfileGrid, space, g, hbar: float, wz, z, t: float) -> DiagnosticsRecord:
+    """The record of ``profile`` from its kernel output ``g`` and lagged ``hbar``,
+    reduced under the grid's trapezoid weights ``wz`` on its nodes ``z``; the
+    caller has checked the domain."""
     i1, i2 = _split(g, wz, space.n)
     max_r = float(profile.r.max())
     return DiagnosticsRecord(
         t=t,
-        V=enclosed_volume(profile, space),
+        V=_volume(profile.r, space, wz),
         area=_area(g, wz, space.n),
         Hbar=hbar,
         I1=i1,
@@ -240,7 +242,7 @@ def _record(profile: ProfileGrid, space, g, hbar: float, wz, t: float) -> Diagno
         min_r=float(profile.r.min()),
         max_r=max_r,
         max_v=float(g.v.max()),
-        N=2 + _interior_critical_z(g.rdot, profile.z, max_r, None).size,  # with both endpoints
+        N=_critical_count(g.rdot, z, max_r, None),
         curve_len=_curve_length(g, wz),
         max_L2=float(_L2(g, space.n).max()),
     )
@@ -248,7 +250,7 @@ def _record(profile: ProfileGrid, space, g, hbar: float, wz, t: float) -> Diagno
 
 def _diagnose(profile: ProfileGrid, space, t: float) -> DiagnosticsRecord:
     g, wz = _checked_geometry(profile, space)
-    return _record(profile, space, g, _hbar(g, wz), wz, t)
+    return _record(profile, space, g, _hbar(g, wz), wz, profile.z, t)
 
 
 def _velocity(g, hbar: float) -> np.ndarray:
@@ -773,7 +775,7 @@ class _Euler:
     def record(self, g, hbar):
         """Record the current state, from its kernel output ``g`` and ``hbar``."""
         prof = ProfileGrid(self.a, self.b, self.r)
-        self.history.append(_record(prof, self.space, g, hbar, self.wz, self.t))
+        self.history.append(_record(prof, self.space, g, hbar, self.wz, self.z, self.t))
         self.snapshots.append(prof)
 
     def proceed(self, g, hbar):

@@ -38,9 +38,12 @@ flow's velocity, stop checks and records read.  Each reduction of its
 output (``_L2``, ``_area``, ``_split``, ``_curve_length``) is written once;
 the public functions apply them to a checked profile, and the flow to the
 kernel output of its step.
-The critical-point census (``_interior_critical_z``) reads the kernel's
-slope ``rdot``; ``critical_point_count`` and ``critical_points`` pass it the
-slope of ``spatial_derivatives``, the same stencil.
+The critical-point census reads the kernel's slope ``rdot``: one helper,
+``_slope_events``, holds its threshold and sign logic, and the count
+(``_critical_count``, which the flow's records take) and the positions
+(``_interior_critical_z``) both derive from it; ``critical_point_count``
+and ``critical_points`` pass it the slope of ``spatial_derivatives``, the
+same stencil.
 """
 
 from __future__ import annotations
@@ -247,7 +250,7 @@ def _split(g: _Geometry, wz: np.ndarray, n: int):
     """(I1, I2) of the nonlocal split Hbar ~= I1 + I2."""
     nm1 = n - 1
     area_w = float(wz @ g.w)
-    hn2 = g.h ** (n - 2)
+    hn2 = 1.0 if n == 2 else g.h ** (n - 2)  # h^(n-2), without a power call for n = 2
     i1 = float(wz @ (np.arctan(g.rdot / g.f) * nm1 * hn2 * g.hp * g.rdot)) / area_w
     i2 = float(wz @ ((nm1 * g.hp * g.f + g.fp * g.h) * hn2)) / area_w
     return i1, i2
@@ -263,11 +266,15 @@ def curvature_field(p: ProfileGrid, space) -> CurvatureField:
     return CurvatureField(k1=g.k1, k2=g.k2, H=g.H, v=g.v, L2=_L2(g, space.n))
 
 
+def _volume(r: np.ndarray, space, wz: np.ndarray) -> float:
+    """sigma times the trapezoid sum of beta(r) under the weights ``wz``."""
+    return unit_sphere_area(space.n) * float(wz @ beta(space, r))
+
+
 def enclosed_volume(p: ProfileGrid, space) -> float:
     """Volume enclosed by the hypersurface inside the slab."""
     _check_domain(p, space)
-    w = trapezoid_weights(p.m, p.dz)
-    return unit_sphere_area(space.n) * float(w @ beta(space, p.r))
+    return _volume(p.r, space, trapezoid_weights(p.m, p.dz))
 
 
 def lateral_area(p: ProfileGrid, space) -> float:
@@ -296,29 +303,46 @@ def curve_length(p: ProfileGrid, space) -> float:
 _SLOPE_NOISE_ULPS = 8.0
 
 
-def _interior_critical_z(rdot: np.ndarray, z: np.ndarray, r_top: float,
-                         slope_tol: Optional[float]):
-    """z of the interior slope events of the nodal slope ``rdot`` on nodes ``z``.
+def _slope_events(rdot: np.ndarray, z: np.ndarray, r_top: float, slope_tol: Optional[float]):
+    """Interior slope events of the nodal slope ``rdot`` on nodes ``z``.
 
     ``r_top`` is the profile's max r.  Between two consecutive nonzero
-    slopes, a sign change or a run of zeros (a plateau) is one event, at the
-    midpoint of the pair or of the run.  Zeros with no nonzero slope on one
-    side merge with an endpoint.  The default ``slope_tol`` is 1e-9 max|rdot|,
-    but at least ``_SLOPE_NOISE_ULPS`` ulps of ``r_top`` over dz, so that
-    the rounding noise of a cylinder's slopes counts no critical point.
+    slopes, a sign change or a run of zeros (a plateau) is one event.  Zeros
+    with no nonzero slope on one side merge with an endpoint.  The default
+    ``slope_tol`` is 1e-9 max|rdot|, but at least ``_SLOPE_NOISE_ULPS`` ulps
+    of ``r_top`` over dz, so that the rounding noise of a cylinder's slopes
+    counts no critical point.
+
+    Returns ``(j, k, gap, event)``: j and k index consecutive nonzero slopes
+    among the interior nodes, ``gap`` marks the pairs with zeros between them
+    and ``event`` the pairs that are events.  The census counts ``event``
+    (``_critical_count``) and locates its pairs (``_interior_critical_z``).
     """
     if slope_tol is None:
         noise = _SLOPE_NOISE_ULPS * float(np.spacing(r_top)) / float(z[1] - z[0])
-        slope_tol = max(1e-9 * float(np.max(np.abs(rdot))), noise)
+        slope_tol = max(1e-9 * float(np.abs(rdot).max()), noise)
     signs = np.sign(rdot[1:-1])
     signs[np.abs(rdot[1:-1]) <= slope_tol] = 0.0
-    z = z[1:-1]
     nz = np.flatnonzero(signs)
     j, k = nz[:-1], nz[1:]
     gap = k > j + 1
-    event = gap | (signs[j] != signs[k])
+    return j, k, gap, gap | (signs[j] != signs[k])
+
+
+def _critical_count(rdot: np.ndarray, z: np.ndarray, r_top: float,
+                    slope_tol: Optional[float]) -> int:
+    """Both endpoints plus the interior slope events of ``_slope_events``."""
+    return 2 + int(np.count_nonzero(_slope_events(rdot, z, r_top, slope_tol)[3]))
+
+
+def _interior_critical_z(rdot: np.ndarray, z: np.ndarray, r_top: float,
+                         slope_tol: Optional[float]):
+    """z of the interior slope events of ``_slope_events``: the midpoint of
+    a sign change's pair, or of a plateau's run of zeros."""
+    j, k, gap, event = _slope_events(rdot, z, r_top, slope_tol)
     lo = np.where(gap, j + 1, j)[event]
     hi = np.where(gap, k - 1, k)[event]
+    z = z[1:-1]
     return 0.5 * (z[lo] + z[hi])
 
 
@@ -329,8 +353,7 @@ def critical_point_count(p: ProfileGrid, slope_tol: Optional[float] = None) -> i
     least a few ulps of max r over dz) are treated as zero, and each run of
     zeros contributes a single critical point.
     """
-    return 2 + _interior_critical_z(spatial_derivatives(p)[0], p.z, float(p.r.max()),
-                                    slope_tol).size
+    return _critical_count(spatial_derivatives(p)[0], p.z, float(p.r.max()), slope_tol)
 
 
 def critical_points(p: ProfileGrid, slope_tol: Optional[float] = None) -> np.ndarray:

@@ -12,6 +12,7 @@ from revflow import (
     delta,
     invert_increasing,
     make_preset,
+    space_from_expressions,
     unit_sphere_area,
 )
 from revflow import bounds
@@ -90,6 +91,79 @@ class TestQuadratureAccuracy:
 
         with pytest.raises(RuntimeError, match="tolerance"):
             beta(AmbientSpace(n=2, warp=warp), 1.0)
+
+
+def _per_level_integral(g, r, rel_tol=1e-12):
+    """The panel Gauss-Legendre levels P = 1, 2, 4, ... with one g call each:
+    the reference of the fused first two levels."""
+    u = np.atleast_1d(np.asarray(r, dtype=float))
+
+    def gauss(panels):
+        nodes, weights = bounds._panel_rule(panels)
+        return u * (g(np.outer(u, nodes)) @ weights)
+
+    panels, prev = 1, gauss(1)
+    while True:
+        panels *= 2
+        vals = gauss(panels)
+        if np.all(np.abs(vals - prev) <= rel_tol * np.abs(vals)):
+            return float(vals[0]) if np.ndim(r) == 0 else vals
+        prev = vals
+
+
+def _space(name, n):
+    if name == "custom_rss":
+        return space_from_expressions(n, f="cosh(r)^2", df="sinh(2*r)", d2f="2*cosh(2*r)",
+                                      h="sinh(r)", dh="cosh(r)", d2h="sinh(r)")
+    tag, lam = {"euclid": ("euclidean", None), "hyper": ("hyperbolic", -1.0),
+                "sphere": ("spherical", 1.0)}[name]
+    return make_preset(tag, lam, n=n)
+
+
+@pytest.fixture
+def eval_fh_calls(monkeypatch):
+    """The radii of every ``AmbientSpace.eval_fh`` call, in order."""
+    calls = []
+    eval_fh = AmbientSpace.eval_fh
+
+    def counting(self, r):
+        calls.append(r)
+        return eval_fh(self, r)
+
+    monkeypatch.setattr(AmbientSpace, "eval_fh", counting)
+    return calls
+
+
+class TestFusedLevels:
+    """P = 1 and P = 2 share one evaluation of the integrand."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("name", ["euclid", "hyper", "sphere", "custom_rss"])
+    def test_bits_of_the_per_level_loop(self, name, n):
+        space = _space(name, n)
+        top = min(3.0, space.r_max_domain)
+        rng = np.random.default_rng(n)
+        inputs = [0.0, 0.37 * top, top, np.zeros(4), np.linspace(0.0, top, 61),
+                  rng.uniform(0.0, top, 201), rng.uniform(0.0, top, (1, 7))]
+        for integral, density in ((beta, bounds._volume_density),
+                                  (delta, bounds._area_density)):
+            for r in inputs:
+                got = integral(space, r)
+                want = _per_level_integral(lambda x: density(space, x), r)
+                assert type(got) is type(want)
+                assert np.shape(got) == np.shape(want)
+                assert np.all(got == want), (integral.__name__, r)
+
+    def test_one_evaluation_when_p2_settles(self, euclid2, eval_fh_calls):
+        # f h = r: the 8-point rule is exact, so P = 2 agrees with P = 1
+        assert beta(euclid2, 0.5) == pytest.approx(0.125, rel=1e-15)
+        assert len(eval_fh_calls) == 1
+        assert eval_fh_calls[0].shape == (1, 24)
+
+    def test_no_evaluation_at_zero(self, hyper2, eval_fh_calls):
+        assert beta(hyper2, 0.0) == 0.0
+        assert np.all(delta(hyper2, np.zeros(3)) == 0.0)
+        assert eval_fh_calls == []
 
 
 class TestInvertIncreasing:
@@ -245,6 +319,29 @@ class TestNewtonInversion:
             calls.clear()
             compute_bounds(newton_space, *case)
             assert len(calls) <= 40, case
+
+    def test_warp_evaluations_per_compute_bounds(self, newton_space, eval_fh_calls):
+        # 32-46 eval_fh calls per case (integrands and densities); the bound
+        # leaves a margin of 4.  Two levels per integrand call and a
+        # confirming integral per inversion took 60-80.
+        for case in _BOUNDS_CASES:
+            eval_fh_calls.clear()
+            compute_bounds(newton_space, *case)
+            assert len(eval_fh_calls) <= 50, case
+
+    @pytest.mark.parametrize("integral,density", [(beta, bounds._volume_density),
+                                                  (delta, bounds._area_density)])
+    def test_no_confirming_integral(self, newton_space, integral, density):
+        # each g call moves x by more than the stop tolerance
+        r_max = newton_space.r_max_domain
+        for share in (1e-3, 0.1, 0.5, 0.9):
+            y = integral(newton_space, share * min(3.0, r_max))
+            for dg in (lambda x: density(newton_space, x), None):
+                xs = []
+                invert_increasing(lambda x: xs.append(x) or integral(newton_space, x),
+                                  y, r_max, dg=dg)
+                for prev, cur in zip(xs, xs[1:]):
+                    assert abs(cur - prev) > 1e-14 * max(1.0, cur), (share, xs)
 
     def test_beta_integrated_once_at_r1(self, newton_space, monkeypatch):
         # the small-volume threshold reuses the beta(r1) of the r1 inversion

@@ -18,6 +18,12 @@ from revflow import (
     save_profile_csv,
     spatial_derivatives,
 )
+from revflow.flow import _diagnose
+from revflow.hypersurface import (
+    _SLOPE_NOISE_ULPS,
+    _critical_count,
+    _interior_critical_z,
+)
 from conftest import cos_profile
 
 
@@ -315,6 +321,39 @@ def test_census_matches_the_reference_scan(runs, tol):
     np.testing.assert_array_equal(got, expected)
     assert got.dtype == expected.dtype
     assert critical_point_count(p, slope_tol=tol) == expected.size
+
+
+@st.composite
+def _census_profiles(draw):
+    """Profiles at the census threshold: cylinders with ulp noise, lattice
+    plateaus, and walks whose slopes sit a few ulps of max r over dz either
+    side of the noise floor."""
+    kind = draw(st.sampled_from(["noise", "plateaus", "threshold"]))
+    m = draw(st.integers(3, 81))
+    c = draw(st.floats(0.3, 3.0))
+    if kind == "plateaus":
+        steps = [s for s, count in draw(_STEP_RUNS) for _ in range(count)]
+        r = 4.0 + np.concatenate(([0], np.cumsum(steps))) / 64.0
+        r = np.concatenate((r, np.full(max(0, 3 - r.size), r[-1])))
+    else:
+        ulps = np.array(draw(st.lists(st.integers(-12, 12), min_size=m, max_size=m)))
+        r = c + (ulps if kind == "noise" else np.cumsum(ulps)) * np.spacing(c)
+    return ProfileGrid(0.0, draw(st.sampled_from([1.0, 1.3])), r)
+
+
+@settings(deadline=None, max_examples=300)
+@given(p=_census_profiles())
+@example(p=ProfileGrid(0.0, 1.0, np.full(5, 1.0)))
+def test_census_count_and_positions_share_one_event_scan(p, euclid2):
+    rdot = spatial_derivatives(p)[0]
+    r_top = float(p.r.max())
+    interior = _interior_critical_z(rdot, p.z, r_top, None)
+    assert _critical_count(rdot, p.z, r_top, None) == 2 + interior.size
+    assert _diagnose(p, euclid2, 0.0).N == critical_point_count(p) == 2 + interior.size
+    # the default threshold, resolved for the reference scan
+    tol = max(1e-9 * float(np.max(np.abs(rdot))),
+              _SLOPE_NOISE_ULPS * float(np.spacing(r_top)) / float(p.z[1] - p.z[0]))
+    np.testing.assert_array_equal(critical_points(p), _reference_critical_points(p, tol))
 
 
 class TestProfileCsv:
