@@ -84,22 +84,23 @@ def _radial_integral(space, g, r, rel_tol):
     Every radius must be finite and lie in [0, r_max].  An 8-point rule is
     applied on P equal panels of a shared normalized grid, with P = 1, 2, 4,
     ... until |G_2P - G_P| <= ``rel_tol`` |G_2P| for every integral; the finer
-    sum is returned, a float for scalar ``r``.  All radii are handled in one
-    vectorized evaluation of g per panel count, and P = 1 and P = 2 share
-    one: g runs on their 24 nodes at once, and each level reduces its own
-    columns with its own weights, so both sums carry the bits of separate
-    evaluations.  When every radius is 0 the integrals are 0 and g is not
-    called.
+    sum is returned in the shape of ``r``, a float for scalar ``r``.  All
+    radii are handled in one vectorized evaluation of g per panel count, and
+    P = 1 and P = 2 share one: g runs on their 24 nodes at once, and each
+    level reduces its own columns with its own weights, so both sums carry
+    the bits of separate evaluations.  When every radius is 0 the integrals
+    are 0 and g is not called.
     """
-    u = np.atleast_1d(np.asarray(r, dtype=float))
+    shape = np.shape(r)
+    u = np.asarray(r, dtype=float).ravel()
     if u.size == 0:
-        return u.copy()
+        return np.zeros(shape)
     top = u.max()  # NaN propagates through min and max and fails the test
     if not (u.min() >= 0.0 and top <= space.r_max_domain and top < math.inf):
         raise ValueError(f"radii must be finite, >= 0 and within the ambient domain "
                          f"(r_max={space.r_max_domain:g})")
     if top == 0.0:
-        return 0.0 if np.ndim(r) == 0 else np.zeros(u.shape)
+        return np.zeros(shape) if shape else 0.0
 
     panels = 2
     first = g(np.outer(u, _NODES_1_2))
@@ -111,7 +112,7 @@ def _radial_integral(space, g, r, rel_tol):
         panels *= 2
         nodes, weights = _panel_rule(panels)
         prev, vals = vals, u * (g(np.outer(u, nodes)) @ weights)
-    return float(vals[0]) if np.ndim(r) == 0 else vals
+    return vals.reshape(shape) if shape else float(vals[0])
 
 
 def _h_pow(h, n):

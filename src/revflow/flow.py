@@ -39,12 +39,13 @@ rdot(a) = rdot(b) = 0, and Hbar from the pre-step profile (lagged).
   times.  The jump is taken only if the limit is stable under
   volume-preserving variations, the slowest such mode carries a share >=
   _ENDGAME_SHARE of the gap, the gap falls at every iteration to below
-  conv_tol, the limit stays in (floor, r_max) and is mirror-symmetric to
-  within _ENDGAME_MIRROR, the decay rate k0 = lambda1 + (rate - lambda1)/3
-  at the hand-off is within _ENDGAME_RATE_TOL of the limit's lambda1, and
-  the date t + (ln(share gap / conv_tol) - ln(k0 / lambda1)/2) / lambda1
-  lies in (t, max_t].  The explicit reference and runs without projection
-  never take it.
+  conv_tol, the limit stays in (floor, r_max) (floor is r_min_stop in
+  ``run`` and 0 in ``step``) and is mirror-symmetric to within
+  _ENDGAME_MIRROR, the decay rate k0 = lambda1 + (rate - lambda1)/3 at the
+  hand-off is within _ENDGAME_RATE_TOL of the limit's lambda1, and the date
+  t + (ln(share gap / conv_tol) - ln(k0 / lambda1)/2) / lambda1 lies in
+  (t, max_t].  The explicit reference and runs without projection never
+  take it.
 
 ``run`` stops at the first of: max|H - Hbar| < conv_tol (converged); min r
 < r_min_stop (singularity, at the arg-min z); max v > v_max_stop (graph
@@ -78,6 +79,7 @@ from .hypersurface import (
     _checked_geometry,
     _critical_count,
     _jacobian,
+    _second_difference,
     _split,
     _volume,
     trapezoid_weights,
@@ -381,15 +383,6 @@ _ENDGAME_ITERS = 6
 _ENDGAME_SWEEPS = 3
 
 
-def _second_difference(d):
-    """dz^2 D2 d: the Neumann second difference with reflected ghost nodes."""
-    out = np.empty_like(d)
-    out[1:-1] = d[2:] - 2.0 * d[1:-1] + d[:-2]
-    out[0] = 2.0 * (d[1] - d[0])
-    out[-1] = 2.0 * (d[-2] - d[-1])
-    return out
-
-
 def _turns(slope):
     """Sign changes along ``slope``, entries within 1e-9 max|slope| of 0 skipped.
 
@@ -470,21 +463,19 @@ class _Euler:
     """One run of the flow: its state, its records and its stepper, SBDF2
     with volume projection and the Newton endgame.
 
-    ``geometry`` evaluates the kernel and the lagged Hbar; ``advance`` picks
-    dt, applies the update, checks it, and projects the volume.  ``rung`` is
-    the step-size controller's proposal k for the next dt = dt_cfl 2^(k/4),
-    None to estimate it, and ``prev`` the last step's (v, dr, dt), or None
-    before a first step, which is then semi-implicit Euler.  ``conv_tol``,
-    ``tried`` (an endgame was taken) and ``declined`` set the endgame's
-    tries, and ``endgame`` is the one taken.  With ``implicit=False`` the
-    update is explicit Euler at dt_cfl, the reference of the differential
-    tests; it never takes the endgame.
-
-    ``run`` drives it through ``proceed``, which keeps the run's radii
-    ``r``, ``t``, the projection's tracked and target volumes, min and max
-    r (``lo``, ``hi``), ``steps``, the records and, once stopped,
-    ``result``.  ``state`` is the ``FlowState`` of ``step`` and of a run's
-    end.
+    The state is the radii ``r`` at ``t``, their min and max (``lo``,
+    ``hi``), the projection's tracked and target volumes, the singularity
+    ``floor`` (0 until ``proceed`` resolves r_min_stop at the first state),
+    the step-size controller's proposal ``rung`` (k of the next dt = dt_cfl
+    2^(k/4), None to estimate it), ``prev``, the last step's (v, dr, dt)
+    (None: the next step is semi-implicit Euler), and the endgame's
+    ``conv_tol``, ``tried`` (an endgame was taken), ``declined`` and
+    ``endgame`` (the one taken).  ``advance`` steps it.  ``run`` drives it
+    through ``proceed``, which keeps ``steps``, the records and, once
+    stopped, ``result``; ``step`` sets it from a ``FlowState`` and advances
+    once.  ``state`` is the ``FlowState`` of ``step`` and of a run's end.
+    With ``implicit=False`` the update is explicit Euler at dt_cfl, the
+    reference of the differential tests; it never takes the endgame.
     """
 
     def __init__(self, grid: ProfileGrid, space, cfg: FlowConfig, implicit: bool = True,
@@ -509,6 +500,7 @@ class _Euler:
         self.r = grid.r
         self.t = 0.0
         self.v_tracked = self.v_target = None
+        self.floor = 0.0
         self.steps = 0
         self.history: List[DiagnosticsRecord] = []
         self.snapshots: List[ProfileGrid] = []
@@ -603,21 +595,20 @@ class _Euler:
                 return dr, dt
             k = max(0, min(k - 1, math.floor(pos + change)))
 
-    def advance(self, r, g, hbar, floor, v_tracked, v_target, t=0.0, max_t=math.inf,
-                gap=None):
-        """Return (r_new, t_new, tracked volume, min r_new, max r_new) or
-        raise ``FlowStopped``.
+    def advance(self, g, hbar, gap=None):
+        """Step the state, whose kernel output is ``g`` and ``hbar``, or raise
+        ``FlowStopped``.
 
-        dt is clipped so that t_new lands exactly on max_t; a step from past
-        max_t (only ``step`` gets there) is not clipped.  A node at or below
-        ``floor`` is a singularity; with projection on, the shifted profile
-        is driven from ``v_tracked`` to ``v_target``.  The shift c moves the
-        min and max by exactly c: x -> x + c is monotone in floating point.
-        ``gap`` is max|H - hbar| of the state; near the limit the step is
-        the Newton endgame's jump to it when that is accepted.  f or h <= 0
-        is an instability.  A raise leaves ``rung``, ``prev`` and the
-        endgame's state as they were, so a refused step leaves the
-        controller at the last accepted state.
+        Where ``gap`` = max|H - hbar| admits a try, the step is the Newton
+        endgame's jump to the limit if that is accepted; else dt is clipped
+        so that t lands exactly on max_t, unless t is past it (only ``step``
+        gets there).  f or h <= 0, a non-finite update and one on r_max are
+        instabilities, a node at or below ``floor`` a singularity; with
+        projection on, the shift c drives the profile to the target volume
+        and moves its min and max by exactly c (x -> x + c is monotone in
+        floating point).  The state changes only once the step or the jump
+        is accepted: a raise leaves it, ``rung``, ``prev`` and ``declined``
+        as they were, at the last accepted state.
         """
         saved = self.rung, self.prev, self.declined
         try:
@@ -628,36 +619,35 @@ class _Euler:
                     and self.conv_tol is not None
                     and self.conv_tol <= gap < _ENDGAME_GAP * abs(hbar)
                     and (self.declined is None or _ENDGAME_RETRY * gap <= self.declined)):
-                limit = self._endgame(r, g, hbar, floor, v_tracked, v_target, t, max_t, gap)
+                limit = self._endgame(g, hbar, gap)
                 if limit is not None:
-                    return limit
+                    self.r, self.t, self.v_tracked, self.lo, self.hi = limit
+                    return
                 self.declined = gap
-            return self._step(r, g, hbar, floor, v_tracked, v_target, t, max_t)
+            r, t, max_t, floor = self.r, self.t, self.cfg.max_t, self.floor
+            dt_left = max_t - t if t < max_t else math.inf
+            dr, dt = self._increment(r, g, hbar, dt_left)
+            r_new = r + dr
+            mn, mx = float(r_new.min()), float(r_new.max())
+            if not (math.isfinite(mn) and math.isfinite(mx)):
+                raise FlowStopped(StopReason(StopTag.INSTABILITY))
+            if mn <= floor:
+                raise self._singularity(r_new)
+            if mx >= self.r_max:
+                raise FlowStopped(StopReason(StopTag.INSTABILITY))
+            v_tracked = self.v_tracked
+            if self.project:
+                v_after = v_tracked + _volume_increment(self.space, self.wz_sigma, r, r_new)
+                c, r_new, v_tracked = _project_volume(self.space, self.wz_sigma, r_new, v_after,
+                                                      self.v_target, self.r_max, mn, mx)
+                mn, mx = mn + c, mx + c
+                if mn <= floor:
+                    raise self._singularity(r_new)
         except FlowStopped:
             self.rung, self.prev, self.declined = saved
             raise
-
-    def _step(self, r, g, hbar, floor, v_tracked, v_target, t, max_t):
-        dt_left = max_t - t if t < max_t else math.inf
-        dr, dt = self._increment(r, g, hbar, dt_left)
-        r_new = r + dr
-        mn = float(r_new.min())
-        mx = float(r_new.max())
-        if not (math.isfinite(mn) and math.isfinite(mx)):
-            raise FlowStopped(StopReason(StopTag.INSTABILITY))
-        if mn <= floor:
-            raise self._singularity(r_new)
-        r_max = self.r_max
-        if mx >= r_max:
-            raise FlowStopped(StopReason(StopTag.INSTABILITY))
-        if self.project:
-            v_after = v_tracked + _volume_increment(self.space, self.wz_sigma, r, r_new)
-            c, r_new, v_tracked = _project_volume(self.space, self.wz_sigma, r_new, v_after,
-                                                  v_target, r_max, mn, mx)
-            mn, mx = mn + c, mx + c
-            if mn <= floor:
-                raise self._singularity(r_new)
-        return r_new, (max_t if dt == dt_left else t + dt), v_tracked, mn, mx
+        self.r, self.v_tracked, self.lo, self.hi = r_new, v_tracked, mn, mx
+        self.t = max_t if dt == dt_left else t + dt
 
     def _bordered(self, g):
         """(LU of J, J^-1 1, wv, wv . J^-1 1, v) at the kernel output ``g``.
@@ -683,9 +673,9 @@ class _Euler:
             norms *= norm
         return lam, norms, x
 
-    def _endgame(self, r, g, hbar, floor, v_tracked, v_target, t, max_t, gap):
-        """Newton's method for the discrete CMC limit: H_i(r) = Hc for all i,
-        with the volume v_target; the unknowns are r and Hc.
+    def _endgame(self, g, hbar, gap):
+        """Newton's method for the discrete CMC limit of the run's state: H_i(r)
+        = Hc for all i, with the target volume; the unknowns are r and Hc.
 
         Each iteration solves the bordered system [J -1; wv 0] with one LU
         factorisation of J and two solves on it, J x2 = 1 in ``_bordered``,
@@ -709,11 +699,12 @@ class _Euler:
         integral from A = share gap down to conv_tol is
         (ln(share gap / conv_tol) - ln(k0 / lambda1)/2) / lambda1.
         Iterates are kept while the gap falls and the profile stays in
-        (floor, r_max).  Returns what ``advance`` returns, or None, the
-        state untouched, to step on (see the module docstring for the
-        gates).
+        (floor, r_max).  Returns the limit's (r, t, tracked volume, min r,
+        max r), or None to step on (see the module docstring for the gates);
+        only an accepted limit sets ``prev``, ``tried`` and ``endgame``.
         """
-        conv_tol = self.conv_tol
+        r, t, max_t, floor = self.r, self.t, self.cfg.max_t, self.floor
+        conv_tol, v_tracked, v_target = self.conv_tol, self.v_tracked, self.v_target
         with np.errstate(all="ignore"):
             try:
                 b = self._bordered(g)
@@ -792,7 +783,7 @@ class _Euler:
         if not self.steps:
             first = self.history[0]
             self.cfg = _resolve(self.cfg, first.min_r, hbar)
-            self.conv_tol = self.cfg.conv_tol
+            self.conv_tol, self.floor = self.cfg.conv_tol, self.cfg.r_min_stop
             self.v_target = self.v_tracked = first.V
             self.lo, self.hi = first.min_r, first.max_r
         cfg = self.cfg
@@ -813,9 +804,7 @@ class _Euler:
                 reason = StopReason(StopTag.MAX_TIME)
             else:
                 try:
-                    self.r, self.t, self.v_tracked, self.lo, self.hi = self.advance(
-                        self.r, g, hbar, cfg.r_min_stop, self.v_tracked, self.v_target,
-                        self.t, cfg.max_t, gap)
+                    self.advance(g, hbar, gap)
                 except FlowStopped as stop:
                     reason = stop.reason
                 else:
@@ -853,13 +842,12 @@ def step(s: FlowState, space, cfg: FlowConfig) -> FlowState:
     prev = None if s.dt_prev is None else (s.v_prev, s.d_prev, s.dt_prev)
     euler = _Euler(p, space, cfg, rung=s.dt_rung, prev=prev, conv_tol=conv_tol,
                    tried=s.endgame_tried, declined=s.endgame_declined)
-    g, hbar = euler.geometry(p.r)
-    gap = None if s.endgame_tried else float(abs(g.H - hbar).max())
+    euler.t = s.t
     euler.v_target = s.cached.V if s.v_target is None else s.v_target
-    v_tracked = s.cached.V if s.v_tracked is None else s.v_tracked
-    r_new, euler.t, euler.v_tracked = euler.advance(p.r, g, hbar, 0.0, v_tracked,
-                                                    euler.v_target, s.t, cfg.max_t, gap)[:3]
-    profile = ProfileGrid(p.a, p.b, r_new)
+    euler.v_tracked = s.cached.V if s.v_tracked is None else s.v_tracked
+    g, hbar = euler.geometry(p.r)
+    euler.advance(g, hbar, float(abs(g.H - hbar).max()))
+    profile = ProfileGrid(p.a, p.b, euler.r)
     return euler.state(profile, _diagnose(profile, space, euler.t))
 
 

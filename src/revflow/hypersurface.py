@@ -32,12 +32,13 @@ the Neumann condition.  Outer integrals are composite trapezoid on the grid;
 the radial integral inside the volume is panel Gauss-Legendre (``bounds.beta``).
 
 ``_geometry`` is the single discrete-geometry kernel: it (with its helpers
-``_derivatives`` and ``_curvatures``, which ``cmc`` shooting also calls)
-alone holds the ghost-node stencil, the k1/k2/H formula and v, which the
-flow's velocity, stop checks and records read.  Each reduction of its
-output (``_L2``, ``_area``, ``_split``, ``_curve_length``) is written once;
-the public functions apply them to a checked profile, and the flow to the
-kernel output of its step.
+``_second_difference``, ``_derivatives`` and ``_curvatures``) alone holds
+the ghost-node stencil, the k1/k2/H formula and v, which the flow's
+velocity, stop checks and records read; the flow's SBDF2 system applies the
+same ``_second_difference``, and ``cmc`` shooting calls ``_curvatures``.
+Each reduction of its output (``_L2``, ``_area``, ``_split``,
+``_curve_length``) is written once; the public functions apply them to a
+checked profile, and the flow to the kernel output of its step.
 The critical-point census reads the kernel's slope ``rdot``: one helper,
 ``_slope_events``, holds its threshold and sign logic, and the count
 (``_critical_count``, which the flow's records take) and the positions
@@ -150,19 +151,22 @@ class _Geometry(NamedTuple):
     w: np.ndarray
 
 
+def _second_difference(d):
+    """dz^2 D2 d along the last axis: the Neumann second difference with
+    reflected ghost nodes, of one array or of each row of a batch."""
+    out = np.empty_like(d)
+    out[..., 1:-1] = d[..., 2:] - 2.0 * d[..., 1:-1] + d[..., :-2]
+    out[..., 0] = 2.0 * (d[..., 1] - d[..., 0])
+    out[..., -1] = 2.0 * (d[..., -2] - d[..., -1])
+    return out
+
+
 def _derivatives(r: np.ndarray, dz: float):
     """(rdot, rddot) along the last axis: of one profile's radii, or of each row of a batch."""
     rdot = np.empty(r.shape)
-    rddot = np.empty(r.shape)
-    # z first: for a batch the end nodes are rows of the transposes
-    rt, rdot_t, rddot_t = r.T, rdot.T, rddot.T
-    rdot_t[1:-1] = (rt[2:] - rt[:-2]) * (1.0 / (2.0 * dz))
-    rdot_t[0] = rdot_t[-1] = 0.0
-    invdz2 = 1.0 / (dz * dz)
-    rddot_t[1:-1] = (rt[2:] - 2.0 * rt[1:-1] + rt[:-2]) * invdz2
-    rddot_t[0] = 2.0 * (rt[1] - rt[0]) * invdz2
-    rddot_t[-1] = 2.0 * (rt[-2] - rt[-1]) * invdz2
-    return rdot, rddot
+    rdot[..., 1:-1] = (r[..., 2:] - r[..., :-2]) * (1.0 / (2.0 * dz))
+    rdot[..., 0] = rdot[..., -1] = 0.0
+    return rdot, _second_difference(r) * (1.0 / (dz * dz))
 
 
 def _curvatures(rdot, rddot, f, fp, h, hp, n, sqrt=np.sqrt):

@@ -50,6 +50,15 @@ class TestBetaDelta:
         with pytest.raises(ValueError):
             beta(sphere2, 2.0)
 
+    @pytest.mark.parametrize("shape", [(4, 1), (2, 2), (2, 3)])
+    def test_radii_of_any_shape(self, hyper2, shape):
+        # each integral is that of the flattened radii, in the shape of r
+        r = np.linspace(0.1, 2.0, math.prod(shape)).reshape(shape)
+        for integral in (beta, delta):
+            got = integral(hyper2, r)
+            assert got.shape == shape
+            assert np.all(got == integral(hyper2, r.ravel()).reshape(shape))
+
 
 _RADII = np.linspace(0.05, 2.0, 40)
 

@@ -686,3 +686,51 @@ class TestFlowOptions:
         assert records > 9
         ks = sorted(int(p.stem.split("_")[1]) for p in outdir.glob("profile_*.csv"))
         assert len(ks) == 9 and ks[0] == 0 and ks[-1] == records - 1
+
+
+_SOURCE = "cylinder = 1.0\nperturb = 0.05*cos(pi*z)"
+# one error per case, each with its exit code and the start of its stderr;
+# a text of None writes no config, and {path} is the config's path
+_ERRORS = {
+    "missing-option": (BASE.replace("b = 1.0\n", ""), ["run"], 1,
+                       "error: [domain] b: missing required option"),
+    "unknown-preset": (BASE.replace("preset = euclidean", "preset = torus"), ["run"], 1,
+                       "error: [space] preset: unknown value 'torus'"),
+    "csv-grid-mismatch": (BASE.replace(_SOURCE, "csv = eleven.csv"), ["run"], 1,
+                          "error: [initial] csv: grid does not match [domain]/[grid]"),
+    "bad-expression": (BASE.replace(_SOURCE, "expr = 1 +"), ["run"], 1, "error: [initial] expr: "),
+    "dt_safety": (BASE + "dt_safety = 1.5\n", ["run"], 1,
+                  "error: [flow] dt_safety must lie in (0, 1)"),
+    "sweep-key-without-a-dot": (BASE + "\n[sweep]\nperturb = 0.1\n", ["sweep"], 1,
+                                "error: [sweep] perturb: keys must look like section.option"),
+    "unreadable-file": (None, ["run"], 1, "error: [Errno 2] No such file or directory"),
+    "bad-json": ("{not json", ["run"], 1, "error: {path}: bad JSON ("),
+    "no-config-sections": ('{"config": [1]}', ["run"], 1,
+                           "error: {path}: no config sections found"),
+    "ini-syntax": ("a = 1\n", ["run"], 1, "error: File contains no section headers."),
+    "unknown-cmc-mode": (BASE + "\n[cmc]\nmode = sphere\n", ["cmc"], 1,
+                         "error: [cmc] mode: unknown value 'sphere'"),
+    # argparse's usage error: the message follows the usage line
+    "jobs-not-an-integer": (BASE, ["sweep", "--jobs", "two"], 2,
+                            "revflow sweep: error: argument --jobs: invalid int value: 'two'"),
+}
+
+
+@pytest.mark.parametrize("case", list(_ERRORS))
+def test_each_error_exits_with_its_code_and_message(tmp_path, capsys, case):
+    text, (command, *extra), code, start = _ERRORS[case]
+    path = str(tmp_path / "c.ini")
+    if text is not None:
+        write_ini(tmp_path / "c.ini", text)
+    (tmp_path / "eleven.csv").write_text(
+        "z,r\n" + "".join(f"{z!r},1.0\n" for z in np.linspace(0.0, 1.0, 11).tolist()))
+    argv = [command, "--config", path, "--out", str(tmp_path / "out"), *extra]
+    if code == 2:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()[-1]
+    else:
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+    assert err.startswith(start.format(path=path)), err

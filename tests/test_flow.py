@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -111,8 +112,9 @@ class TestStep:
         v = enclosed_volume(p, sphere2)
         euler = _Euler(p, sphere2, FlowConfig())
         g, hbar = euler.geometry(p.r)
+        euler.v_tracked, euler.v_target = v, 10.0 * v
         with pytest.raises(FlowStopped) as info:
-            euler.advance(p.r, g, hbar, 0.0, v, 10.0 * v)
+            euler.advance(g, hbar)
         assert info.value.reason.tag is StopTag.PROJECTION_FAILED
 
 
@@ -528,6 +530,76 @@ class TestEndgame:
         assert res.reason == plain.reason and res.steps == plain.steps
         assert res.history == plain.history
         assert all(np.array_equal(a.r, b.r) for a, b in zip(res.snapshots, plain.snapshots))
+
+
+def _raising(exc):
+    def raise_it(*args, **kwargs):
+        raise exc
+    return raise_it
+
+
+def _limit_projection_fails(mp):
+    """The volume projection fails when the endgame projects its limit, and only then."""
+    real = flow._project_volume
+
+    def projection(*args):
+        if sys._getframe(1).f_code.co_name == "_endgame":
+            raise FlowStopped(StopReason(StopTag.PROJECTION_FAILED))
+        return real(*args)
+
+    mp.setattr(flow, "_project_volume", projection)
+
+
+def _soft_jacobian(mp):
+    """J / 100: the first Newton iterate jumps 100 times too far, out of (floor, r_max).
+
+    The try's rate falls 100-fold with J (its share does not), so the run
+    needs a far max_t to pass the first date check.
+    """
+    real = flow._jacobian
+    mp.setattr(flow, "_jacobian", lambda g, n, dz: tuple(0.01 * x for x in real(g, n, dz)))
+
+
+# the endgame's declines that no other test reaches: (space, max_t, the
+# injection that forces the decline, whether a later try is taken)
+_DECLINES = {
+    "first-solve-divides-by-zero": (
+        "euclid2", 10.0, lambda mp: mp.setattr(flow, "_lu_solve", _raising(ZeroDivisionError)),
+        False),
+    "iterate-leaves-the-domain": ("euclid2", 1e3, _soft_jacobian, False),
+    "newton-short-of-conv_tol": (
+        "euclid2", 10.0, lambda mp: mp.setattr(flow, "_ENDGAME_ITERS", 1), True),
+    "iteration-divides-by-zero": (
+        "euclid2", 10.0, lambda mp: mp.setattr(flow, "beta", _raising(ZeroDivisionError)), False),
+    "limit-projection-fails": ("euclid2", 10.0, _limit_projection_fails, False),
+    # the first date check's t + drop/rate (5.88) passes, the odd-law date (6.09) does not
+    "odd-law-date-past-max_t": ("custom_rss2", 6.0, lambda mp: None, True),
+}
+
+
+@pytest.mark.parametrize("case", list(_DECLINES))
+def test_a_declined_try_leaves_the_run_and_its_step_chain(request, monkeypatch, case):
+    # up to the try that is taken, if any, the run is the run without the
+    # endgame, and a step chain lands on its states through every decline
+    space_name, max_t, inject, taken = _DECLINES[case]
+    space = request.getfixturevalue(space_name)
+    p0 = cos_profile(51)
+    cfg = FlowConfig(max_t=max_t, record_every=1)
+    inject(monkeypatch)
+    res = run(p0, space, cfg)
+    assert res.final.endgame_declined is not None and (res.endgame is not None) is taken
+    assert not taken or res.endgame.step > 1
+    with monkeypatch.context() as mp:
+        mp.setattr(flow, "_ENDGAME_GAP", 0.0)
+        plain = run(p0, space, cfg)
+    k = res.endgame.step + 1 if taken else len(res.history)
+    assert res.history[:k] == plain.history[:k]
+    assert taken or (res.reason == plain.reason and res.steps == plain.steps)
+    s = FlowState(p0, 0.0, _diagnose(p0, space, 0.0))
+    for snap, rec in zip(res.snapshots[1:], res.history[1:], strict=True):
+        s = step(s, space, cfg)
+        assert s.t == rec.t and np.array_equal(s.profile.r, snap.r)
+    assert (s.endgame_tried, s.endgame_declined) == (taken, res.final.endgame_declined)
 
 
 def _assert_same_run(res, solo):

@@ -345,10 +345,10 @@ def _dated_reference(monkeypatch, p0, space, conv_tol):
     dated = []
     advance = flow._Euler.advance
 
-    def spied_advance(self, r, g, hbar, floor, v_tracked, v_target, t, max_t, gap):
+    def spied_advance(self, g, hbar, gap):
         if not dated and gap < conv_tol:
-            dated.append(t)
-        return advance(self, r, g, hbar, floor, v_tracked, v_target, t, max_t, gap)
+            dated.append(self.t)
+        return advance(self, g, hbar, gap)
 
     with monkeypatch.context() as mp:
         mp.setattr(flow._Euler, "advance", spied_advance)
