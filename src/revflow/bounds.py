@@ -19,14 +19,6 @@ threshold reduces to V/(b-a), and for n = 2 in constant curvature lam it has
 the closed form (2 pi / -lam) (-1 + sqrt(1 - lam V / (pi (b-a)))).  The
 integrands take f and h from ``AmbientSpace.eval_fh``; ``_volume_density``
 also serves the flow's volume increments and projection.
-
-beta and delta are panel Gauss-Legendre sums (``_radial_integral``) whose
-first two levels, 1 and 2 panels, share one warp evaluation; at r = 0 they
-evaluate nothing.  The radii invert beta and delta by ``invert_increasing``,
-a Newton iteration kept inside a bisection bracket, which stops without an
-integral that would only confirm its last iterate; the derivatives it needs
-are the integrands themselves, ``_volume_density`` (beta' = f h^(n-1)) and
-``_area_density`` (delta' = h^(n-1)).
 """
 
 from __future__ import annotations

@@ -144,8 +144,13 @@ def _write_artifacts(cfg, outdir, result, seed):
     return summary
 
 
+def _outdir(cfg, args):
+    """--out, else the config's [output] dir, else ./out."""
+    return args.out or cfg.outdir or "out"
+
+
 def cmd_run(cfg, args):
-    outdir = args.out or cfg.outdir or "out"
+    outdir = _outdir(cfg, args)
     [out] = run_to_directory([cfg], [outdir], seed=args.seed)  # a sweep group of one
     if isinstance(out, Exception):
         raise out
@@ -160,7 +165,7 @@ def cmd_run(cfg, args):
 
 
 def cmd_cmc(cfg, args):
-    outdir = args.out or cfg.outdir or "out"
+    outdir = _outdir(cfg, args)
     os.makedirs(outdir, exist_ok=True)
     section = cfg.cmc
     mode = section.get("mode", "shoot" if "h_target" in section else "cylinder")
@@ -222,7 +227,7 @@ def _sweep_group(members, outdir, base_dir):
 
 
 def cmd_sweep(cfg, args):
-    outdir = args.out or cfg.outdir or "out"
+    outdir = _outdir(cfg, args)
     os.makedirs(outdir, exist_ok=True)
     base_dir = os.path.dirname(os.path.abspath(args.config))
     items = cfg.sweep_items

@@ -28,6 +28,7 @@ from .hypersurface import (
     ProfileGrid,
     _checked_geometry,
     _curvatures,
+    _gap,
     _hbar,
     enclosed_volume,
 )
@@ -146,11 +147,10 @@ def shoot_cmc(space, a: float, b: float, H_target: float, r_start_guess: float,
 def _package(space, H_target, a, b, nodes):
     """CMCProfile of ``nodes``; ``H_target=None`` takes the kernel's H at the first node."""
     profile = ProfileGrid(a, b, nodes)
-    H = _checked_geometry(profile, space)[0].H
+    g = _checked_geometry(profile, space)[0]
     if H_target is None:
-        H_target = H[0]
-    return CMCProfile(H_const=float(H_target), profile=profile,
-                      residual=float(np.max(np.abs(H - H_target))),
+        H_target = g.H[0]
+    return CMCProfile(H_const=float(H_target), profile=profile, residual=_gap(g, H_target),
                       volume=enclosed_volume(profile, space))
 
 
@@ -159,4 +159,4 @@ def distance_to_cmc(p: ProfileGrid, space) -> CMCDistance:
     max-norm deviation from it."""
     g, wz = _checked_geometry(p, space)
     h_best = _hbar(g, wz)
-    return CMCDistance(h_best=h_best, deviation=float(np.max(np.abs(g.H - h_best))))
+    return CMCDistance(h_best=h_best, deviation=_gap(g, h_best))

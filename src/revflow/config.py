@@ -48,7 +48,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .ambient import AmbientSpace, make_preset, space_from_expressions
+from .ambient import _VALIDATE_SAMPLES, AmbientSpace, make_preset, space_from_expressions
 from .expressions import compile_expression
 from .flow import FlowConfig
 from .hypersurface import ProfileGrid, _check_domain, load_profile_csv
@@ -71,9 +71,9 @@ class RunConfig:
     m: int
     initial: ProfileGrid
     flow: FlowConfig
+    validate_probe: float
+    validate_samples: int
     outdir: Optional[str] = None
-    validate_probe: float = 3.0
-    validate_samples: int = 129
     cmc: Dict[str, str] = field(default_factory=dict)
     sweep_items: List[Tuple[Tuple[str, str], List[str]]] = field(default_factory=list)
     echo: Dict[str, Dict[str, str]] = field(default_factory=dict)
@@ -233,7 +233,7 @@ def parse_config(sections: Dict[str, Dict[str, str]], base_dir: str = ".") -> Ru
     if not 0 < probe <= space.r_max_domain:
         raise ConfigError(f"[validate] r_probe_max: need 0 < r_probe_max <= "
                           f"{space.r_max_domain:g}, got {probe!r}")
-    samples = _get_as(_INTEGER, sections, "validate", "samples", default=129)
+    samples = _get_as(_INTEGER, sections, "validate", "samples", default=_VALIDATE_SAMPLES)
     if samples < 2:
         raise ConfigError(f"[validate] samples: need samples >= 2, got {samples}")
 

@@ -8,44 +8,21 @@ speed times the graph slope v = sqrt(q)/f, q = rdot^2 + f^2:
 with H from the geometry kernel (``hypersurface._curvatures``), Neumann ends
 rdot(a) = rdot(b) = 0, and Hbar from the pre-step profile (lagged).
 
-* SBDF2, variable-step (Ascher, Ruuth & Wetton 1995; Wang & Ruuth 2008):
-  with L = diag(1/q) D2 (q lagged, D2 the ghost-node Neumann second
-  difference), v and v_prev the velocities at this state and the last,
-  omega = dt/dt_prev and d_prev the last update before its projection, a
-  step solves by one Thomas sweep (``_solve_diffusion``)
+A step is variable-step SBDF2 (Ascher, Ruuth & Wetton 1995; Wang & Ruuth
+2008).  With L = diag(1/q) D2 (q lagged, D2 the ghost-node Neumann second
+difference), v and v_prev the velocities at this state and the last, omega =
+dt/dt_prev and d_prev the last update before its projection, it solves by
+one Thomas sweep (``_solve_diffusion``)
 
-      (a0 I - dt L) dr = dt [(1 + omega) v - omega v_prev] + a2 d_prev
-                         - omega dt L d_prev,
-      a0 = (1 + 2 omega)/(1 + omega),  a2 = omega^2/(1 + omega).
+    (a0 I - dt L) dr = dt [(1 + omega) v - omega v_prev] + a2 d_prev
+                       - omega dt L d_prev,
+    a0 = (1 + 2 omega)/(1 + omega),  a2 = omega^2/(1 + omega).
 
-  A first step, or a try with omega > _OMEGA_MAX or more slope sign changes
-  than the state's (``_turns``), is semi-implicit Euler, (I - dt L) dr =
-  dt v.  v = 0 and d_prev = 0 give dr = 0 exactly.
-* Step size (Hairer & Wanner, Solving ODEs II, IV.2): est is the gap to the
-  AB2 predictor, O(dt^3), or after Euler max|dr - dt v|, O(dt^2); a try is
-  accepted when est <= min(_ATOL min r, max(_RTOL max|dr|, dt _SPEED_NOISE
-  |Hbar|)).  dt = dt_cfl 2^(k/_RUNGS_PER_OCTAVE), k >= 0, over the floor
-  dt_cfl = dt_safety dz^2 min(q)/2, rises at most _MAX_GROWTH rungs a step,
-  stays below dz^2 min(q)/_DIAG_MARGIN (and _DT_CAP dt_cfl without
-  projection), starts where est = dt^2 max|L v| meets tol, and lands on
-  max_t.  A try that reaches r_max is not retried.
-* Volume projection (optional): a uniform shift of the radii takes the
-  tracked volume to the initial one by safeguarded Newton
-  (``_project_volume``, <= 5 iterations, 1e-12 relative); between steps the
-  volume follows 3-point Gauss-Legendre increments.
-* Newton endgame (``_Euler._endgame``) on H_i(r) = Hc, V(r) = V0: after a
-  first step, a state with conv_tol <= max|H - Hbar| < _ENDGAME_GAP |Hbar|
-  tries it, and after a declined try once the gap has fallen _ENDGAME_RETRY
-  times.  The jump is taken only if the limit is stable under
-  volume-preserving variations, the slowest such mode carries a share >=
-  _ENDGAME_SHARE of the gap, the gap falls at every iteration to below
-  conv_tol, the limit stays in (floor, r_max) (floor is r_min_stop in
-  ``run`` and 0 in ``step``) and is mirror-symmetric to within
-  _ENDGAME_MIRROR, the decay rate k0 = lambda1 + (rate - lambda1)/3 at the
-  hand-off is within _ENDGAME_RATE_TOL of the limit's lambda1, and the date
-  t + (ln(share gap / conv_tol) - ln(k0 / lambda1)/2) / lambda1 lies in
-  (t, max_t].  The explicit reference and runs without projection never
-  take it.
+A first step, or a try with omega > _OMEGA_MAX or more slope sign changes
+than the state's (``_turns``), is semi-implicit Euler, (I - dt L) dr = dt v.
+v = 0 and d_prev = 0 give dr = 0 exactly.  The step size follows the rule
+above ``_ATOL``, the volume is projected by ``_project_volume``, and a state
+near its limit may jump to it by the Newton endgame (``_Run._endgame``).
 
 ``run`` stops at the first of: max|H - Hbar| < conv_tol (converged); min r
 < r_min_stop (singularity, at the arg-min z); max v > v_max_stop (graph
@@ -69,38 +46,14 @@ import numpy as np
 
 from .bounds import _h_pow, _volume_density, beta, unit_sphere_area
 from .hypersurface import (
-    ProfileGrid,
-    _L2,
-    _area,
-    _check_domain,
-    _curve_length,
-    _geometry,
-    _hbar,
-    _checked_geometry,
-    _critical_count,
-    _jacobian,
-    _second_difference,
-    _split,
-    _volume,
-    trapezoid_weights,
+    ProfileGrid, _L2, _area, _check_domain, _checked_geometry, _critical_count, _curve_length,
+    _gap, _geometry, _hbar, _jacobian, _second_difference, _split, _volume, trapezoid_weights,
 )
 
 __all__ = [
-    "StopTag",
-    "StopReason",
-    "FlowConfig",
-    "DiagnosticsRecord",
-    "FlowState",
-    "Endgame",
-    "RunResult",
-    "FlowStopped",
-    "rhs",
-    "step",
-    "run",
-    "HISTORY_COLUMNS",
-    "write_history_csv",
-    "build_summary",
-    "write_summary_json",
+    "StopTag", "StopReason", "FlowConfig", "DiagnosticsRecord", "FlowState", "Endgame",
+    "RunResult", "FlowStopped", "rhs", "step", "run",
+    "HISTORY_COLUMNS", "write_history_csv", "build_summary", "write_summary_json",
 ]
 
 
@@ -180,7 +133,7 @@ class FlowState:
     profile: ProfileGrid
     t: float
     cached: DiagnosticsRecord
-    dt_rung: Optional[int] = None  # the step-size controller's proposal, see ``_Euler``
+    dt_rung: Optional[int] = None  # the step-size controller's proposal, see ``_ATOL``
     # the projection's tracked and target volumes, as in ``run``; None is cached.V
     v_tracked: Optional[float] = None
     v_target: Optional[float] = None
@@ -189,7 +142,7 @@ class FlowState:
     v_prev: Optional[np.ndarray] = None
     d_prev: Optional[np.ndarray] = None
     dt_prev: Optional[float] = None
-    # the convergence tolerance; None is cfg.conv_tol, or 1e-6 |cached.Hbar|
+    # the convergence tolerance; None resolves it as ``FlowConfig`` says
     conv_tol: Optional[float] = None
     endgame_tried: bool = False  # the Newton endgame was taken: no more tries
     endgame_declined: Optional[float] = None  # the gap of the last declined try
@@ -197,7 +150,7 @@ class FlowState:
 
 @dataclass(frozen=True)
 class Endgame:
-    """The Newton endgame that gave a run its last state (``_Euler._endgame``)."""
+    """The Newton endgame that gave a run its last state (``_Run._endgame``)."""
 
     step: int  # steps taken before the hand-off
     t: float  # t at the hand-off
@@ -235,17 +188,9 @@ def _record(profile: ProfileGrid, space, g, hbar: float, wz, z, t: float) -> Dia
     i1, i2 = _split(g, wz, space.n)
     max_r = float(profile.r.max())
     return DiagnosticsRecord(
-        t=t,
-        V=_volume(profile.r, space, wz),
-        area=_area(g, wz, space.n),
-        Hbar=hbar,
-        I1=i1,
-        I2=i2,
-        min_r=float(profile.r.min()),
-        max_r=max_r,
-        max_v=float(g.v.max()),
-        N=_critical_count(g.rdot, z, max_r, None),
-        curve_len=_curve_length(g, wz),
+        t=t, V=_volume(profile.r, space, wz), area=_area(g, wz, space.n), Hbar=hbar,
+        I1=i1, I2=i2, min_r=float(profile.r.min()), max_r=max_r, max_v=float(g.v.max()),
+        N=_critical_count(g.rdot, z, max_r, None), curve_len=_curve_length(g, wz),
         max_L2=float(_L2(g, space.n).max()),
     )
 
@@ -282,12 +227,12 @@ def _volume_increment(space, wz_sigma, r_from, r_to):
 
 
 def _project_volume(space, wz_sigma, r, v_at_r, v_target, r_max, r_lo, r_hi):
-    """Uniform shift c with enclosed_volume(r + c) = v_target.
+    """Uniform shift c with enclosed_volume(r + c) = v_target, whose tracked
+    value is ``v_at_r`` at ``r`` (min ``r_lo``, max ``r_hi``).
 
-    ``r_lo`` and ``r_hi`` are the min and max of ``r``.  Newton on the
-    tracked volume with a bisection safeguard; at most 5 iterations,
-    tolerance 1e-12 relative.  Returns (c, r + c, achieved volume), or
-    raises ``FlowStopped`` (projection failed) when the tolerance is missed.
+    Newton on the tracked volume with a bisection safeguard, at most 5
+    iterations.  Returns (c, r + c, achieved volume), or raises
+    ``FlowStopped`` (projection failed) when 1e-12 relative is missed.
     Newton iterates on to 1e-14, one quadratically convergent iteration
     past 1e-12: from the 1e-6 relative residuals of semi-implicit steps, a
     first iteration lands just under 1e-12, so stopping there let the
@@ -332,16 +277,20 @@ def _resolve(cfg: FlowConfig, r0_min: float, hbar0: float) -> FlowConfig:
     return out
 
 
-# Step-size control, see the module docstring: est <= min(_ATOL min r,
-# max(_RTOL max|dr|, dt _SPEED_NOISE |Hbar|)), dt = dt_cfl 2^(k /
-# _RUNGS_PER_OCTAVE) with k >= 0, and at most _MAX_GROWTH rungs up per step:
-# 2^(5/4) = 2.38 stays under _OMEGA_MAX = 1 + sqrt(2), the zero-stability
-# limit of variable-step BDF2, so a step from a ladder step stays SBDF2.
-# The ladder keeps last-bit differences of the state from changing the rung.
-# The min r term resolves pinches; the max|dr| term bounds the error per unit
-# of motion, so t stays physical in the approach to the limit.  _RTOL = 0.25
-# keeps the linearised decay within 20% at t = 0.25 and 40% at t = 0.5
-# (tests/test_kernel.py).
+# Step-size control (Hairer & Wanner, Solving ODEs II, IV.2).  est is the gap
+# to the AB2 predictor, O(dt^3), or after Euler max|dr - dt v|, O(dt^2); a try
+# is accepted when est <= min(_ATOL min r, max(_RTOL max|dr|, dt _SPEED_NOISE
+# |Hbar|)).  dt = dt_cfl 2^(k/_RUNGS_PER_OCTAVE), k >= 0, over the floor
+# dt_cfl = dt_safety dz^2 min(q)/2; it rises at most _MAX_GROWTH rungs a step,
+# stays below dz^2 min(q)/_DIAG_MARGIN (and _DT_CAP dt_cfl without
+# projection), starts where est = dt^2 max|L v| meets tol, and lands on max_t.
+# A try that reaches r_max is not retried.  2^(5/4) = 2.38 stays under
+# _OMEGA_MAX = 1 + sqrt(2), the zero-stability limit of variable-step BDF2, so
+# a step from a ladder step stays SBDF2.  The ladder keeps last-bit
+# differences of the state from changing the rung.  The min r term resolves
+# pinches; the max|dr| term bounds the error per unit of motion, so t stays
+# physical in the approach to the limit.  _RTOL = 0.25 keeps the linearised
+# decay within 20% at t = 0.25 and 40% at t = 0.5 (tests/test_kernel.py).
 _ATOL = 1e-3
 _RTOL = 0.25
 _RUNGS_PER_OCTAVE = 4
@@ -364,16 +313,7 @@ _DIAG_MARGIN = 2.0 ** -20
 # 2.8e-5 at 1000 (semi-implicit Euler: 1.1e-4 and 3.4e-4), against the
 # documented 1e-3 per unit time.
 _DT_CAP = 300.0
-# The Newton endgame (``_Euler._endgame``) for conv_tol <= max|H - Hbar| <
-# _ENDGAME_GAP |Hbar| (see the module docstring).  Newton iterates while the
-# gap falls, until it is below _SPEED_NOISE |Hbar|, at most _ENDGAME_ITERS
-# times: a limit left at a gap of 1e-11 still carries a multi-mode remnant
-# that the census counts.  After one step the converge benchmark's profiles
-# (120 draws, m = 61) leave gaps of 0.65-2.23 |Hbar| (euclidean) and
-# 0.15-0.56 (hyperbolic), and its dumbbells 2.16-4.45: the window lets
-# nearly all of the first two try, and none of the third.  The odd decay
-# law needs a mirror-symmetric limit; the limits measured are symmetric to
-# within 2e-15 max r, and _ENDGAME_MIRROR is 16 times _SPEED_NOISE.
+# the Newton endgame's gates, see ``_Run._endgame``
 _ENDGAME_GAP = 2.0
 _ENDGAME_SHARE = 0.5
 _ENDGAME_RATE_TOL = 5e-2
@@ -459,48 +399,36 @@ def _solve_diffusion(diag, rhs):
     return np.array(y)
 
 
-class _Euler:
-    """One run of the flow: its state, its records and its stepper, SBDF2
-    with volume projection and the Newton endgame.
+class _Run:
+    """One run of the flow: its state, its records and its stepper.
 
-    The state is the radii ``r`` at ``t``, their min and max (``lo``,
-    ``hi``), the projection's tracked and target volumes, the singularity
-    ``floor`` (0 until ``proceed`` resolves r_min_stop at the first state),
-    the step-size controller's proposal ``rung`` (k of the next dt = dt_cfl
-    2^(k/4), None to estimate it), ``prev``, the last step's (v, dr, dt)
-    (None: the next step is semi-implicit Euler), and the endgame's
-    ``conv_tol``, ``tried`` (an endgame was taken), ``declined`` and
-    ``endgame`` (the one taken).  ``advance`` steps it.  ``run`` drives it
-    through ``proceed``, which keeps ``steps``, the records and, once
-    stopped, ``result``; ``step`` sets it from a ``FlowState`` and advances
-    once.  ``state`` is the ``FlowState`` of ``step`` and of a run's end.
-    With ``implicit=False`` the update is explicit Euler at dt_cfl, the
-    reference of the differential tests; it never takes the endgame.
+    ``run`` drives it by ``proceed``; ``step`` sets it from a ``FlowState``
+    and calls ``advance`` once.  With ``implicit=False`` the update is
+    explicit Euler at dt_cfl, the reference of the differential tests, which
+    never takes the endgame.
     """
 
     def __init__(self, grid: ProfileGrid, space, cfg: FlowConfig, implicit: bool = True,
                  rung=None, prev=None, conv_tol=None, tried: bool = False, declined=None):
-        self.space = space
-        self.cfg = cfg
-        self.a, self.b = grid.a, grid.b
-        self.dz = grid.dz
-        self.z = grid.z
+        self.space, self.cfg = space, cfg
+        self.a, self.b, self.dz, self.z = grid.a, grid.b, grid.dz, grid.z
         self.wz = trapezoid_weights(grid.m, grid.dz)
         self.wz_sigma = unit_sphere_area(space.n) * self.wz
         self.half_safety_dz2 = 0.5 * cfg.dt_safety * grid.dz * grid.dz
         self.project = cfg.volume_projection
         self.implicit = implicit
         self.r_max = space.r_max_domain
-        self.rung = rung
-        self.prev = prev
+        self.rung = rung  # k of the next dt (see _ATOL); None: estimate it
+        self.prev = prev  # the last step's (v, dr, dt); None: the next is Euler
         self.conv_tol = conv_tol
-        self.tried = tried
-        self.declined = declined
+        self.tried = tried  # an endgame was taken: no more tries
+        self.declined = declined  # the gap of the last declined try
         self.endgame = None
         self.r = grid.r
         self.t = 0.0
+        self.lo = self.hi = None  # min and max of r, kept by ``proceed`` and ``advance``
         self.v_tracked = self.v_target = None
-        self.floor = 0.0
+        self.floor = 0.0  # r_min_stop once ``proceed`` resolves it; 0 in ``step``
         self.steps = 0
         self.history: List[DiagnosticsRecord] = []
         self.snapshots: List[ProfileGrid] = []
@@ -521,12 +449,8 @@ class _Euler:
                                       location=float(self.z[int(r.argmin())])))
 
     def _increment(self, r, g, hbar, dt_left=math.inf):
-        """Return (dr, dt): the update before the checks and the projection.
-
-        dt is at most ``dt_left``, the time left to max_t.  The returned
-        update and its velocity and dt become ``prev``, the history of the
-        next step; a try that reaches r_max is returned without a retry.
-        """
+        """Return (dr, dt), the update before the checks and the projection,
+        with dt at most ``dt_left``; (v, dr, dt) becomes ``prev``."""
         min_q = float(g.q.min())
         dt_cfl = self.half_safety_dz2 * min_q
         ceiling = min(dt_left, (self.dz * self.dz) * min_q / _DIAG_MARGIN)
@@ -597,18 +521,15 @@ class _Euler:
 
     def advance(self, g, hbar, gap=None):
         """Step the state, whose kernel output is ``g`` and ``hbar``, or raise
-        ``FlowStopped``.
+        ``FlowStopped`` with a stop reason of the module docstring.
 
-        Where ``gap`` = max|H - hbar| admits a try, the step is the Newton
-        endgame's jump to the limit if that is accepted; else dt is clipped
-        so that t lands exactly on max_t, unless t is past it (only ``step``
-        gets there).  f or h <= 0, a non-finite update and one on r_max are
-        instabilities, a node at or below ``floor`` a singularity; with
-        projection on, the shift c drives the profile to the target volume
-        and moves its min and max by exactly c (x -> x + c is monotone in
-        floating point).  The state changes only once the step or the jump
-        is accepted: a raise leaves it, ``rung``, ``prev`` and ``declined``
-        as they were, at the last accepted state.
+        ``gap`` = ``_gap(g, hbar)`` may admit the Newton endgame's jump;
+        else dt is clipped so that t lands exactly on max_t, unless t is
+        past it (only ``step`` gets there).  A node at or below ``floor`` is
+        a singularity.  The projection's shift c moves min and max r by
+        exactly c (x -> x + c is monotone in floating point).  A raise
+        leaves the state, ``rung``, ``prev`` and ``declined`` at the last
+        accepted step.
         """
         saved = self.rung, self.prev, self.declined
         try:
@@ -650,10 +571,8 @@ class _Euler:
         self.t = max_t if dt == dt_left else t + dt
 
     def _bordered(self, g):
-        """(LU of J, J^-1 1, wv, wv . J^-1 1, v) at the kernel output ``g``.
-
-        wv = sigma wz beta'(r) is the volume row that borders J.
-        """
+        """(LU of J, J^-1 1, wv, wv . J^-1 1, v) at the kernel output ``g``, with
+        wv = sigma wz beta'(r) the volume row that borders J."""
         lu = _factor(*_jacobian(g, self.space.n, self.dz))
         x2 = _lu_solve(lu, np.ones(g.H.size))
         wv = self.wz_sigma * g.f * _h_pow(g.h, self.space.n)
@@ -674,34 +593,47 @@ class _Euler:
         return lam, norms, x
 
     def _endgame(self, g, hbar, gap):
-        """Newton's method for the discrete CMC limit of the run's state: H_i(r)
-        = Hc for all i, with the target volume; the unknowns are r and Hc.
+        """Newton's method for the discrete CMC limit of the run's state, H_i(r)
+        = Hc for all i at the target volume; returns the limit's (r, t, tracked
+        volume, min r, max r), or None to step on.  Only an accepted limit sets
+        ``prev``, ``tried`` and ``endgame``.
 
-        Each iteration solves the bordered system [J -1; wv 0] with one LU
-        factorisation of J and two solves on it, J x2 = 1 in ``_bordered``,
-        then J x1 = -(H - Hc), and dHc from the volume row; the volume is
-        measured by quadrature after the first, long jump, by increments
-        after the others, and projected once on the limit.  By Haynsworth's
-        inertia additivity, J on wv's null space is positive definite (the
-        limit is stable) iff J has 1 negative pivot and wv.J^-1 1 < 0, or
-        none and wv.J^-1 1 > 0 (Sylvester's law holds the pivot count to J's
-        inertia, J being similar to a symmetric matrix near a graph's
-        limit).  Inverse iteration from H - Hbar gives the hand-off's rate
-        and, as rate^3 times its normalisers, the slowest mode's share of
-        the gap (above 1 where faster modes cancel part of it); from the
-        limit's mode, with the last factored J, lambda1.
+        ``advance`` tries it after a first step, with projection on and no
+        endgame taken, for conv_tol <= gap < _ENDGAME_GAP |Hbar|, and after a
+        declined try once the gap has fallen _ENDGAME_RETRY times.  After one
+        step the converge benchmark's profiles (120 draws, m = 61) leave gaps
+        of 0.65-2.23 |Hbar| (euclidean) and 0.15-0.56 (hyperbolic), and its
+        dumbbells 2.16-4.45: the window lets nearly all of the first two try,
+        and none of the third.
 
-        The date: the flow commutes with the mirror z -> a + b - z, which
-        flips the slowest mode about a mirror-symmetric limit, so its
-        amplitude A decays by an odd law dA/dt = -(lambda1 A + c A^3 + ...).
-        rate is that law's slope at the hand-off, lambda1 + 3 c A^2, so the
-        decay rate there is k0 = lambda1 + (rate - lambda1)/3, and the
-        integral from A = share gap down to conv_tol is
-        (ln(share gap / conv_tol) - ln(k0 / lambda1)/2) / lambda1.
-        Iterates are kept while the gap falls and the profile stays in
-        (floor, r_max).  Returns the limit's (r, t, tracked volume, min r,
-        max r), or None to step on (see the module docstring for the gates);
-        only an accepted limit sets ``prev``, ``tried`` and ``endgame``.
+        An iteration solves the bordered system [J -1; wv 0] by one LU of J
+        and two solves, J x2 = 1 (``_bordered``) and J x1 = -(H - Hc), and dHc
+        from the volume row; the volume is measured by quadrature after the
+        first, long jump, by increments after the others, and projected once
+        on the limit.  Iterates are kept while the gap falls and the profile
+        stays in (floor, r_max), at most _ENDGAME_ITERS, until the gap is below
+        _SPEED_NOISE |Hbar|: a limit left at 1e-11 still carries a multi-mode
+        remnant that the census counts.  By Haynsworth's inertia additivity, J
+        on wv's null space is positive definite (the limit is stable) iff J
+        has 1 negative pivot and wv.J^-1 1 < 0, or none and wv.J^-1 1 > 0
+        (Sylvester's law holds the pivot count to J's inertia, J being similar
+        to a symmetric matrix near a graph's limit).  Inverse iteration from
+        H - Hbar gives the hand-off's rate and, as rate^3 times its
+        normalisers, the slowest mode's share of the gap (above 1 where faster
+        modes cancel part of it); from the limit's mode, lambda1.
+
+        The date: the flow commutes with the mirror z -> a + b - z, which flips
+        the slowest mode about a mirror-symmetric limit, so its amplitude A
+        decays by an odd law dA/dt = -(lambda1 A + c A^3 + ...).  rate is the
+        law's slope at the hand-off, lambda1 + 3 c A^2, so the decay rate there
+        is k0 = lambda1 + (rate - lambda1)/3, and A falls from share gap to
+        conv_tol in (ln(share gap / conv_tol) - ln(k0 / lambda1)/2) / lambda1.
+
+        The jump is taken only if the limit is stable, share >= _ENDGAME_SHARE,
+        the gap falls below conv_tol, the limit stays in (floor, r_max) and is
+        mirror-symmetric to _ENDGAME_MIRROR max r (16 times _SPEED_NOISE; the
+        limits measured are symmetric to 2e-15), k0 is within
+        _ENDGAME_RATE_TOL of lambda1, and the date lies in (t, max_t].
         """
         r, t, max_t, floor = self.r, self.t, self.cfg.max_t, self.floor
         conv_tol, v_tracked, v_target = self.conv_tol, self.v_tracked, self.v_target
@@ -738,7 +670,7 @@ class _Euler:
                     v_new = (v_tracked + _volume_increment(self.space, self.wz_sigma, r, r_new)
                              if its else float(self.wz_sigma @ beta(self.space, r_new)))
                     g, hbar_new = self.geometry(r_new)
-                    res_new = float(abs(g.H - hbar_new).max())
+                    res_new = _gap(g, hbar_new)
                     if not res_new < res:
                         break
                     r, v_tracked, hc, res, its = r_new, v_new, hc + dhc, res_new, its + 1
@@ -771,13 +703,9 @@ class _Euler:
 
     def proceed(self, g, hbar):
         """Take the next step of ``run`` from the current state, whose kernel
-        output is ``g`` and ``hbar``; False, with ``result`` set, once the
-        run has stopped.
-
-        The state is recorded every ``record_every`` steps and at the stop.
-        The initial state also resolves the config's default thresholds and
-        sets the volume target.
-        """
+        output is ``g`` and ``hbar``; False, with ``result`` set, once the run
+        has stopped.  The initial state resolves the config's defaults and
+        sets the volume target."""
         if self.steps % self.cfg.record_every == 0:
             self.record(g, hbar)
         if not self.steps:
@@ -797,7 +725,7 @@ class _Euler:
         elif g.v.max() > cfg.v_max_stop:
             reason = StopReason(StopTag.GRAPH_FAILURE)
         else:
-            gap = float(abs(g.H - hbar).max())
+            gap = _gap(g, hbar)
             if gap < cfg.conv_tol:
                 reason = StopReason(StopTag.CONVERGED)
             elif self.t >= cfg.max_t:
@@ -820,35 +748,24 @@ class _Euler:
 
 
 def step(s: FlowState, space, cfg: FlowConfig) -> FlowState:
-    """Advance one SBDF2 step (plus volume projection if enabled).
-
-    This is one iteration of the ``run`` loop, followed by a full
-    re-diagnosis of the new state.  dt starts from the proposal
-    ``s.dt_rung`` and is clipped to land on ``cfg.max_t``; the step extends
-    the history ``s.v_prev``, ``s.d_prev``, ``s.dt_prev`` (semi-implicit
-    Euler without one), and the projection carries ``s.v_tracked`` to
-    ``s.v_target``.  Where ``run`` would take the Newton endgame (against
-    ``s.conv_tol``, ``s.endgame_declined`` and ``s.endgame_tried``), so
-    does ``step``.  Raises ``FlowStopped`` if f or h <= 0 at ``s``, or the
-    update produces non-finite values, drives a node out of (0, r_max), or
-    the volume projection misses its tolerance; the caller's state is never
-    mutated.
-    """
+    """One iteration of the ``run`` loop from ``s``, then a full diagnosis of
+    the new state; raises ``FlowStopped`` where the run would stop in its
+    step, and never mutates ``s``."""
     p = s.profile
     _check_domain(p, space)
     conv_tol = s.conv_tol
     if conv_tol is None:
         conv_tol = _resolve(cfg, s.cached.min_r, s.cached.Hbar).conv_tol
     prev = None if s.dt_prev is None else (s.v_prev, s.d_prev, s.dt_prev)
-    euler = _Euler(p, space, cfg, rung=s.dt_rung, prev=prev, conv_tol=conv_tol,
-                   tried=s.endgame_tried, declined=s.endgame_declined)
-    euler.t = s.t
-    euler.v_target = s.cached.V if s.v_target is None else s.v_target
-    euler.v_tracked = s.cached.V if s.v_tracked is None else s.v_tracked
-    g, hbar = euler.geometry(p.r)
-    euler.advance(g, hbar, float(abs(g.H - hbar).max()))
-    profile = ProfileGrid(p.a, p.b, euler.r)
-    return euler.state(profile, _diagnose(profile, space, euler.t))
+    x = _Run(p, space, cfg, rung=s.dt_rung, prev=prev, conv_tol=conv_tol,
+             tried=s.endgame_tried, declined=s.endgame_declined)
+    x.t = s.t
+    x.v_target = s.cached.V if s.v_target is None else s.v_target
+    x.v_tracked = s.cached.V if s.v_tracked is None else s.v_tracked
+    g, hbar = x.geometry(p.r)
+    x.advance(g, hbar, _gap(g, hbar))
+    profile = ProfileGrid(p.a, p.b, x.r)
+    return x.state(profile, _diagnose(profile, space, x.t))
 
 
 def _geometries(runs):
@@ -865,20 +782,19 @@ def _geometries(runs):
 
 
 def run(initial, space, cfg: FlowConfig):
-    """Iterate the flow from ``initial`` until a terminal condition fires.
+    """Iterate the flow from ``initial`` until a stop reason fires.
 
     Each state, the initial one included, goes through the geometry kernel
-    once: its stop checks, its step and its record reduce that output.
-    Diagnostics are recorded every ``cfg.record_every`` steps and at
-    termination, each with a profile snapshot.  The returned config carries
-    the resolved default thresholds.  A run that takes the Newton endgame
-    reports it in ``endgame``; its last state is the discrete limit.
+    once: its stop checks, its step and its record reduce that output.  A
+    record, with a snapshot, is taken every ``cfg.record_every`` steps and
+    at the stop.  The returned config carries the resolved thresholds, and
+    ``endgame`` the Newton endgame taken, whose limit is the last state.
 
     ``initial`` may also be a sequence of profiles on one grid, an
-    ensemble; the list of their results is returned.  Each step evaluates
-    the kernel once for all live runs, each run then steps alone, and a run
-    leaves the ensemble when it stops.  A single profile is the ensemble of
-    one.  Each run is built by ``_Euler`` as named at call time.
+    ensemble, of which the list of results is returned: each step evaluates
+    the kernel once for all live runs, each run then steps alone and leaves
+    the ensemble when it stops.  A single profile is the ensemble of one.
+    Each run is built by ``_Run`` as named at call time.
     """
     single = isinstance(initial, ProfileGrid)
     profiles = [initial] if single else list(initial)
@@ -886,7 +802,7 @@ def run(initial, space, cfg: FlowConfig):
         _check_domain(p, space)
         if (p.a, p.b, p.m) != (profiles[0].a, profiles[0].b, profiles[0].m):
             raise ValueError("the profiles of an ensemble must share one grid")
-    runs = [_Euler(p, space, cfg) for p in profiles]
+    runs = [_Run(p, space, cfg) for p in profiles]
     live = runs
     while live:
         live = [x for x, (g, hbar) in zip(live, _geometries(live)) if x.proceed(g, hbar)]

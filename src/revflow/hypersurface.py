@@ -30,21 +30,6 @@ The averaged mean curvature splits as Hbar = I1 + I2 with
 where I1 uses the integrated-by-parts form whose boundary terms vanish under
 the Neumann condition.  Outer integrals are composite trapezoid on the grid;
 the radial integral inside the volume is panel Gauss-Legendre (``bounds.beta``).
-
-``_geometry`` is the single discrete-geometry kernel: it (with its helpers
-``_second_difference``, ``_derivatives`` and ``_curvatures``) alone holds
-the ghost-node stencil, the k1/k2/H formula and v, which the flow's
-velocity, stop checks and records read; the flow's SBDF2 system applies the
-same ``_second_difference``, and ``cmc`` shooting calls ``_curvatures``.
-Each reduction of its output (``_L2``, ``_area``, ``_split``,
-``_curve_length``) is written once; the public functions apply them to a
-checked profile, and the flow to the kernel output of its step.
-The critical-point census reads the kernel's slope ``rdot``: one helper,
-``_slope_events``, holds its threshold and sign logic, and the count
-(``_critical_count``, which the flow's records take) and the positions
-(``_interior_critical_z``) both derive from it; ``critical_point_count``
-and ``critical_points`` pass it the slope of ``spatial_derivatives``, the
-same stencil.
 """
 
 from __future__ import annotations
@@ -156,8 +141,9 @@ def _second_difference(d):
     reflected ghost nodes, of one array or of each row of a batch."""
     out = np.empty_like(d)
     out[..., 1:-1] = d[..., 2:] - 2.0 * d[..., 1:-1] + d[..., :-2]
-    out[..., 0] = 2.0 * (d[..., 1] - d[..., 0])
-    out[..., -1] = 2.0 * (d[..., -2] - d[..., -1])
+    dt, ot = d.T, out.T  # one profile's end nodes are then scalar operations
+    ot[0] = 2.0 * (dt[1] - dt[0])
+    ot[-1] = 2.0 * (dt[-2] - dt[-1])
     return out
 
 
@@ -224,6 +210,11 @@ def _jacobian(g: _Geometry, n: int, dz: float):
 def _hbar(g: _Geometry, wz: np.ndarray) -> float:
     """Area-weighted mean of H under the trapezoid weights ``wz``."""
     return float(wz @ (g.H * g.w)) / float(wz @ g.w)
+
+
+def _gap(g: _Geometry, hbar: float) -> float:
+    """max|H - hbar|: the run's convergence measure and the CMC deviation."""
+    return float(abs(g.H - hbar).max())
 
 
 def spatial_derivatives(p: ProfileGrid):

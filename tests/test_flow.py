@@ -15,15 +15,17 @@ from revflow import (
     StopTag,
     averaged_mean_curvature,
     compute_bounds,
+    custom_space,
     enclosed_volume,
     make_preset,
     rhs,
     run,
     space_from_expressions,
     step,
+    unit_sphere_area,
 )
 from revflow import flow, hypersurface
-from revflow.flow import HISTORY_COLUMNS, _diagnose, _Euler, write_history_csv
+from revflow.flow import HISTORY_COLUMNS, _diagnose, _Run, write_history_csv
 from conftest import cos_profile, neck_profile
 
 
@@ -110,7 +112,7 @@ class TestStep:
         # that would reach ten times that is clamped below r_max
         p = cylinder(41, 0.5 * sphere2.r_max_domain)
         v = enclosed_volume(p, sphere2)
-        euler = _Euler(p, sphere2, FlowConfig())
+        euler = _Run(p, sphere2, FlowConfig())
         g, hbar = euler.geometry(p.r)
         euler.v_tracked, euler.v_target = v, 10.0 * v
         with pytest.raises(FlowStopped) as info:
@@ -131,12 +133,87 @@ class TestStep:
         assert info.value.reason == StopReason(StopTag.INSTABILITY)
         assert taken > 0
         # the refused update is finite and reaches r_max: the r_max stop fired
-        euler = _Euler(s.profile, sphere2, FlowConfig(), rung=s.dt_rung,
+        euler = _Run(s.profile, sphere2, FlowConfig(), rung=s.dt_rung,
                        prev=(s.v_prev, s.d_prev, s.dt_prev))
         g, hbar = euler.geometry(s.profile.r)
         dr, _ = euler._increment(s.profile.r, g, hbar, FlowConfig().max_t - s.t)
         r_new = s.profile.r + dr
         assert np.all(np.isfinite(r_new)) and np.max(r_new) >= r_max
+
+    def test_projection_bisects_inside_its_bracket(self, monkeypatch, sphere2):
+        # from r = 1.4 down to the volume of r = 0.5 the first Newton shift is
+        # clipped near the axis, where dV/dc is tiny: the next Newton iterate
+        # leaves the bracket, and its midpoint replaces it
+        m = 41
+        wz = hypersurface.trapezoid_weights(m, 1.0 / (m - 1))
+        r = np.full(m, 1.4)
+        v0 = hypersurface._volume(r, sphere2, wz)
+        target = hypersurface._volume(np.full(m, 0.5), sphere2, wz)
+        real, iterates = flow._volume_increment, []
+
+        def spied(space, wz_sigma, r_from, r_to):
+            dv = real(space, wz_sigma, r_from, r_to)
+            iterates.append((r_to, dv))
+            return dv
+
+        monkeypatch.setattr(flow, "_volume_increment", spied)
+        with pytest.raises(FlowStopped) as info:
+            flow._project_volume(sphere2, unit_sphere_area(2) * wz, r, v0, target,
+                                 sphere2.r_max_domain, 1.4, 1.4)
+        assert info.value.reason == StopReason(StopTag.PROJECTION_FAILED)
+        points, bisected = [(1.4, v0)], False  # (radius, tracked volume) of each iterate
+        for r_to, dv in iterates:
+            x = float(r_to[0])
+            assert np.all(r_to == x) and 0.0 < x < sphere2.r_max_domain
+            below = [y for y, v in points if v < target]
+            above = [y for y, v in points if v > target]
+            if below and above:
+                lo, hi = max(below), min(above)
+                assert lo < x < hi
+                bisected |= x == pytest.approx(0.5 * (lo + hi), rel=1e-12)
+            points.append((x, points[-1][1] + dv))
+        assert bisected and len(iterates) == 5
+
+    def test_a_non_finite_update_is_an_instability(self):
+        # dh is NaN at every radius: H, Hbar and the update are NaN while f and
+        # h stay positive, and the run keeps its state
+        space = custom_space(2, np.ones_like, np.zeros_like, np.zeros_like, lambda r: r,
+                             lambda r: np.full_like(r, np.nan), np.zeros_like)
+        p = cos_profile(21)
+        x = _Run(p, space, FlowConfig())
+        g, hbar = x.geometry(p.r)
+        assert np.all(g.f > 0.0) and np.all(g.h > 0.0) and math.isnan(hbar)
+        with pytest.raises(FlowStopped) as info:
+            x.advance(g, hbar)
+        assert info.value.reason == StopReason(StopTag.INSTABILITY)
+        assert x.r is p.r and x.t == 0.0 and x.rung is None and x.prev is None
+
+    def test_a_projection_onto_the_floor_is_a_singularity(self, monkeypatch, euclid2):
+        # the third projection shifts the min below r_min_stop: the step is
+        # refused at its arg-min z, and the run ends on its second state
+        p0 = neck_profile(101)
+        cfg = FlowConfig(max_t=2.0, record_every=1, r_min_stop=0.01)
+        s = FlowState(p0, 0.0, _diagnose(p0, euclid2, 0.0))
+        for _ in range(2):
+            s = step(s, euclid2, cfg)
+        real, shifted = flow._project_volume, []
+
+        def sinking(space, wz_sigma, r, v_at_r, v_target, r_max, r_lo, r_hi):
+            if len(shifted) < 2:
+                shifted.append(None)
+                return real(space, wz_sigma, r, v_at_r, v_target, r_max, r_lo, r_hi)
+            c = 0.5 * cfg.r_min_stop - r_lo
+            shifted.append(r + c)
+            return c, shifted[-1], v_target
+
+        monkeypatch.setattr(flow, "_project_volume", sinking)
+        res = run(p0, euclid2, cfg)
+        assert len(shifted) == 3 and res.steps == 2
+        assert res.reason == StopReason(StopTag.SINGULARITY,
+                                        location=float(p0.z[int(shifted[-1].argmin())]))
+        assert res.final.t == s.t and np.array_equal(res.final.profile.r, s.profile.r)
+        assert res.final.dt_rung == s.dt_rung and res.final.dt_prev == s.dt_prev
+        assert res.final.v_tracked == s.v_tracked
 
 
 class TestRun:
@@ -289,7 +366,7 @@ class TestHistoryCsv:
 def _run_with_steps(monkeypatch, initial, space, cfg):
     """run, plus (dt, dt_cfl) of every accepted step."""
     seen, last = [], []
-    increment, advance = flow._Euler._increment, flow._Euler.advance
+    increment, advance = flow._Run._increment, flow._Run.advance
 
     def spied_increment(self, r, g, *args):
         dr, dt = increment(self, r, g, *args)
@@ -301,8 +378,8 @@ def _run_with_steps(monkeypatch, initial, space, cfg):
         seen.extend(last)
         return out
 
-    monkeypatch.setattr(flow._Euler, "_increment", spied_increment)
-    monkeypatch.setattr(flow._Euler, "advance", spied_advance)
+    monkeypatch.setattr(flow._Run, "_increment", spied_increment)
+    monkeypatch.setattr(flow._Run, "advance", spied_advance)
     return run(initial, space, cfg), seen
 
 
@@ -352,7 +429,7 @@ class TestStepSizeControl:
         assert s.t == 0.05 and s.dt_rung > 0
         # the first try is the rung that the Euler error model est = dt^2
         # max|L v| puts within tol, and it is accepted
-        euler = _Euler(p0, euclid2, cfg)
+        euler = _Run(p0, euclid2, cfg)
         g, hbar = euler.geometry(p0.r)
         v = flow._velocity(g, hbar)
         lv = float(np.max(np.abs(flow._second_difference(v) / g.q))) / p0.dz ** 2

@@ -147,7 +147,7 @@ def test_jacobian_is_the_derivative_of_the_kernels_mean_curvature(name, m, base,
 def test_semi_implicit_update_solves_the_diffusion_system(case):
     # (I - dt diag(1/q) D2) dr = dt v with the ghost-node Neumann rows of D2
     space, p = case
-    euler = flow._Euler(p, space, FlowConfig())
+    euler = flow._Run(p, space, FlowConfig())
     g, hbar = euler.geometry(p.r)
     dr, dt = euler._increment(p.r, g, hbar)
     m, dz = p.m, p.dz
@@ -168,7 +168,7 @@ def test_semi_implicit_update_solves_the_diffusion_system_up_the_ladder(case, ru
     # the same residual bound from a step-size proposal up to 2^10 dt_cfl,
     # the range the error control reaches in converging runs
     space, p = case
-    euler = flow._Euler(p, space, FlowConfig(), rung=rung)
+    euler = flow._Run(p, space, FlowConfig(), rung=rung)
     g, hbar = euler.geometry(p.r)
     dr, dt = euler._increment(p.r, g, hbar)
     m, dz = p.m, p.dz
@@ -198,7 +198,7 @@ def test_sbdf2_update_solves_its_system(case, rung):
     # L = diag(1/q) D2, from the history of one Euler step; the Euler
     # fallback for a try that adds a slope sign change is switched off
     space, p = case
-    euler = flow._Euler(p, space, FlowConfig(), rung=rung)
+    euler = flow._Run(p, space, FlowConfig(), rung=rung)
     d_prev, dt_prev = euler._increment(p.r, *euler.geometry(p.r))
     v_prev = euler.prev[0]
     r = p.r + d_prev
@@ -224,12 +224,12 @@ def test_omega_above_the_cap_restarts_with_euler(euclid2):
     # a history from a step 1000x shorter gives omega > 1 + sqrt(2) on every
     # rung, so the update is the Euler step of a state without history
     p = cos_profile(51)
-    fresh = flow._Euler(p, euclid2, FlowConfig(), rung=12)
+    fresh = flow._Run(p, euclid2, FlowConfig(), rung=12)
     g, hbar = fresh.geometry(p.r)
     dr_euler, dt = fresh._increment(p.r, g, hbar)
     v = _velocity(g, hbar)
     for dt_prev, restarts in ((1e-3 * dt, True), (dt, False)):
-        euler = flow._Euler(p, euclid2, FlowConfig(), rung=12, prev=(v, dt_prev * v, dt_prev))
+        euler = flow._Run(p, euclid2, FlowConfig(), rung=12, prev=(v, dt_prev * v, dt_prev))
         dr, dt_taken = euler._increment(p.r, g, hbar)
         assert dt_taken == dt
         assert np.array_equal(dr, dr_euler) is restarts
@@ -274,7 +274,7 @@ def test_a_fading_bump_does_not_ring_into_a_critical_point(euclid2):
 
 def _semi_implicit_and_explicit(monkeypatch, initial, space, cfg):
     semi = run(initial, space, cfg)
-    monkeypatch.setattr(flow, "_Euler", functools.partial(flow._Euler, implicit=False))
+    monkeypatch.setattr(flow, "_Run", functools.partial(flow._Run, implicit=False))
     return semi, run(initial, space, cfg)
 
 
@@ -343,7 +343,7 @@ def _dated_reference(monkeypatch, p0, space, conv_tol):
     100x tighter one.
     """
     dated = []
-    advance = flow._Euler.advance
+    advance = flow._Run.advance
 
     def spied_advance(self, g, hbar, gap):
         if not dated and gap < conv_tol:
@@ -351,8 +351,8 @@ def _dated_reference(monkeypatch, p0, space, conv_tol):
         return advance(self, g, hbar, gap)
 
     with monkeypatch.context() as mp:
-        mp.setattr(flow._Euler, "advance", spied_advance)
-        mp.setattr(flow, "_Euler", functools.partial(flow._Euler, implicit=False))
+        mp.setattr(flow._Run, "advance", spied_advance)
+        mp.setattr(flow, "_Run", functools.partial(flow._Run, implicit=False))
         ref = run(p0, space, FlowConfig(conv_tol=1e-2 * conv_tol))
     assert ref.reason.tag is StopTag.CONVERGED and ref.endgame is None
     return ref, dated[0]
