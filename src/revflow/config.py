@@ -28,9 +28,10 @@ Custom spaces give the six warp expressions in ``r``: ``f, df, d2f, h, dh,
 d2h`` (first and second derivatives must be supplied analytically) plus an
 optional ``r_max`` (a positive number or ``inf``, the default).  Exactly one
 ``[initial]`` source must be given; an empty ``expr``, ``csv`` or
-``cylinder`` counts as not given.  Each source only produces radii, which
-one check passes through ``ProfileGrid`` and the ambient ball (r < r_max), so
-every ``[initial]`` problem, a CSV's included, is a ``ConfigError`` (exit 1).
+``cylinder`` counts as not given, and a non-empty ``perturb`` goes only with
+``cylinder``.  Each source only produces radii, which one check passes
+through ``ProfileGrid`` and the ambient ball (r < r_max), so every
+``[initial]`` problem, a CSV's included, is a ``ConfigError`` (exit 1).
 ``summary.json`` files echo the parsed sections under the ``config`` key;
 ``load_config`` accepts such a JSON file directly, which reproduces the run
 bit for bit.
@@ -88,19 +89,9 @@ def _get(sections, section, key, default=None, required=False):
         return default
 
 
-def _parse_bool(raw: str) -> bool:
-    val = raw.strip().lower()
-    if val in ("true", "yes", "on", "1"):
-        return True
-    if val in ("false", "no", "off", "0"):
-        return False
-    raise ValueError(raw)
-
-
 # (parser, name of the expected kind) pairs for ``_get_as``
 _NUMBER = (float, "a number")
 _INTEGER = (int, "an integer")
-_BOOLEAN = (_parse_bool, "a boolean")
 
 
 def _get_as(kind, sections, section, key, default=None, required=False):
@@ -139,6 +130,9 @@ def _build_initial(sections, space, a, b, m) -> ProfileGrid:
         raise ConfigError("[initial] give exactly one of: expr, csv, cylinder")
     source = given[0]
     raw = _get(sections, "initial", source)
+    perturb = _get(sections, "initial", "perturb")  # empty counts as not given
+    if perturb and source != "cylinder":
+        raise ConfigError(f"[initial] perturb: applies only to cylinder, not to {source}")
 
     if source == "csv":  # parse_config has made the path absolute
         try:
@@ -155,8 +149,7 @@ def _build_initial(sections, space, a, b, m) -> ProfileGrid:
             raise ConfigError(f"[initial] expr: {exc}")
     else:
         r = np.full(m, _get_as(_NUMBER, sections, "initial", "cylinder"))
-        perturb = _get(sections, "initial", "perturb")
-        if perturb:  # empty counts as not given, like an empty source
+        if perturb:
             try:
                 r = r + compile_expression(perturb, var="z")(z)
             except (ValueError, ArithmeticError) as exc:
@@ -177,8 +170,8 @@ def _build_flow(sections) -> FlowConfig:
             raise ConfigError(f"[flow] unknown option(s): {', '.join(sorted(unknown))}")
     kwargs = {}
     for f in fields(FlowConfig):
-        # the default's type picks the parser; None defaults are numbers
-        kind = {int: _INTEGER, bool: _BOOLEAN}.get(type(f.default), _NUMBER)
+        # int defaults are integers; the rest, None defaults included, numbers
+        kind = _INTEGER if type(f.default) is int else _NUMBER
         val = _get_as(kind, sections, "flow", f.name)
         if val is not None:
             kwargs[f.name] = val

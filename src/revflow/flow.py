@@ -85,7 +85,6 @@ class FlowConfig:
     v_max_stop: float = 1e6
     conv_tol: Optional[float] = None
     record_every: int = 100
-    volume_projection: bool = True
 
     def __post_init__(self):
         if not 0.0 < self.dt_safety < 1.0:
@@ -282,8 +281,8 @@ def _resolve(cfg: FlowConfig, r0_min: float, hbar0: float) -> FlowConfig:
 # is accepted when est <= min(_ATOL min r, max(_RTOL max|dr|, dt _SPEED_NOISE
 # |Hbar|)).  dt = dt_cfl 2^(k/_RUNGS_PER_OCTAVE), k >= 0, over the floor
 # dt_cfl = dt_safety dz^2 min(q)/2; it rises at most _MAX_GROWTH rungs a step,
-# stays below dz^2 min(q)/_DIAG_MARGIN (and _DT_CAP dt_cfl without
-# projection), starts where est = dt^2 max|L v| meets tol, and lands on max_t.
+# stays below dz^2 min(q)/_DIAG_MARGIN, starts where est = dt^2 max|L v| meets
+# tol, and lands on max_t.
 # A try that reaches r_max is not retried.  2^(5/4) = 2.38 stays under
 # _OMEGA_MAX = 1 + sqrt(2), the zero-stability limit of variable-step BDF2, so
 # a step from a ladder step stays SBDF2.  The ladder keeps last-bit
@@ -308,11 +307,6 @@ _SPEED_NOISE = 2.0 ** -48
 # where est gives no information, as on a cylinder (v = 0, so est = 0).  The
 # acceptance runs reach a margin of 7e-4 at m = 201.
 _DIAG_MARGIN = 2.0 ** -20
-# Only without volume projection: dt <= _DT_CAP dt_cfl bounds the volume
-# drift.  At m = 201 the drift is 2.6e-6 per 0.25 time units at 300 and
-# 2.8e-5 at 1000 (semi-implicit Euler: 1.1e-4 and 3.4e-4), against the
-# documented 1e-3 per unit time.
-_DT_CAP = 300.0
 # the Newton endgame's gates, see ``_Run._endgame``
 _ENDGAME_GAP = 2.0
 _ENDGAME_SHARE = 0.5
@@ -415,7 +409,6 @@ class _Run:
         self.wz = trapezoid_weights(grid.m, grid.dz)
         self.wz_sigma = unit_sphere_area(space.n) * self.wz
         self.half_safety_dz2 = 0.5 * cfg.dt_safety * grid.dz * grid.dz
-        self.project = cfg.volume_projection
         self.implicit = implicit
         self.r_max = space.r_max_domain
         self.rung = rung  # k of the next dt (see _ATOL); None: estimate it
@@ -428,7 +421,9 @@ class _Run:
         self.t = 0.0
         self.lo = self.hi = None  # min and max of r, kept by ``proceed`` and ``advance``
         self.v_tracked = self.v_target = None
-        self.floor = 0.0  # r_min_stop once ``proceed`` resolves it; 0 in ``step``
+        # r_min_stop; if None, 0 until ``proceed`` resolves it, and 0 in ``step``,
+        # which cannot resolve it without min r(0)
+        self.floor = 0.0 if cfg.r_min_stop is None else cfg.r_min_stop
         self.steps = 0
         self.history: List[DiagnosticsRecord] = []
         self.snapshots: List[ProfileGrid] = []
@@ -454,8 +449,6 @@ class _Run:
         min_q = float(g.q.min())
         dt_cfl = self.half_safety_dz2 * min_q
         ceiling = min(dt_left, (self.dz * self.dz) * min_q / _DIAG_MARGIN)
-        if not self.project:
-            ceiling = min(ceiling, _DT_CAP * dt_cfl)
         v = _velocity(g, hbar)
         if not self.implicit:
             dt = min(dt_cfl, ceiling)
@@ -536,7 +529,7 @@ class _Run:
             if not np.minimum(g.f, g.h).min() > 0.0:
                 raise FlowStopped(StopReason(StopTag.INSTABILITY))
             # after a first step: the explicit reference, which keeps none, never tries
-            if (gap is not None and self.prev is not None and not self.tried and self.project
+            if (gap is not None and self.prev is not None and not self.tried
                     and self.conv_tol is not None
                     and self.conv_tol <= gap < _ENDGAME_GAP * abs(hbar)
                     and (self.declined is None or _ENDGAME_RETRY * gap <= self.declined)):
@@ -556,14 +549,12 @@ class _Run:
                 raise self._singularity(r_new)
             if mx >= self.r_max:
                 raise FlowStopped(StopReason(StopTag.INSTABILITY))
-            v_tracked = self.v_tracked
-            if self.project:
-                v_after = v_tracked + _volume_increment(self.space, self.wz_sigma, r, r_new)
-                c, r_new, v_tracked = _project_volume(self.space, self.wz_sigma, r_new, v_after,
-                                                      self.v_target, self.r_max, mn, mx)
-                mn, mx = mn + c, mx + c
-                if mn <= floor:
-                    raise self._singularity(r_new)
+            v_after = self.v_tracked + _volume_increment(self.space, self.wz_sigma, r, r_new)
+            c, r_new, v_tracked = _project_volume(self.space, self.wz_sigma, r_new, v_after,
+                                                  self.v_target, self.r_max, mn, mx)
+            mn, mx = mn + c, mx + c
+            if mn <= floor:
+                raise self._singularity(r_new)
         except FlowStopped:
             self.rung, self.prev, self.declined = saved
             raise
@@ -598,13 +589,13 @@ class _Run:
         volume, min r, max r), or None to step on.  Only an accepted limit sets
         ``prev``, ``tried`` and ``endgame``.
 
-        ``advance`` tries it after a first step, with projection on and no
-        endgame taken, for conv_tol <= gap < _ENDGAME_GAP |Hbar|, and after a
-        declined try once the gap has fallen _ENDGAME_RETRY times.  After one
-        step the converge benchmark's profiles (120 draws, m = 61) leave gaps
-        of 0.65-2.23 |Hbar| (euclidean) and 0.15-0.56 (hyperbolic), and its
-        dumbbells 2.16-4.45: the window lets nearly all of the first two try,
-        and none of the third.
+        ``advance`` tries it after a first step, with no endgame taken, for
+        conv_tol <= gap < _ENDGAME_GAP |Hbar|, and after a declined try once
+        the gap has fallen _ENDGAME_RETRY times.  After one step the converge
+        benchmark's profiles (120 draws, m = 61) leave gaps of 0.65-2.23
+        |Hbar| (euclidean) and 0.15-0.56 (hyperbolic), and its dumbbells
+        2.16-4.45: the window lets nearly all of the first two try, and none
+        of the third.
 
         An iteration solves the bordered system [J -1; wv 0] by one LU of J
         and two solves, J x2 = 1 (``_bordered``) and J x1 = -(H - Hc), and dHc
@@ -750,7 +741,9 @@ class _Run:
 def step(s: FlowState, space, cfg: FlowConfig) -> FlowState:
     """One iteration of the ``run`` loop from ``s``, then a full diagnosis of
     the new state; raises ``FlowStopped`` where the run would stop in its
-    step, and never mutates ``s``."""
+    step, and never mutates ``s``.  A node at or below ``cfg.r_min_stop`` is
+    a singularity; with ``r_min_stop = None``, whose default needs min r(0),
+    only a node at or below 0 is."""
     p = s.profile
     _check_domain(p, space)
     conv_tol = s.conv_tol

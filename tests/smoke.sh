@@ -128,4 +128,14 @@ code=0
 revflow run --config "$out/h_vanishes.ini" --out "$out/h_vanishes" || code=$?
 test "$code" -eq 2
 test ! -e "$out/h_vanishes/summary.json"
+# README's example config, its one ```ini block, works with every subcommand
+# (exit 0 under `set -e`), and its sweep over initial.perturb sweeps something:
+# the rows' volumes are distinct
+python -c 'import re, sys; b = re.findall(r"```ini\n(.*?)```", open(sys.argv[1]).read(), re.S); sys.exit(len(b) != 1 or open(sys.argv[2], "w").write(b[0]) == 0)' "$(dirname "$0")/../README.md" "$out/readme.ini"
+revflow validate --config "$out/readme.ini" > /dev/null
+revflow bounds --config "$out/readme.ini" > /dev/null
+revflow run --config "$out/readme.ini" --out "$out/readme_run"
+revflow cmc --config "$out/readme.ini" --out "$out/readme_cmc" > /dev/null
+revflow sweep --config "$out/readme.ini" --out "$out/readme_sweep"
+python -c 'import csv, sys; v = [r["V"] for r in csv.DictReader(open(sys.argv[1]))]; sys.exit(len(v) < 2 or len(set(v)) != len(v))' "$out/readme_sweep/sweep.csv"
 echo "smoke: ok"

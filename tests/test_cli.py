@@ -661,21 +661,6 @@ class TestInitialChecks:
 
 
 class TestFlowOptions:
-    def test_volume_projection_no(self, tmp_path, capsys):
-        outdir = tmp_path / "out"
-        text = BASE + "volume_projection = no\n"
-        assert main(["run", "--config", write_ini(tmp_path / "c.ini", text),
-                     "--out", str(outdir)]) == 0
-        summary = json.loads((outdir / "summary.json").read_text())
-        assert summary["flow_config"]["volume_projection"] is False
-
-    def test_volume_projection_not_a_boolean_exit_1(self, tmp_path, capsys):
-        text = BASE + "volume_projection = maybe\n"
-        code = main(["run", "--config", write_ini(tmp_path / "c.ini", text),
-                     "--out", str(tmp_path / "out")])
-        assert code == 1
-        assert "[flow] volume_projection: expected a boolean" in capsys.readouterr().err
-
     def test_snapshots_thinned_to_nine(self, tmp_path, capsys):
         outdir = tmp_path / "out"
         text = (BASE.replace("record_every = 100", "record_every = 1")
@@ -699,6 +684,10 @@ _ERRORS = {
     "csv-grid-mismatch": (BASE.replace(_SOURCE, "csv = eleven.csv"), ["run"], 1,
                           "error: [initial] csv: grid does not match [domain]/[grid]"),
     "bad-expression": (BASE.replace(_SOURCE, "expr = 1 +"), ["run"], 1, "error: [initial] expr: "),
+    "perturb-beside-expr": (BASE.replace("cylinder = 1.0", "expr = 1 + 0.1*cos(pi*z)"), ["run"], 1,
+                            "error: [initial] perturb: applies only to cylinder, not to expr"),
+    "retired-volume_projection": (BASE + "volume_projection = true\n", ["run"], 1,
+                                  "error: [flow] unknown option(s): volume_projection"),
     "dt_safety": (BASE + "dt_safety = 1.5\n", ["run"], 1,
                   "error: [flow] dt_safety must lie in (0, 1)"),
     "sweep-key-without-a-dot": (BASE + "\n[sweep]\nperturb = 0.1\n", ["sweep"], 1,

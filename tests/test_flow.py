@@ -41,7 +41,7 @@ def equilibrium_hbar(space, rc):
 class TestFlowConfig:
     def test_defaults(self):
         cfg = FlowConfig()
-        assert cfg.dt_safety == 0.4 and cfg.volume_projection is True
+        assert cfg.dt_safety == 0.4
 
     @pytest.mark.parametrize("kwargs", [
         {"dt_safety": 0.0}, {"dt_safety": 1.0}, {"max_t": -1.0},
@@ -283,22 +283,6 @@ class TestRun:
         res = run(cylinder(51, rc), sphere2, FlowConfig())
         assert res.reason.tag is StopTag.INSTABILITY
 
-    def test_projection_off_drift(self, euclid2):
-        # semi-discrete conservation leaves only the O(dt) Euler error,
-        # far below the documented 1e-3 per unit time at m=201
-        res201 = run(cos_profile(201), euclid2,
-                     FlowConfig(max_t=0.25, conv_tol=1e-30, record_every=5000,
-                                volume_projection=False))
-        v0 = res201.history[0].V
-        drift201 = abs(res201.final.cached.V - v0) / v0
-        assert drift201 <= 1e-3 * 0.25
-        res101 = run(cos_profile(101), euclid2,
-                     FlowConfig(max_t=0.25, conv_tol=1e-30, record_every=5000,
-                                volume_projection=False))
-        drift101 = abs(res101.final.cached.V - res101.history[0].V) / res101.history[0].V
-        # improves roughly like dz^2 under refinement
-        assert drift101 / drift201 > 2.0
-
     def test_resolved_defaults_recorded(self, euclid2):
         p0 = cos_profile(51)
         res = run(p0, euclid2, FlowConfig(max_t=1e-4))
@@ -405,17 +389,10 @@ class TestStepSizeControl:
         res, seen = _run_with_steps(monkeypatch, initial, euclid2, FlowConfig())
         assert res.reason.tag is stop and len(seen) == res.steps
         assert all(dt >= dt_cfl for dt, dt_cfl in seen)
-        if stop is StopTag.CONVERGED:  # far above the cap of the unprojected flow
-            assert max(dt / dt_cfl for dt, dt_cfl in seen) > flow._DT_CAP
+        if stop is StopTag.CONVERGED:  # far above the explicit step
+            assert max(dt / dt_cfl for dt, dt_cfl in seen) > 300.0
         else:  # the error control resolves the pinch down to the floor
             assert seen[-1][0] == seen[-1][1]
-
-    def test_cap_without_volume_projection(self, monkeypatch, euclid2):
-        cfg = FlowConfig(max_t=0.25, volume_projection=False)
-        res, seen = _run_with_steps(monkeypatch, cos_profile(101), euclid2, cfg)
-        assert res.steps == len(seen) > 0
-        assert all(dt <= flow._DT_CAP * dt_cfl for dt, dt_cfl in seen)
-        assert max(dt / dt_cfl for dt, dt_cfl in seen) == pytest.approx(flow._DT_CAP)
 
     def test_step_carries_the_proposal_and_lands_on_max_t(self, euclid2):
         p0 = cos_profile(51)
@@ -523,6 +500,21 @@ class TestStepSizeControl:
         assert np.array_equal(res.final.v_prev, s.v_prev)
         assert np.array_equal(res.final.d_prev, s.d_prev)
 
+    def test_step_chain_stops_at_an_explicit_r_min_stop(self, euclid2):
+        # a set r_min_stop is the floor of step as of run: the chain lands on
+        # run's states and raises where run stops, not only at r <= 0
+        p0 = neck_profile(101)
+        cfg = FlowConfig(r_min_stop=0.02, record_every=1)
+        res = run(p0, euclid2, cfg)
+        assert res.reason.tag is StopTag.SINGULARITY
+        s = FlowState(p0, 0.0, _diagnose(p0, euclid2, 0.0))
+        for snap, rec in zip(res.snapshots[1:], res.history[1:]):
+            s = step(s, euclid2, cfg)
+            assert np.array_equal(s.profile.r, snap.r) and s.t == rec.t
+        with pytest.raises(FlowStopped) as info:
+            step(s, euclid2, cfg)
+        assert info.value.reason == res.reason
+
 
 def _gap(profile, space):
     """max|H - Hbar| of ``profile``, as run's convergence check reads it."""
@@ -592,16 +584,14 @@ class TestEndgame:
         plain = run(cos_profile(51), euclid2, cfg)
         assert res.steps == plain.steps and res.history == plain.history
 
-    @pytest.mark.parametrize("cfg", [FlowConfig(max_t=1.0), FlowConfig(volume_projection=False)],
-                             ids=["dated-past-max_t", "no-projection"])
+    @pytest.mark.parametrize("cfg", [FlowConfig(max_t=1.0)], ids=["dated-past-max_t"])
     def test_a_declined_try_steps_on_as_without_the_endgame(self, monkeypatch, euclid2, cfg):
         # past max_t each try, and each retry, is declined before any
-        # iteration; without the projection there is no volume to hold, and
-        # no try.  No endgame is taken (endgame_tried), in both.
+        # iteration, and no endgame is taken (endgame_tried)
         cfg = dataclasses.replace(cfg, record_every=1)
         res = run(cos_profile(51), euclid2, cfg)
         assert res.endgame is None and not res.final.endgame_tried
-        assert (res.final.endgame_declined is not None) is cfg.volume_projection
+        assert res.final.endgame_declined is not None
         monkeypatch.setattr(flow, "_ENDGAME_GAP", 0.0)
         plain = run(cos_profile(51), euclid2, cfg)
         assert res.reason == plain.reason and res.steps == plain.steps
