@@ -213,11 +213,10 @@ def _curvatures(w) -> SectionalCurvatures:
 
 
 _AXIS_TOL = 1e-10
-_VALIDATE_SAMPLES = 129  # the default of ``validate_space`` and of ``[validate] samples``
 
 
 def validate_space(space: AmbientSpace, r_probe_max: float,
-                   samples: int = _VALIDATE_SAMPLES) -> ValidationReport:
+                   samples: int = 129) -> ValidationReport:
     """Check the axis limits and sign conditions on (0, r_probe_max].
 
     The limits f(0)=1, f'(0)=0, h(0)=0, h'(0)=1 are evaluated by Richardson

@@ -17,15 +17,14 @@ from . import flow as flow_mod
 from .ambient import validate_space
 from .bounds import compute_bounds
 from .cmc import ShootingError, cylinder_for_volume, shoot_cmc
-from .config import _NUMBER, ConfigError, _get_as, load_config, parse_config
-from .flow import FlowConfig, StopTag, build_summary, write_history_csv, write_summary_json
+from .config import _NUMBER, ConfigError, _get, _get_as, load_config, parse_config
+from .flow import StopTag, build_summary, write_history_csv, write_summary_json
 from .hypersurface import enclosed_volume, lateral_area, save_profile_csv
 from .svgplot import write_line_plot
 
 __all__ = ["main"]
 
 MAX_PROFILE_SNAPSHOTS = 9
-_PROBE_MARGIN = 1.05
 
 
 def _err(msg):
@@ -36,15 +35,8 @@ def _warn(msg):
     print(f"warning: {msg}", file=sys.stderr)
 
 
-def _validate(cfg):
-    """``validate_space`` on (0, r_probe_max], and to 5% past the initial max r."""
-    probe = max(cfg.validate_probe,
-                min(_PROBE_MARGIN * float(cfg.initial.r.max()), cfg.space.r_max_domain))
-    return validate_space(cfg.space, probe, cfg.validate_samples)
-
-
 def cmd_validate(cfg, args):
-    report = _validate(cfg)
+    report = validate_space(cfg.space, cfg.validate_probe)
     print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     if report.rss_ok and report.rss2_branch is None:
         _warn("space is rotationally symmetric but the sign conditions "
@@ -69,7 +61,7 @@ def _snapshot_indices(count):
 
 def _prepare(cfg, outdir):
     """Validate the space for ``cfg`` and make ``outdir``; raise on a failed validation."""
-    report = _validate(cfg)
+    report = validate_space(cfg.space, cfg.validate_probe)
     if not report.rss_ok:
         raise RuntimeError("space validation failed: " + "; ".join(report.violations))
     if report.rss2_branch is None:
@@ -167,11 +159,11 @@ def cmd_run(cfg, args):
 def cmd_cmc(cfg, args):
     outdir = _outdir(cfg, args)
     os.makedirs(outdir, exist_ok=True)
-    section = cfg.cmc
-    mode = section.get("mode", "shoot" if "h_target" in section else "cylinder")
+    sections = {"cmc": cfg.cmc}
+    mode = _get(sections, "cmc", "mode", required=True)
 
     def number(key):
-        return _get_as(_NUMBER, {"cmc": section}, "cmc", key, required=True)
+        return _get_as(_NUMBER, sections, "cmc", key, required=True)
 
     if mode == "cylinder":
         prof = cylinder_for_volume(cfg.space, cfg.a, cfg.b, number("volume"), m=cfg.m)

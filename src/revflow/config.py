@@ -32,6 +32,9 @@ optional ``r_max`` (a positive number or ``inf``, the default).  Exactly one
 ``cylinder``.  Each source only produces radii, which one check passes
 through ``ProfileGrid`` and the ambient ball (r < r_max), so every
 ``[initial]`` problem, a CSV's included, is a ``ConfigError`` (exit 1).
+An unknown section or option is a ``ConfigError``.  ``validate_probe`` is
+``[validate] r_probe_max`` (default 3.0, or 0.99 r_max if smaller) extended
+to 5% past the initial max r, within the ball.
 ``summary.json`` files echo the parsed sections under the ``config`` key;
 ``load_config`` accepts such a JSON file directly, which reproduces the run
 bit for bit.
@@ -49,7 +52,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .ambient import _VALIDATE_SAMPLES, AmbientSpace, make_preset, space_from_expressions
+from .ambient import AmbientSpace, make_preset, space_from_expressions
 from .expressions import compile_expression
 from .flow import FlowConfig
 from .hypersurface import ProfileGrid, _check_domain, load_profile_csv
@@ -61,7 +64,21 @@ class ConfigError(ValueError):
     """Config file cannot be parsed or fails validation."""
 
 
-_FLOW_KEYS = {f.name for f in fields(FlowConfig)}
+_WARP = ("f", "df", "d2f", "h", "dh", "d2h")
+_SOURCES = ("expr", "csv", "cylinder")
+# the options of each section; [sweep] takes any section.option, which each
+# member's parse checks
+_OPTIONS = {
+    "space": {"preset", "n", "lambda", "r_max", *_WARP},
+    "domain": {"a", "b"},
+    "grid": {"m"},
+    "initial": {"perturb", *_SOURCES},
+    "flow": {f.name for f in fields(FlowConfig)},
+    "validate": {"r_probe_max"},
+    "cmc": {"mode", "volume", "h_target", "guess"},
+    "sweep": None,
+    "output": {"dir"},
+}
 
 
 @dataclass
@@ -73,7 +90,6 @@ class RunConfig:
     initial: ProfileGrid
     flow: FlowConfig
     validate_probe: float
-    validate_samples: int
     outdir: Optional[str] = None
     cmc: Dict[str, str] = field(default_factory=dict)
     sweep_items: List[Tuple[Tuple[str, str], List[str]]] = field(default_factory=list)
@@ -109,8 +125,7 @@ def _build_space(sections) -> AmbientSpace:
     preset = _get(sections, "space", "preset", required=True).strip().lower()
     n = _get_as(_INTEGER, sections, "space", "n", default=2)
     if preset == "custom":
-        exprs = {key: _get(sections, "space", key, required=True)
-                 for key in ("f", "df", "d2f", "h", "dh", "d2h")}
+        exprs = {key: _get(sections, "space", key, required=True) for key in _WARP}
         r_max = _get_as(_NUMBER, sections, "space", "r_max", default=math.inf)
         build = partial(space_from_expressions, n, r_max=r_max, **exprs)
     elif preset in ("euclidean", "hyperbolic", "spherical"):
@@ -125,7 +140,7 @@ def _build_space(sections) -> AmbientSpace:
 
 def _build_initial(sections, space, a, b, m) -> ProfileGrid:
     z = np.linspace(a, b, m)
-    given = [k for k in ("expr", "csv", "cylinder") if _get(sections, "initial", k)]
+    given = [k for k in _SOURCES if _get(sections, "initial", k)]
     if len(given) != 1:
         raise ConfigError("[initial] give exactly one of: expr, csv, cylinder")
     source = given[0]
@@ -164,10 +179,6 @@ def _build_initial(sections, space, a, b, m) -> ProfileGrid:
 
 
 def _build_flow(sections) -> FlowConfig:
-    if "flow" in sections:
-        unknown = set(sections["flow"]) - _FLOW_KEYS
-        if unknown:
-            raise ConfigError(f"[flow] unknown option(s): {', '.join(sorted(unknown))}")
     kwargs = {}
     for f in fields(FlowConfig):
         # int defaults are integers; the rest, None defaults included, numbers
@@ -198,6 +209,13 @@ def parse_config(sections: Dict[str, Dict[str, str]], base_dir: str = ".") -> Ru
         if not isinstance(kv, dict) or not all(isinstance(v, str) for v in kv.values()):
             raise ConfigError(f"[{name}] section must map option names to strings, got {kv!r}")
     sections = {s.lower(): {k.lower(): v for k, v in kv.items()} for s, kv in sections.items()}
+    for name, kv in sections.items():
+        if name not in _OPTIONS:
+            raise ConfigError(f"[{name}] unknown section")
+        known = _OPTIONS[name]
+        unknown = [] if known is None else sorted(set(kv) - known)
+        if unknown:
+            raise ConfigError(f"[{name}] unknown option(s): {', '.join(unknown)}")
     for required in ("space", "domain", "grid", "initial"):
         if required not in sections:
             raise ConfigError(f"[{required}] section is missing")
@@ -218,22 +236,16 @@ def parse_config(sections: Dict[str, Dict[str, str]], base_dir: str = ".") -> Ru
     initial = _build_initial(sections, space, a, b, m)
     flow_cfg = _build_flow(sections)
 
-    probe = _get_as(_NUMBER, sections, "validate", "r_probe_max")
-    if probe is None:
-        probe = 3.0
-        if space.r_max_domain < math.inf:
-            probe = min(probe, 0.99 * space.r_max_domain)
-    if not 0 < probe <= space.r_max_domain:
-        raise ConfigError(f"[validate] r_probe_max: need 0 < r_probe_max <= "
-                          f"{space.r_max_domain:g}, got {probe!r}")
-    samples = _get_as(_INTEGER, sections, "validate", "samples", default=_VALIDATE_SAMPLES)
-    if samples < 2:
-        raise ConfigError(f"[validate] samples: need samples >= 2, got {samples}")
+    r_max = space.r_max_domain
+    probe = _get_as(_NUMBER, sections, "validate", "r_probe_max", default=min(3.0, 0.99 * r_max))
+    if not 0 < probe <= r_max:
+        raise ConfigError(f"[validate] r_probe_max: need 0 < r_probe_max <= {r_max:g}, "
+                          f"got {probe!r}")
 
     return RunConfig(
         space=space, a=a, b=b, m=m, initial=initial, flow=flow_cfg,
         outdir=_get(sections, "output", "dir"),
-        validate_probe=probe, validate_samples=samples,
+        validate_probe=max(probe, min(1.05 * float(initial.r.max()), r_max)),
         cmc=dict(sections.get("cmc", {})),
         sweep_items=_build_sweep(sections),
         echo=sections,

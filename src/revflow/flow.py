@@ -25,7 +25,7 @@ above ``_ATOL``, the volume is projected by ``_project_volume``, and a state
 near its limit may jump to it by the Newton endgame (``_Run._endgame``).
 
 ``run`` stops at the first of: max|H - Hbar| < conv_tol (converged); min r
-< r_min_stop (singularity, at the arg-min z); max v > v_max_stop (graph
+< r_min_stop (singularity, at the arg-min z); max v > _V_MAX_STOP (graph
 failure); t at max_t (max time); a non-finite value, max r past 0.99 r_max
 or on r_max, or f or h <= 0 (instability); a missed projection (projection
 failed).  ``step`` is one iteration of ``run`` and lands on its states bit
@@ -79,22 +79,16 @@ class FlowConfig:
     r_min_stop defaults to 1e-3 * min r(0) and conv_tol to 1e-6 * |Hbar(0)|.
     """
 
-    dt_safety: float = 0.4
     max_t: float = 10.0
     r_min_stop: Optional[float] = None
-    v_max_stop: float = 1e6
     conv_tol: Optional[float] = None
     record_every: int = 100
 
     def __post_init__(self):
-        if not 0.0 < self.dt_safety < 1.0:
-            raise ValueError("dt_safety must lie in (0, 1)")
         if not self.max_t > 0.0:
             raise ValueError("max_t must be positive")
         if self.r_min_stop is not None and not self.r_min_stop > 0.0:
             raise ValueError("r_min_stop must be positive")
-        if not self.v_max_stop > 0.0:
-            raise ValueError("v_max_stop must be positive")
         if self.conv_tol is not None and not self.conv_tol > 0.0:
             raise ValueError("conv_tol must be positive")
         if int(self.record_every) != self.record_every or self.record_every < 1:
@@ -267,6 +261,10 @@ def _project_volume(space, wz_sigma, r, v_at_r, v_target, r_max, r_lo, r_hi):
     return c, rc, vc
 
 
+# a slope v = sqrt(q)/f past this stops the run as a graph failure
+_V_MAX_STOP = 1e6
+
+
 def _resolve(cfg: FlowConfig, r0_min: float, hbar0: float) -> FlowConfig:
     out = cfg
     if out.r_min_stop is None:
@@ -280,7 +278,7 @@ def _resolve(cfg: FlowConfig, r0_min: float, hbar0: float) -> FlowConfig:
 # to the AB2 predictor, O(dt^3), or after Euler max|dr - dt v|, O(dt^2); a try
 # is accepted when est <= min(_ATOL min r, max(_RTOL max|dr|, dt _SPEED_NOISE
 # |Hbar|)).  dt = dt_cfl 2^(k/_RUNGS_PER_OCTAVE), k >= 0, over the floor
-# dt_cfl = dt_safety dz^2 min(q)/2; it rises at most _MAX_GROWTH rungs a step,
+# dt_cfl = _DT_SAFETY dz^2 min(q)/2; it rises at most _MAX_GROWTH rungs a step,
 # stays below dz^2 min(q)/_DIAG_MARGIN, starts where est = dt^2 max|L v| meets
 # tol, and lands on max_t.
 # A try that reaches r_max is not retried.  2^(5/4) = 2.38 stays under
@@ -291,6 +289,7 @@ def _resolve(cfg: FlowConfig, r0_min: float, hbar0: float) -> FlowConfig:
 # physical in the approach to the limit.  _RTOL = 0.25 keeps the linearised
 # decay within 20% at t = 0.25 and 40% at t = 0.5 (tests/test_kernel.py).
 _ATOL = 1e-3
+_DT_SAFETY = 0.4
 _RTOL = 0.25
 _RUNGS_PER_OCTAVE = 4
 _MAX_GROWTH = 5
@@ -408,7 +407,7 @@ class _Run:
         self.a, self.b, self.dz, self.z = grid.a, grid.b, grid.dz, grid.z
         self.wz = trapezoid_weights(grid.m, grid.dz)
         self.wz_sigma = unit_sphere_area(space.n) * self.wz
-        self.half_safety_dz2 = 0.5 * cfg.dt_safety * grid.dz * grid.dz
+        self.half_safety_dz2 = 0.5 * _DT_SAFETY * grid.dz * grid.dz
         self.implicit = implicit
         self.r_max = space.r_max_domain
         self.rung = rung  # k of the next dt (see _ATOL); None: estimate it
@@ -713,7 +712,7 @@ class _Run:
         elif self.r_max < math.inf and self.hi > 0.99 * self.r_max:
             # outside the regime the theory covers; treated as a failure
             reason = StopReason(StopTag.INSTABILITY)
-        elif g.v.max() > cfg.v_max_stop:
+        elif g.v.max() > _V_MAX_STOP:
             reason = StopReason(StopTag.GRAPH_FAILURE)
         else:
             gap = _gap(g, hbar)
@@ -810,7 +809,7 @@ def write_history_csv(history, path) -> None:
         writer.writerows(rec.to_row() for rec in history)
 
 
-def build_summary(result: RunResult, bounds_report=None, config_echo=None, extras=None):
+def build_summary(result: RunResult, bounds_report, config_echo, extras):
     final = result.final.cached
     summary = {
         "reason": result.reason.tag.value,
@@ -827,10 +826,8 @@ def build_summary(result: RunResult, bounds_report=None, config_echo=None, extra
     }
     if bounds_report is not None:
         summary["bounds"] = bounds_report.to_dict()
-    if config_echo is not None:
-        summary["config"] = config_echo
-    if extras:
-        summary.update(extras)
+    summary["config"] = config_echo
+    summary.update(extras)
     return summary
 
 

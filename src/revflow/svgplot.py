@@ -25,8 +25,8 @@ def _scale(values):
     return lo, hi, lambda v: (v - lo) / span
 
 
-def write_line_plot(path, x, series, title="", xlabel="t"):
-    """Write polylines of ``series`` (name -> values) against ``x`` as SVG."""
+def write_line_plot(path, x, series, title):
+    """Write polylines of ``series`` (name -> values) against ``x``, the time t, as SVG."""
     x = [float(v) for v in x]
     if len(x) < 2:
         x = x + x  # degenerate run: draw flat markers
@@ -42,11 +42,10 @@ def write_line_plot(path, x, series, title="", xlabel="t"):
         f'<rect x="{_ML}" y="{_MT}" width="{plot_w}" height="{plot_h}" '
         'fill="none" stroke="#444" stroke-width="1"/>',
     ]
-    if title:
-        parts.append(f'<text x="{_ML}" y="{_MT - 14}" font-family="sans-serif" '
-                     f'font-size="15">{title}</text>')
+    parts.append(f'<text x="{_ML}" y="{_MT - 14}" font-family="sans-serif" '
+                 f'font-size="15">{title}</text>')
     parts.append(f'<text x="{_ML + plot_w / 2:.1f}" y="{_H - 14}" font-family="sans-serif" '
-                 f'font-size="12" text-anchor="middle">{xlabel}</text>')
+                 f'font-size="12" text-anchor="middle">t</text>')
     parts.append(f'<text x="{_ML}" y="{_H - 30}" font-family="sans-serif" font-size="11" '
                  f'text-anchor="middle">{x_lo:.6g}</text>')
     parts.append(f'<text x="{_ML + plot_w}" y="{_H - 30}" font-family="sans-serif" '

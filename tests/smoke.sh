@@ -128,6 +128,13 @@ code=0
 revflow run --config "$out/h_vanishes.ini" --out "$out/h_vanishes" || code=$?
 test "$code" -eq 2
 test ! -e "$out/h_vanishes/summary.json"
+# a misspelled section is a config error: `revflow run` exits 1 and writes no summary
+sed 's/^\[flow\]$/[flwo]/; s/^max_t = 0.1$/max_t = 0.01/' "$out/smoke.ini" > "$out/flwo.ini"
+grep -qx '\[flwo\]' "$out/flwo.ini"
+code=0
+revflow run --config "$out/flwo.ini" --out "$out/flwo" || code=$?
+test "$code" -eq 1
+test ! -e "$out/flwo/summary.json"
 # README's example config, its one ```ini block, works with every subcommand
 # (exit 0 under `set -e`), and its sweep over initial.perturb sweeps something:
 # the rows' volumes are distinct

@@ -172,7 +172,7 @@ class TestValidateCommand:
         assert "[grid]" in proc.stderr
 
     @pytest.mark.parametrize("command", ["validate", "run", "sweep"])
-    @pytest.mark.parametrize("option,value", [("samples", "1"), ("r_probe_max", "-1")])
+    @pytest.mark.parametrize("option,value", [("r_probe_max", "-1")])
     def test_out_of_range_validate_option_exit_1(self, tmp_path, capsys, command, option, value):
         text = BASE + f"\n[validate]\n{option} = {value}\n"
         code = main([command, "--config", write_ini(tmp_path / "c.ini", text),
@@ -455,6 +455,20 @@ class TestSweepCommand:
         assert len(rows) == 1 and rows[0]["reason"] == "instability"
         assert rows[0]["steps"] == "0" and "unreachable within the domain" in rows[0]["error"]
 
+    def test_misspelled_option_gives_error_rows(self, tmp_path, capsys):
+        # each member's parse rejects [grid] mm: no run under a label it ignored
+        text = BASE + "\n[sweep]\ngrid.mm = 21, 41\n"
+        outdir = tmp_path / "sweep"
+        code = main(["sweep", "--config", write_ini(tmp_path / "c.ini", text),
+                     "--out", str(outdir)])
+        assert code == 0
+        with open(outdir / "sweep.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(row["grid.mm"], row["reason"]) for row in rows] == [("21", "error"),
+                                                                     ("41", "error")]
+        assert all(row["error"] == "ConfigError: [grid] unknown option(s): mm" for row in rows)
+        assert not list(outdir.glob("run_*"))
+
     def test_empty_sweep(self, tmp_path, capsys):
         outdir = tmp_path / "sweep"
         code = main(["sweep", "--config", write_ini(tmp_path / "c.ini", BASE),
@@ -688,17 +702,31 @@ _ERRORS = {
                             "error: [initial] perturb: applies only to cylinder, not to expr"),
     "retired-volume_projection": (BASE + "volume_projection = true\n", ["run"], 1,
                                   "error: [flow] unknown option(s): volume_projection"),
-    "dt_safety": (BASE + "dt_safety = 1.5\n", ["run"], 1,
-                  "error: [flow] dt_safety must lie in (0, 1)"),
+    "retired-dt_safety": (BASE + "dt_safety = 0.4\n", ["run"], 1,
+                          "error: [flow] unknown option(s): dt_safety"),
+    "retired-v_max_stop": (BASE + "v_max_stop = 1e6\n", ["run"], 1,
+                           "error: [flow] unknown option(s): v_max_stop"),
+    "retired-samples": (BASE + "\n[validate]\nsamples = 129\n", ["run"], 1,
+                        "error: [validate] unknown option(s): samples"),
+    "unknown-section": (BASE.replace("[flow]", "[flwo]"), ["run"], 1,
+                        "error: [flwo] unknown section"),
+    "unknown-validate-option": (BASE + "\n[validate]\nr_prob_max = 0.5\n", ["run"], 1,
+                                "error: [validate] unknown option(s): r_prob_max"),
+    "unknown-output-option": (BASE + "\n[output]\ndri = x\n", ["run"], 1,
+                              "error: [output] unknown option(s): dri"),
     "sweep-key-without-a-dot": (BASE + "\n[sweep]\nperturb = 0.1\n", ["sweep"], 1,
                                 "error: [sweep] perturb: keys must look like section.option"),
     "unreadable-file": (None, ["run"], 1, "error: [Errno 2] No such file or directory"),
     "bad-json": ("{not json", ["run"], 1, "error: {path}: bad JSON ("),
+    "unknown-section-in-json": ('{"config": {"flwo": {"max_t": "0.01"}}}', ["run"], 1,
+                                "error: [flwo] unknown section"),
     "no-config-sections": ('{"config": [1]}', ["run"], 1,
                            "error: {path}: no config sections found"),
     "ini-syntax": ("a = 1\n", ["run"], 1, "error: File contains no section headers."),
     "unknown-cmc-mode": (BASE + "\n[cmc]\nmode = sphere\n", ["cmc"], 1,
                          "error: [cmc] mode: unknown value 'sphere'"),
+    "missing-cmc-mode": (BASE + "\n[cmc]\nvolume = 3.0\n", ["cmc"], 1,
+                         "error: [cmc] mode: missing required option"),
     # argparse's usage error: the message follows the usage line
     "jobs-not-an-integer": (BASE, ["sweep", "--jobs", "two"], 2,
                             "revflow sweep: error: argument --jobs: invalid int value: 'two'"),

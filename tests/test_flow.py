@@ -41,12 +41,12 @@ def equilibrium_hbar(space, rc):
 class TestFlowConfig:
     def test_defaults(self):
         cfg = FlowConfig()
-        assert cfg.dt_safety == 0.4
+        assert (cfg.max_t, cfg.r_min_stop, cfg.conv_tol, cfg.record_every) == \
+            (10.0, None, None, 100)
 
     @pytest.mark.parametrize("kwargs", [
-        {"dt_safety": 0.0}, {"dt_safety": 1.0}, {"max_t": -1.0},
-        {"r_min_stop": 0.0}, {"v_max_stop": 0.0}, {"conv_tol": -1e-6},
-        {"record_every": 0},
+        {"max_t": -1.0}, {"r_min_stop": 0.0}, {"conv_tol": -1e-6}, {"record_every": 0},
+        {"max_t": 0.0}, {"conv_tol": 0.0}, {"record_every": 2.5},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -249,8 +249,9 @@ class TestRun:
         assert all(ns[i + 1] <= ns[i] for i in range(len(ns) - 1))
         assert all(rec.Hbar > 0 for rec in res.history)
 
-    def test_graph_failure_stop(self, euclid2):
-        res = run(cos_profile(51, amp=0.3), euclid2, FlowConfig(v_max_stop=1.001))
+    def test_graph_failure_stop(self, monkeypatch, euclid2):
+        monkeypatch.setattr(flow, "_V_MAX_STOP", 1.001)
+        res = run(cos_profile(51, amp=0.3), euclid2, FlowConfig())
         assert res.reason.tag is StopTag.GRAPH_FAILURE
 
     def test_max_time_stop(self, euclid2):
@@ -354,7 +355,7 @@ def _run_with_steps(monkeypatch, initial, space, cfg):
 
     def spied_increment(self, r, g, *args):
         dr, dt = increment(self, r, g, *args)
-        last[:] = [(dt, 0.5 * cfg.dt_safety * self.dz * self.dz * float(np.min(g.q)))]
+        last[:] = [(dt, 0.5 * flow._DT_SAFETY * self.dz * self.dz * float(np.min(g.q)))]
         return dr, dt
 
     def spied_advance(self, *args):  # a step that raises is not accepted
@@ -412,7 +413,7 @@ class TestStepSizeControl:
         lv = float(np.max(np.abs(flow._second_difference(v) / g.q))) / p0.dz ** 2
         dt0 = min(math.sqrt(flow._ATOL * float(np.min(p0.r)) / lv),
                   flow._RTOL * float(np.max(np.abs(v))) / lv)
-        dt_cfl = 0.5 * cfg.dt_safety * p0.dz ** 2 * float(np.min(g.q))
+        dt_cfl = 0.5 * flow._DT_SAFETY * p0.dz ** 2 * float(np.min(g.q))
         k = math.floor(4 * math.log2(dt0 / dt_cfl))
         assert k > 0 and dts[0] == dt_cfl * 2.0 ** (k / 4)
 

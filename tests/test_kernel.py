@@ -159,7 +159,7 @@ def test_semi_implicit_update_solves_the_diffusion_system(case):
     scale = max(float(np.max(np.abs(dtv))),
                 float(np.max(np.abs(dr))) * (1.0 + 4.0 * dt * float(np.max(g.invq)) / (dz * dz)))
     assert float(np.max(np.abs(residual))) <= 1e-13 * scale
-    assert dt >= 0.5 * FlowConfig().dt_safety * dz * dz * float(np.min(g.q))
+    assert dt >= 0.5 * flow._DT_SAFETY * dz * dz * float(np.min(g.q))
 
 
 @settings(deadline=None, max_examples=60)
@@ -180,7 +180,7 @@ def test_semi_implicit_update_solves_the_diffusion_system_up_the_ladder(case, ru
     scale = max(float(np.max(np.abs(dtv))),
                 float(np.max(np.abs(dr))) * (1.0 + 4.0 * dt * float(np.max(g.invq)) / (dz * dz)))
     assert float(np.max(np.abs(residual))) <= 1e-13 * scale
-    dt_cfl = 0.5 * FlowConfig().dt_safety * dz * dz * float(np.min(g.q))
+    dt_cfl = 0.5 * flow._DT_SAFETY * dz * dz * float(np.min(g.q))
     assert dt_cfl <= dt <= dt_cfl * 2.0 ** (rung / 4) * (1.0 + 1e-12)
 
 
