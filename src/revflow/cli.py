@@ -17,7 +17,7 @@ from . import flow as flow_mod
 from .ambient import validate_space
 from .bounds import compute_bounds
 from .cmc import ShootingError, cylinder_for_volume, shoot_cmc
-from .config import _NUMBER, ConfigError, _get, _get_as, load_config, parse_config
+from .config import _NUMBER, ConfigError, _get, _get_as, _refuse, load_config, parse_config
 from .flow import StopTag, build_summary, write_history_csv, write_summary_json
 from .hypersurface import enclosed_volume, lateral_area, save_profile_csv
 from .svgplot import write_line_plot
@@ -166,8 +166,10 @@ def cmd_cmc(cfg, args):
         return _get_as(_NUMBER, sections, "cmc", key, required=True)
 
     if mode == "cylinder":
+        _refuse(sections, "cmc", ("h_target", "guess"), "mode cylinder")
         prof = cylinder_for_volume(cfg.space, cfg.a, cfg.b, number("volume"), m=cfg.m)
     elif mode == "shoot":
+        _refuse(sections, "cmc", ("volume",), "mode shoot")
         prof = shoot_cmc(cfg.space, cfg.a, cfg.b, number("h_target"), number("guess"), m=cfg.m)
     else:
         raise ConfigError(f"[cmc] mode: unknown value {mode!r}")

@@ -26,10 +26,11 @@ and flow thresholds.  Example::
 
 Custom spaces give the six warp expressions in ``r``: ``f, df, d2f, h, dh,
 d2h`` (first and second derivatives must be supplied analytically) plus an
-optional ``r_max`` (a positive number or ``inf``, the default).  Exactly one
-``[initial]`` source must be given; an empty ``expr``, ``csv`` or
-``cylinder`` counts as not given, and a non-empty ``perturb`` goes only with
-``cylinder``.  Each source only produces radii, which one check passes
+optional ``r_max`` (a positive number or ``inf``, the default); ``lambda``
+goes only with a preset, and ``r_max`` and the warps only with ``custom``.
+Exactly one ``[initial]`` source must be given; an empty ``expr``, ``csv``
+or ``cylinder`` counts as not given, and a non-empty ``perturb`` goes only
+with ``cylinder``.  Each source only produces radii, which one check passes
 through ``ProfileGrid`` and the ambient ball (r < r_max), so every
 ``[initial]`` problem, a CSV's included, is a ``ConfigError`` (exit 1).
 An unknown section or option is a ``ConfigError``.  ``validate_probe`` is
@@ -121,14 +122,24 @@ def _get_as(kind, sections, section, key, default=None, required=False):
         raise ConfigError(f"[{section}] {key}: expected {name}, got {raw!r}")
 
 
+def _refuse(sections, section, keys, owner):
+    """ConfigError for the first of ``keys`` given in ``section``: it does not
+    apply to ``owner``, and would otherwise be dropped without a word."""
+    for key in keys:
+        if key in sections.get(section, {}):
+            raise ConfigError(f"[{section}] {key}: does not apply to {owner}")
+
+
 def _build_space(sections) -> AmbientSpace:
     preset = _get(sections, "space", "preset", required=True).strip().lower()
     n = _get_as(_INTEGER, sections, "space", "n", default=2)
     if preset == "custom":
+        _refuse(sections, "space", ("lambda",), "preset custom")
         exprs = {key: _get(sections, "space", key, required=True) for key in _WARP}
         r_max = _get_as(_NUMBER, sections, "space", "r_max", default=math.inf)
         build = partial(space_from_expressions, n, r_max=r_max, **exprs)
     elif preset in ("euclidean", "hyperbolic", "spherical"):
+        _refuse(sections, "space", ("r_max", *_WARP), f"preset {preset}")
         build = partial(make_preset, preset, _get_as(_NUMBER, sections, "space", "lambda"), n=n)
     else:
         raise ConfigError(f"[space] preset: unknown value {preset!r}")

@@ -278,10 +278,18 @@ def _resolve(cfg: FlowConfig, r0_min: float, hbar0: float) -> FlowConfig:
 # to the AB2 predictor, O(dt^3), or after Euler max|dr - dt v|, O(dt^2); a try
 # is accepted when est <= min(_ATOL min r, max(_RTOL max|dr|, dt _SPEED_NOISE
 # |Hbar|)).  dt = dt_cfl 2^(k/_RUNGS_PER_OCTAVE), k >= 0, over the floor
-# dt_cfl = _DT_SAFETY dz^2 min(q)/2; it rises at most _MAX_GROWTH rungs a step,
-# stays below dz^2 min(q)/_DIAG_MARGIN, starts where est = dt^2 max|L v| meets
-# tol, and lands on max_t.
-# A try that reaches r_max is not retried.  2^(5/4) = 2.38 stays under
+# dt_cfl = _DT_SAFETY dz^2 min(q)/2; it stays below dz^2 min(q)/_DIAG_MARGIN,
+# starts where est = dt^2 max|L v| meets tol, and lands on max_t.  The rungs
+# from est to tol are counted as if est ~ dt^2, SBDF2 tries included: near a
+# pinch the timescale shrinks like min r^2 (r_min^2 ~ 2(n-1)(T - t) at a
+# type-I neckpinch, Angenent & Velazquez 1997), and one rung down lowers est
+# only about as dt^1.65 there, so a dt^3 count steps down one rung where two
+# are needed.  An accepted try proposes one rung below the rung where est
+# meets tol (at most _MAX_GROWTH - 1 rungs up), so the next, shorter
+# timescale is usually met by the first try: a stateless stand-in for the
+# est ratio of Gustafsson's predictive controller (ACM TOMS 20, 1994).  A
+# rejected try steps down at least one rung.
+# A try that reaches r_max is not retried.  2^(4/4) = 2 stays under
 # _OMEGA_MAX = 1 + sqrt(2), the zero-stability limit of variable-step BDF2, so
 # a step from a ladder step stays SBDF2.  The ladder keeps last-bit
 # differences of the state from changing the rung.  The min r term resolves
@@ -479,34 +487,33 @@ class _Run:
                 dt = ceiling
                 pos = _RUNGS_PER_OCTAVE * math.log2(dt / dt_cfl)
             omega = math.inf if euler else dt / dt_prev
-            if omega <= _OMEGA_MAX:  # SBDF2, against the AB2 predictor: est O(dt^3)
+            sbdf2 = omega <= _OMEGA_MAX
+            if sbdf2:  # against the AB2 predictor: est O(dt^3)
                 a0 = (1.0 + 2.0 * omega) / (1.0 + omega)
                 a2 = omega * omega / (1.0 + omega)
                 dr = _solve_diffusion(2.0 + dz2q * (a0 / dt),
                                       dz2qv + omega * dz2q_dv + (a2 / dt) * dz2q_d
                                       - omega * d2_d)
                 est = float(abs(dr - dt * (v + (0.5 * omega) * dv)).max())
-                order = 3
             else:  # semi-implicit Euler, against explicit Euler: est O(dt^2)
                 dr = _solve_diffusion(2.0 + dz2q / dt, dz2qv)
                 est = float(abs(dr - dt * v).max())
-                order = 2
             tol = min(atol, max(_RTOL * float(abs(dr).max()), dt * noise))
-            # rungs that take est to tol; a NaN update steps down to the
-            # floor, where the finiteness check reports it
+            # rungs that take est to tol (see _ATOL); a NaN update steps down
+            # to the floor, where the finiteness check reports it
             ratio = tol / est if est > 0.0 else math.inf
-            change = (min(_MAX_GROWTH, _RUNGS_PER_OCTAVE * math.log2(ratio) / order)
+            change = (min(_MAX_GROWTH, _RUNGS_PER_OCTAVE * math.log2(ratio) / 2)
                       if ratio > 0.0 else -1)
             r_new = r + dr
             # accepted, at the floor dt_cfl, or out of the domain: near r_max
             # the speed grows like 1/f, and smaller tries only creep up to it
             if est <= tol or pos <= 0.0 or r_new.max() >= self.r_max:
-                if order == 3:
+                if sbdf2:
                     turns = _turns(r_new[2:] - r_new[:-2])
                     if turns and turns > _turns(g.rdot):
                         euler = True  # the same dt again, as an Euler step
                         continue
-                self.rung = max(0, math.floor(pos + change))
+                self.rung = max(0, math.floor(pos + change) - 1)
                 self.prev = (v, dr, dt)
                 return dr, dt
             k = max(0, min(k - 1, math.floor(pos + change)))

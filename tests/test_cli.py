@@ -516,6 +516,10 @@ class TestSpaceAndInitialSources:
             cfg = load_config(write_ini(tmp_path / "c.ini", text))
             assert cfg.space.r_max_domain == expected
 
+    def test_zero_lambda_beside_euclidean_is_kept(self, tmp_path):
+        text = BASE.replace("n = 2", "n = 2\nlambda = 0")
+        assert load_config(write_ini(tmp_path / "c.ini", text)).space.preset == "euclidean"
+
     @pytest.mark.parametrize("empty", ["expr", "csv"])
     def test_empty_source_counts_as_not_given(self, tmp_path, empty):
         text = BASE.replace("cylinder = 1.0", f"{empty} =\ncylinder = 1.0")
@@ -727,6 +731,21 @@ _ERRORS = {
                          "error: [cmc] mode: unknown value 'sphere'"),
     "missing-cmc-mode": (BASE + "\n[cmc]\nvolume = 3.0\n", ["cmc"], 1,
                          "error: [cmc] mode: missing required option"),
+    "r_max-beside-a-preset": (BASE.replace("n = 2\n", "n = 2\nr_max = 0.5\n", 1), ["run"], 1,
+                              "error: [space] r_max: does not apply to preset euclidean"),
+    "lambda-beside-custom": (CUSTOM_FLAT.replace("d2h = 0", "d2h = 0\nlambda = -1.0"), ["run"], 1,
+                             "error: [space] lambda: does not apply to preset custom"),
+    "warp-beside-a-preset": (BASE.replace("preset = euclidean",
+                                          "preset = hyperbolic\nlambda = -1.0\ndh = cosh(r)"),
+                             ["run"], 1, "error: [space] dh: does not apply to preset hyperbolic"),
+    "h_target-in-cylinder-mode": (BASE + "\n[cmc]\nmode = cylinder\nvolume = 3.0\nh_target = 2.0\n",
+                                  ["cmc"], 1,
+                                  "error: [cmc] h_target: does not apply to mode cylinder"),
+    "guess-in-cylinder-mode": (BASE + "\n[cmc]\nmode = cylinder\nvolume = 3.0\nguess = 1.0\n",
+                               ["cmc"], 1, "error: [cmc] guess: does not apply to mode cylinder"),
+    "volume-in-shoot-mode": (BASE + "\n[cmc]\nmode = shoot\nh_target = 2.0\nguess = 1.0\n"
+                             "volume = 3.0\n", ["cmc"], 1,
+                             "error: [cmc] volume: does not apply to mode shoot"),
     # argparse's usage error: the message follows the usage line
     "jobs-not-an-integer": (BASE, ["sweep", "--jobs", "two"], 2,
                             "revflow sweep: error: argument --jobs: invalid int value: 'two'"),

@@ -395,6 +395,18 @@ class TestStepSizeControl:
         else:  # the error control resolves the pinch down to the floor
             assert seen[-1][0] == seen[-1][1]
 
+    def test_pinch_steps_mostly_take_one_try(self, monkeypatch, euclid2):
+        # the acceptance dumbbell's neck shrinks every step, and the proposal
+        # keeps up with it: 40 Thomas solves for 33 steps measured (a
+        # controller that proposed the last accepted rung took 51 for 32);
+        # the bound leaves a margin of 4 solves, 10%, for rounding
+        solves = []
+        solve = flow._solve_diffusion
+        monkeypatch.setattr(flow, "_solve_diffusion", lambda *a: solves.append(1) or solve(*a))
+        res = run(neck_profile(201), euclid2, FlowConfig(max_t=2.0))
+        assert res.reason.tag is StopTag.SINGULARITY
+        assert len(solves) <= 44, (len(solves), res.steps)
+
     def test_step_carries_the_proposal_and_lands_on_max_t(self, euclid2):
         p0 = cos_profile(51)
         cfg = FlowConfig(max_t=0.05)
