@@ -9,15 +9,14 @@ import argparse
 import csv
 import itertools
 import json
-import math
 import os
 import sys
 
 from . import flow as flow_mod
 from .ambient import validate_space
 from .bounds import compute_bounds
-from .cmc import ShootingError, cylinder_for_volume, shoot_cmc
-from .config import _NUMBER, ConfigError, _get, _get_as, _refuse, load_config, parse_config
+from .cmc import ShootingError
+from .config import ConfigError, load_config, parse_config
 from .flow import StopTag, build_summary, write_history_csv, write_summary_json
 from .hypersurface import enclosed_volume, lateral_area, save_profile_csv
 from .svgplot import write_line_plot
@@ -157,23 +156,11 @@ def cmd_run(cfg, args):
 
 
 def cmd_cmc(cfg, args):
+    if cfg.cmc is None:
+        raise ConfigError("[cmc] section is missing")
+    prof = cfg.cmc()
     outdir = _outdir(cfg, args)
     os.makedirs(outdir, exist_ok=True)
-    sections = {"cmc": cfg.cmc}
-    mode = _get(sections, "cmc", "mode", required=True)
-
-    def number(key):
-        return _get_as(_NUMBER, sections, "cmc", key, required=True)
-
-    if mode == "cylinder":
-        _refuse(sections, "cmc", ("h_target", "guess"), "mode cylinder")
-        prof = cylinder_for_volume(cfg.space, cfg.a, cfg.b, number("volume"), m=cfg.m)
-    elif mode == "shoot":
-        _refuse(sections, "cmc", ("volume",), "mode shoot")
-        prof = shoot_cmc(cfg.space, cfg.a, cfg.b, number("h_target"), number("guess"), m=cfg.m)
-    else:
-        raise ConfigError(f"[cmc] mode: unknown value {mode!r}")
-
     path = os.path.join(outdir, "cmc_profile.csv")
     save_profile_csv(prof.profile, path)
     print(json.dumps({
@@ -288,12 +275,6 @@ def main(argv=None) -> int:
                                 "the computation does not use it")
     args = parser.parse_args(argv)
 
-    try:
-        cfg = load_config(args.config)
-    except ConfigError as exc:
-        _err(str(exc))
-        return 1
-
     dispatch = {
         "validate": cmd_validate,
         "bounds": cmd_bounds,
@@ -302,7 +283,7 @@ def main(argv=None) -> int:
         "sweep": cmd_sweep,
     }
     try:
-        return dispatch[args.command](cfg, args)
+        return dispatch[args.command](load_config(args.config), args)
     except ConfigError as exc:
         _err(str(exc))
         return 1

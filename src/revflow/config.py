@@ -33,9 +33,10 @@ or ``cylinder`` counts as not given, and a non-empty ``perturb`` goes only
 with ``cylinder``.  Each source only produces radii, which one check passes
 through ``ProfileGrid`` and the ambient ball (r < r_max), so every
 ``[initial]`` problem, a CSV's included, is a ``ConfigError`` (exit 1).
-An unknown section or option is a ``ConfigError``.  ``validate_probe`` is
-``[validate] r_probe_max`` (default 3.0, or 0.99 r_max if smaller) extended
-to 5% past the initial max r, within the ball.
+``[cmc]`` needs ``mode``; ``volume`` goes with ``cylinder``, ``h_target`` and
+``guess`` with ``shoot``.  An unknown section or option is a ``ConfigError``.
+``validate_probe`` is ``[validate] r_probe_max`` (default 3.0, or 0.99 r_max
+if smaller) extended to 5% past the initial max r, within the ball.
 ``summary.json`` files echo the parsed sections under the ``config`` key;
 ``load_config`` accepts such a JSON file directly, which reproduces the run
 bit for bit.
@@ -49,11 +50,12 @@ import math
 import os
 from dataclasses import dataclass, field, fields
 from functools import partial
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .ambient import AmbientSpace, make_preset, space_from_expressions
+from .cmc import CMCProfile, cylinder_for_volume, shoot_cmc
 from .expressions import compile_expression
 from .flow import FlowConfig
 from .hypersurface import ProfileGrid, _check_domain, load_profile_csv
@@ -92,7 +94,7 @@ class RunConfig:
     flow: FlowConfig
     validate_probe: float
     outdir: Optional[str] = None
-    cmc: Dict[str, str] = field(default_factory=dict)
+    cmc: Optional[Callable[[], CMCProfile]] = None
     sweep_items: List[Tuple[Tuple[str, str], List[str]]] = field(default_factory=list)
     echo: Dict[str, Dict[str, str]] = field(default_factory=dict)
 
@@ -140,7 +142,8 @@ def _build_space(sections) -> AmbientSpace:
         build = partial(space_from_expressions, n, r_max=r_max, **exprs)
     elif preset in ("euclidean", "hyperbolic", "spherical"):
         _refuse(sections, "space", ("r_max", *_WARP), f"preset {preset}")
-        build = partial(make_preset, preset, _get_as(_NUMBER, sections, "space", "lambda"), n=n)
+        lam = _get_as(_NUMBER, sections, "space", "lambda", required=preset != "euclidean")
+        build = partial(make_preset, preset, lam, n=n)
     else:
         raise ConfigError(f"[space] preset: unknown value {preset!r}")
     try:
@@ -203,6 +206,21 @@ def _build_flow(sections) -> FlowConfig:
         raise ConfigError(f"[flow] {exc}")
 
 
+def _build_cmc(sections, space, a, b, m) -> Callable[[], CMCProfile]:
+    mode = _get(sections, "cmc", "mode", required=True)
+
+    def number(key):
+        return _get_as(_NUMBER, sections, "cmc", key, required=True)
+
+    if mode == "cylinder":
+        _refuse(sections, "cmc", ("h_target", "guess"), "mode cylinder")
+        return partial(cylinder_for_volume, space, a, b, number("volume"), m=m)
+    if mode == "shoot":
+        _refuse(sections, "cmc", ("volume",), "mode shoot")
+        return partial(shoot_cmc, space, a, b, number("h_target"), number("guess"), m=m)
+    raise ConfigError(f"[cmc] mode: unknown value {mode!r}")
+
+
 def _build_sweep(sections) -> List[Tuple[Tuple[str, str], List[str]]]:
     items = []
     for key, raw in sections.get("sweep", {}).items():
@@ -257,7 +275,7 @@ def parse_config(sections: Dict[str, Dict[str, str]], base_dir: str = ".") -> Ru
         space=space, a=a, b=b, m=m, initial=initial, flow=flow_cfg,
         outdir=_get(sections, "output", "dir"),
         validate_probe=max(probe, min(1.05 * float(initial.r.max()), r_max)),
-        cmc=dict(sections.get("cmc", {})),
+        cmc=_build_cmc(sections, space, a, b, m) if "cmc" in sections else None,
         sweep_items=_build_sweep(sections),
         echo=sections,
     )

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # End-to-end smoke of the installed `revflow` console script: validate, a short
 # run, a dumbbell pinch, a converging run through the Newton endgame, its CMC
-# limit and a-priori radii, a sweep against `revflow run`, and a failed space
-# validation.  Usage: bash tests/smoke.sh [scratch directory]
+# limit and a-priori radii, a sweep against `revflow run`, a failed space
+# validation and two config errors.  Usage: bash tests/smoke.sh [scratch directory]
 set -euo pipefail
 out=${1:-$(mktemp -d)}
 mkdir -p "$out"
@@ -130,13 +130,22 @@ code=0
 revflow run --config "$out/h_vanishes.ini" --out "$out/h_vanishes" || code=$?
 test "$code" -eq 2
 test ! -e "$out/h_vanishes/summary.json"
-# a misspelled section is a config error: `revflow run` exits 1 and writes no summary
+# a misspelled section is a config error: `revflow run` exits 1 and makes no
+# output directory
 sed 's/^\[flow\]$/[flwo]/; s/^max_t = 0.1$/max_t = 0.01/' "$out/smoke.ini" > "$out/flwo.ini"
 grep -qx '\[flwo\]' "$out/flwo.ini"
 code=0
 revflow run --config "$out/flwo.ini" --out "$out/flwo" || code=$?
 test "$code" -eq 1
-test ! -e "$out/flwo/summary.json"
+test ! -e "$out/flwo"
+# so is a [cmc] option beside a mode it does not apply to: `revflow cmc` exits 1
+# and makes no output directory
+cp "$out/smoke.ini" "$out/cmc_guess.ini"
+printf '\n[cmc]\nmode = cylinder\nvolume = 3.0\nguess = 1.0\n' >> "$out/cmc_guess.ini"
+code=0
+revflow cmc --config "$out/cmc_guess.ini" --out "$out/cmc_guess" || code=$?
+test "$code" -eq 1
+test ! -e "$out/cmc_guess"
 # README's example config, its one ```ini block, works with every subcommand
 # (exit 0 under `set -e`), and its sweep over initial.perturb sweeps something:
 # the rows' volumes are distinct

@@ -731,6 +731,11 @@ _ERRORS = {
                          "error: [cmc] mode: unknown value 'sphere'"),
     "missing-cmc-mode": (BASE + "\n[cmc]\nvolume = 3.0\n", ["cmc"], 1,
                          "error: [cmc] mode: missing required option"),
+    "missing-cmc-section": (BASE, ["cmc"], 1, "error: [cmc] section is missing"),
+    "hyperbolic-without-lambda": (BASE.replace("preset = euclidean", "preset = hyperbolic"),
+                                  ["run"], 1, "error: [space] lambda: missing required option"),
+    "spherical-without-lambda": (BASE.replace("preset = euclidean", "preset = spherical"),
+                                 ["run"], 1, "error: [space] lambda: missing required option"),
     "r_max-beside-a-preset": (BASE.replace("n = 2\n", "n = 2\nr_max = 0.5\n", 1), ["run"], 1,
                               "error: [space] r_max: does not apply to preset euclidean"),
     "lambda-beside-custom": (CUSTOM_FLAT.replace("d2h = 0", "d2h = 0\nlambda = -1.0"), ["run"], 1,
@@ -770,3 +775,20 @@ def test_each_error_exits_with_its_code_and_message(tmp_path, capsys, case):
         assert main(argv) == 1
         err = capsys.readouterr().err
     assert err.startswith(start.format(path=path)), err
+
+
+@pytest.mark.parametrize("case", [case for case, row in _ERRORS.items() if row[2] == 1])
+def test_each_config_error_leaves_no_output_directory(tmp_path, capsys, case):
+    # the config is parsed and checked whole before anything is written
+    test_each_error_exits_with_its_code_and_message(tmp_path, capsys, case)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "bounds", "run", "sweep"])
+@pytest.mark.parametrize("case", ["unknown-cmc-mode", "guess-in-cylinder-mode"])
+def test_every_subcommand_refuses_a_broken_cmc_section(tmp_path, capsys, command, case):
+    text, _, _, start = _ERRORS[case]
+    code = main([command, "--config", write_ini(tmp_path / "c.ini", text),
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(start)
